@@ -40,35 +40,29 @@ def _fmt(x: float) -> float:
     return float(f"{x:.17g}")
 
 
-def _dump(obj, args) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2)
+def _write(text: str, args) -> None:
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
+
+
+def _dump(obj, args) -> None:
+    _write(json.dumps(obj, sort_keys=True, indent=2), args)
 
 
 def _dump_csv(rows, header, args) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    text = "\n".join(lines)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+    _write("\n".join(lines), args)
 
 
 def _domain(args) -> EllipticDomain:
-    if args.p is not None and args.delta is not None:
+    if (args.p is None) == (args.delta is None):
         raise SystemExit("supply exactly one of --p or --delta")
     if args.p is not None:
         return EllipticDomain.from_nome(args.ell, args.p)
-    if args.delta is not None:
-        return EllipticDomain.from_half_periods(args.ell, args.delta)
-    raise SystemExit("supply exactly one of --p or --delta")
+    return EllipticDomain.from_half_periods(args.ell, args.delta)
 
 
 def worker_count() -> int:

@@ -52,12 +52,6 @@ class EllipticDomain:
         delta = math.inf if p == 0.0 else -float(ell) * math.log(p) / (2.0 * math.pi)
         return cls(ell=float(ell), delta=delta, p=float(p), tau=1j * delta / ell)
 
-    def z(self, x: complex) -> complex:
-        """Map x to the multiplicative coordinate z = exp(i*pi*x/ell)."""
-        import numpy as np
-
-        return np.exp(1j * math.pi * np.asarray(x) / self.ell)
-
 
 @dataclass(frozen=True)
 class TruncationPolicy:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .domain import DEFAULT_POLICY, EllipticDomain, TruncationPolicy
 from .errors import DomainError
+from .gamma import ground_state_psi0
 from .theta import theta1_logderiv, theta1_power, theta1_tau_logderiv, wp1
 
 __all__ = ["KernelSpec", "kernel_K", "kernel_identity_residual"]
@@ -48,13 +49,7 @@ def kernel_K(spec: KernelSpec, x, y, dom: EllipticDomain,
     if len(x) != spec.N or len(y) != spec.M:
         raise DomainError("coordinate counts must match the KernelSpec")
     g = spec.g
-    out = 1.0 + 0.0j
-    for i in range(spec.N):
-        for j in range(i + 1, spec.N):
-            out *= theta1_power(x[i] - x[j], g, dom, pol)
-    for i in range(spec.M):
-        for j in range(i + 1, spec.M):
-            out *= theta1_power(y[i] - y[j], g, dom, pol)
+    out = ground_state_psi0(x, g, dom, pol) * ground_state_psi0(y, g, dom, pol)
     for i in range(spec.N):
         for j in range(spec.M):
             out /= theta1_power(x[i] - y[j], g, dom, pol)

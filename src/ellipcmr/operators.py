@@ -21,6 +21,7 @@ import numpy as np
 from .domain import DEFAULT_POLICY, EllipticDomain, RuijsenaarsParams, TruncationPolicy
 from .errors import DomainError, PoleError
 from .fields import SmoothField
+from .gamma import ground_state_psi0
 from .theta import (theta1_logderiv, theta1_power, theta1_tau_logderiv, theta_q, wp1)
 
 __all__ = [
@@ -124,6 +125,19 @@ def _cross_potential(us, vs, dom, pol, shift=0.0):
     return total
 
 
+def _deformed_block(psi: SmoothField, full, iA, iB, g: float, dom, pol):
+    """Kinetic and potential parts of H_{N,M} on the coordinates full[iA], full[iB]."""
+    kin = -0.5 * sum(psi.second(full, i) for i in iA)
+    kin += 0.5 * g * sum(psi.second(full, i) for i in iB)
+    ua, ub = full[iA], full[iB]
+    pot = g * (g - 1.0) * _pairwise_potential(ua, dom, pol)
+    if len(ub) > 1:
+        pot -= (1.0 / g - 1.0) * _pairwise_potential(ub, dom, pol)
+    if len(ua) and len(ub):
+        pot += (1.0 - g) * _cross_potential(ua, ub, dom, pol)
+    return kin, pot
+
+
 def apply_deformed_ecs(psi: SmoothField, x: Sequence[complex], xt: Sequence[complex],
                        g: float, dom: EllipticDomain,
                        pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
@@ -137,12 +151,7 @@ def apply_deformed_ecs(psi: SmoothField, x: Sequence[complex], xt: Sequence[comp
         raise DomainError("deformed operator needs g != 0 when M > 0")
     full = np.concatenate([x, xt])
     n = len(x)
-    kin = -0.5 * sum(psi.second(full, i) for i in range(n))
-    kin += 0.5 * g * sum(psi.second(full, n + i) for i in range(len(xt)))
-    pot = g * (g - 1.0) * _pairwise_potential(x, dom, pol)
-    if len(xt) > 1:
-        pot -= (1.0 / g - 1.0) * _pairwise_potential(xt, dom, pol)
-    pot += (1.0 - g) * _cross_potential(x, xt, dom, pol)
+    kin, pot = _deformed_block(psi, full, range(n), range(n, len(full)), g, dom, pol)
     return kin + pot * psi(full)
 
 
@@ -164,21 +173,9 @@ def apply_generalized_ecs(psi: SmoothField, x, xt, y, yt, g: float,
     if (len(xt) > 0 or len(yt) > 0) and g == 0.0:
         raise DomainError("generalized operator needs g != 0 when tilde families are present")
 
-    def block(iA, iB):
-        """Deformed H_{N,M} acting through full-coordinate indices."""
-        kin = -0.5 * sum(psi.second(full, i) for i in iA)
-        kin += 0.5 * g * sum(psi.second(full, i) for i in iB)
-        ua, ub = full[iA], full[iB]
-        pot = g * (g - 1.0) * _pairwise_potential(ua, dom, pol)
-        if len(ub) > 1:
-            pot -= (1.0 / g - 1.0) * _pairwise_potential(ub, dom, pol)
-        if len(ua) and len(ub):
-            pot += (1.0 - g) * _cross_potential(ua, ub, dom, pol)
-        return kin, pot
-
     idx = [list(range(offs[k], offs[k + 1])) for k in range(4)]
-    kin1, pot1 = block(idx[0], idx[1])
-    kin2, pot2 = block(idx[2], idx[3])
+    kin1, pot1 = _deformed_block(psi, full, idx[0], idx[1], g, dom, pol)
+    kin2, pot2 = _deformed_block(psi, full, idx[2], idx[3], g, dom, pol)
     shift = 1j * dom.delta
 
     def V(us, vs, c):
@@ -251,11 +248,7 @@ def ground_state_field(n: int, g: float, dom: EllipticDomain,
     """psi0(x) = prod_{i<j} vt1(x_i - x_j)^g as an N-coordinate field."""
 
     def val(x):
-        out = 1.0 + 0.0j
-        for i in range(n):
-            for j in range(i + 1, n):
-                out *= theta1_power(x[i] - x[j], g, dom, pol)
-        return complex(out)
+        return ground_state_psi0(x, g, dom, pol)
 
     def logd(x, i):
         return g * sum(theta1_logderiv(x[i] - x[j], dom, pol)

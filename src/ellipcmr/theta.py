@@ -14,6 +14,8 @@ tau-derivatives use d/dtau = 2 pi i p d/dp, valid since p = e^{2 pi i tau}.
 from __future__ import annotations
 
 import math
+from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 
@@ -35,16 +37,26 @@ def _scale_for(z) -> float:
     return float(np.max(az + 1.0 / az))
 
 
+def _nome_ladder(p: float, z, pol: TruncationPolicy):
+    """Iterator over (n, p^n) for the n = 1..N that pol certifies at |z| + 1/|z|.
+
+    p^n is the running product p, p*p, ..., not p**n, so every series keeps its rounding.
+    """
+    nt = pol.n_terms(p, _scale_for(z))
+    return zip(range(1, nt + 1), accumulate(repeat(p, nt), mul))
+
+
+def _scalar_or_array(out):
+    return out if out.shape else complex(out)
+
+
 def theta_q(z, p: float, pol: TruncationPolicy = DEFAULT_POLICY):
     """Truncated product (1-z) prod (1 - p^n z)(1 - p^n / z); p in [0, 1)."""
     z = np.asarray(z, dtype=complex)
-    nt = pol.n_terms(p, _scale_for(z))
     out = 1.0 - z
-    pn = 1.0
-    for _ in range(nt):
-        pn *= p
+    for _, pn in _nome_ladder(p, z, pol):
         out = out * (1.0 - pn * z) * (1.0 - pn / z)
-    return out if out.shape else complex(out)
+    return _scalar_or_array(out)
 
 
 def log_theta_q(z, p: float, pol: TruncationPolicy = DEFAULT_POLICY):
@@ -55,26 +67,20 @@ def log_theta_q(z, p: float, pol: TruncationPolicy = DEFAULT_POLICY):
     This is the branch used for theta^g on quadrature contours.
     """
     z = np.asarray(z, dtype=complex)
-    nt = pol.n_terms(p, _scale_for(z))
     out = np.log(1.0 - z)
-    pn = 1.0
-    for _ in range(nt):
-        pn *= p
+    for _, pn in _nome_ladder(p, z, pol):
         out = out + np.log(1.0 - pn * z) + np.log(1.0 - pn / z)
-    return out if out.shape else complex(out)
+    return _scalar_or_array(out)
 
 
 def theta1(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
     """Odd theta function vt1(x) = 2 sin(pi x/2 ell) prod (1-p^n z)(1-p^n/z)."""
     x = np.asarray(x, dtype=complex)
     z = np.exp(1j * math.pi * x / dom.ell)
-    nt = pol.n_terms(dom.p, _scale_for(z))
     out = 2.0 * np.sin(math.pi * x / (2.0 * dom.ell))
-    pn = 1.0
-    for _ in range(nt):
-        pn *= dom.p
+    for _, pn in _nome_ladder(dom.p, z, pol):
         out = out * (1.0 - pn * z) * (1.0 - pn / z)
-    return out if out.shape else complex(out)
+    return _scalar_or_array(out)
 
 
 def theta1_logderiv(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
@@ -89,14 +95,11 @@ def theta1_logderiv(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLI
     s = np.sin(0.5 * c * x)
     if np.any(np.abs(s) < 1e-300):
         raise PoleError("zeta1 pole: x on the period lattice")
-    nt = pol.n_terms(dom.p, _scale_for(z))
     out = (0.5 * c) * np.cos(0.5 * c * x) / s
-    pn = 1.0
-    for _ in range(nt):
-        pn *= dom.p
+    for _, pn in _nome_ladder(dom.p, z, pol):
         w, v = pn * z, pn / z
         out = out - (1j * c) * (w / (1.0 - w) - v / (1.0 - v))
-    return out if out.shape else complex(out)
+    return _scalar_or_array(out)
 
 
 def theta1_dlog2(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
@@ -111,29 +114,46 @@ def theta1_dlog2(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY)
     s = np.sin(0.5 * c * x)
     if np.any(np.abs(s) < 1e-300):
         raise PoleError("x on the period lattice")
-    nt = pol.n_terms(dom.p, _scale_for(z))
     out = -(0.5 * c) ** 2 / s ** 2
-    pn = 1.0
-    for _ in range(nt):
-        pn *= dom.p
+    for _, pn in _nome_ladder(dom.p, z, pol):
         w, v = pn * z, pn / z
         out = out + c ** 2 * (w / (1.0 - w) ** 2 + v / (1.0 - v) ** 2)
-    return out if out.shape else complex(out)
+    return _scalar_or_array(out)
+
+
+def _wdlog_theta(w, p: float, pol: TruncationPolicy):
+    """w d/dw log theta(w; p), term-wise."""
+    w = np.asarray(w, dtype=complex)
+    out = -w / (1.0 - w)
+    for _, pn in _nome_ladder(p, w, pol):
+        u, v = pn * w, pn / w
+        out = out - u / (1.0 - u) + v / (1.0 - v)
+    return out
+
+
+def _w2dlog_theta(w, p: float, pol: TruncationPolicy):
+    """(w d/dw)^2 log theta(w; p), term-wise."""
+    w = np.asarray(w, dtype=complex)
+    out = -w / (1.0 - w) ** 2
+    for _, pn in _nome_ladder(p, w, pol):
+        u, v = pn * w, pn / w
+        out = out - u / (1.0 - u) ** 2 - v / (1.0 - v) ** 2
+    return out
+
+
+def _tau_dlog_theta(w, p: float, pol: TruncationPolicy):
+    """d/dtau log theta(w; p) = d/dtau ln vt1(x) at w = e^{i pi x/ell}, term-wise."""
+    out = np.zeros_like(w)
+    for n, pn in _nome_ladder(p, w, pol):
+        u, v = pn * w, pn / w
+        out = out - n * (u / (1.0 - u) + v / (1.0 - v))
+    return 2j * math.pi * out
 
 
 def theta1_tau_logderiv(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
     """d/dtau ln vt1(x) via d/dtau = 2 pi i p d/dp applied to each factor."""
-    x = np.asarray(x, dtype=complex)
-    z = np.exp(1j * math.pi * x / dom.ell)
-    nt = pol.n_terms(dom.p, _scale_for(z))
-    out = np.zeros_like(z)
-    pn = 1.0
-    for n in range(1, nt + 1):
-        pn *= dom.p
-        w, v = pn * z, pn / z
-        out = out - n * (w / (1.0 - w) + v / (1.0 - v))
-    out = 2j * math.pi * out
-    return out if out.shape else complex(out)
+    z = np.exp(1j * math.pi * np.asarray(x, dtype=complex) / dom.ell)
+    return _scalar_or_array(_tau_dlog_theta(z, dom.p, pol))
 
 
 def theta1_dtau(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):

@@ -35,7 +35,7 @@ from .domain import DEFAULT_POLICY, EllipticDomain, TruncationPolicy
 from .errors import ConvergenceError, DomainError, SeamError, WindowError
 from .kernels import KernelSpec, kernel_K
 from .pseries import PSeriesTable
-from .theta import log_theta_q
+from .theta import _tau_dlog_theta, _w2dlog_theta, _wdlog_theta, log_theta_q
 
 __all__ = [
     "Partition2", "ContourConfig", "ContourResult", "n2_single_contour_P",
@@ -54,10 +54,6 @@ class Partition2:
     def __post_init__(self):
         if self.lam1 < self.lam2:
             raise DomainError("need lam1 >= lam2")
-
-    @property
-    def diff(self) -> int:
-        return self.lam1 - self.lam2
 
 
 @dataclass(frozen=True)
@@ -112,38 +108,19 @@ def _check_winding(values, what: str):
         raise WindowError(f"{what}: theta-power factor winds by {total / (2 * math.pi):.2f} turns")
 
 
-def _wdlog_theta(w, p: float, pol: TruncationPolicy):
-    """w d/dw log theta(w; p), term-wise."""
-    w = np.asarray(w, dtype=complex)
-    nt = pol.n_terms(p, float(np.max(np.abs(w) + 1.0 / np.abs(w))))
-    out = -w / (1.0 - w)
-    pn = 1.0
-    for _ in range(nt):
-        pn *= p
-        out = out - pn * w / (1.0 - pn * w) + (pn / w) / (1.0 - pn / w)
-    return out
+def _node_doubled(value_at: Callable, nodes: int) -> ContourResult:
+    """value_at(2 nodes) certified by its distance from value_at(nodes)."""
+    a = value_at(nodes)
+    b = value_at(2 * nodes)
+    return ContourResult(value=complex(b), node_delta=abs(b - a))
 
 
-def _w2dlog_theta(w, p: float, pol: TruncationPolicy):
-    """(w d/dw)^2 log theta(w; p), term-wise."""
-    w = np.asarray(w, dtype=complex)
-    nt = pol.n_terms(p, float(np.max(np.abs(w) + 1.0 / np.abs(w))))
-    out = -w / (1.0 - w) ** 2
-    pn = 1.0
-    for _ in range(nt):
-        pn *= p
-        out = out - pn * w / (1.0 - pn * w) ** 2 - (pn / w) / (1.0 - pn / w) ** 2
-    return out
-
-
-def _single_P(lam1: int, lam2: int, z, g: float, p: float, radius: float,
-              count: int, pol) -> complex:
-    xi = _nodes(radius, count)
+def _single_integrand(lam_diff: int, lam2: int, z, xi, g: float, p: float, pol):
+    """Prefactor (z1 z2)^lam2 and integrand xi^lam_diff / prod_j theta(z_j/xi)^g."""
     theta_part = np.exp(-g * (log_theta_q(z[0] / xi, p, pol)
                               + log_theta_q(z[1] / xi, p, pol)))
     _check_winding(theta_part, "single contour")
-    integrand = xi ** (lam1 - lam2) * theta_part
-    return complex((z[0] * z[1]) ** lam2 * np.mean(integrand))
+    return (z[0] * z[1]) ** lam2, xi ** lam_diff * theta_part
 
 
 def n2_single_contour_P(lam_diff: int, lam2: int, z, g: float, p: float,
@@ -161,10 +138,12 @@ def n2_single_contour_P(lam_diff: int, lam2: int, z, g: float, p: float,
     for zj in z:
         if not (p < abs(zj) / r < 1.0):
             raise WindowError(f"|z|/R = {abs(zj) / r} outside (p, 1)")
-    lam1 = lam2 + lam_diff
-    a = _single_P(lam1, lam2, z, g, p, r, cfg.nodes, pol)
-    b = _single_P(lam1, lam2, z, g, p, r, 2 * cfg.nodes, pol)
-    return ContourResult(value=b, node_delta=abs(b - a))
+
+    def P(count):
+        pref, integrand = _single_integrand(lam_diff, lam2, z, _nodes(r, count), g, p, pol)
+        return complex(pref * np.mean(integrand))
+
+    return _node_doubled(P, cfg.nodes)
 
 
 def _f_moments(mu_pairs, z, g: float, p: float, r1: float, r2: float,
@@ -218,9 +197,9 @@ def contour_F_lambda(lam1: int, lam2: int, z, g: float, p: float,
     """Double-contour F_lam with its node-doubling certificate."""
     z = np.asarray(z, dtype=complex)
     r1, r2 = cfg.radii(p)
-    a = _f_moments([(lam1, lam2)], z, g, p, r1, r2, cfg.nodes, pol)["F"][0]
-    b = _f_moments([(lam1, lam2)], z, g, p, r1, r2, 2 * cfg.nodes, pol)["F"][0]
-    return ContourResult(value=complex(b), node_delta=abs(b - a))
+    return _node_doubled(
+        lambda count: _f_moments([(lam1, lam2)], z, g, p, r1, r2, count, pol)["F"][0],
+        cfg.nodes)
 
 
 def _check_table(lam: Partition2, table: PSeriesTable, g: float):
@@ -258,9 +237,9 @@ def assemble_P_lambda(lam: Partition2, table: PSeriesTable, z, g: float, p: floa
     z = np.asarray(z, dtype=complex)
     r1, r2 = cfg.radii(p)
     pairs, weights = _assembly_weights(lam, table, p, K)
-    a = _f_moments(pairs, z, g, p, r1, r2, cfg.nodes, pol)["F"] @ weights
-    b = _f_moments(pairs, z, g, p, r1, r2, 2 * cfg.nodes, pol)["F"] @ weights
-    return ContourResult(value=complex(b), node_delta=abs(b - a))
+    return _node_doubled(
+        lambda count: _f_moments(pairs, z, g, p, r1, r2, count, pol)["F"] @ weights,
+        cfg.nodes)
 
 
 def eigen_residuals_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
@@ -323,18 +302,6 @@ def eigen_residual_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
     return float(eigen_residuals_P_lambda(lam, table, x, g, dom, cfg, pol, [K])[0])
 
 
-def _taulog_theta(w, p: float, pol: TruncationPolicy):
-    """d/dtau log theta(w; p) via d/dtau = 2 pi i p d/dp, term-wise."""
-    w = np.asarray(w, dtype=complex)
-    nt = pol.n_terms(p, float(np.max(np.abs(w) + 1.0 / np.abs(w)))) if p > 0 else 0
-    out = np.zeros_like(w)
-    pn = 1.0
-    for n in range(1, nt + 1):
-        pn *= p
-        out = out - n * (pn * w / (1.0 - pn * w) + (pn / w) / (1.0 - pn / w))
-    return 2j * math.pi * out
-
-
 def single_contour_psi_field(lam_diff: int, lam2: int, g: float,
                              dom: EllipticDomain,
                              cfg: ContourConfig = ContourConfig(),
@@ -351,16 +318,12 @@ def single_contour_psi_field(lam_diff: int, lam2: int, g: float,
 
     p = dom.p
     r = cfg.single_radius(p)
-    lam1 = lam2 + lam_diff
     xi = _nodes(r, cfg.nodes)
     sigma = (1.0, -1.0)
 
     def moments(x):
         z = np.exp(1j * math.pi * np.asarray(x, dtype=complex) / dom.ell)
-        logs = log_theta_q(z[0] / xi, p, pol) + log_theta_q(z[1] / xi, p, pol)
-        base = xi ** lam_diff * np.exp(-g * logs)
-        _check_winding(np.exp(-g * logs), "single contour")
-        pref = (z[0] * z[1]) ** lam2
+        pref, base = _single_integrand(lam_diff, lam2, z, xi, g, p, pol)
         P = pref * np.mean(base)
         d = {}
         for i in range(2):
@@ -368,7 +331,7 @@ def single_contour_psi_field(lam_diff: int, lam2: int, g: float,
             al2 = -g * _w2dlog_theta(z[i] / xi, p, pol)
             d[("e1", i)] = pref * np.mean(base * al)
             d[("e2", i)] = pref * np.mean(base * (al * al + al2))
-        tau_w = -g * (_taulog_theta(z[0] / xi, p, pol) + _taulog_theta(z[1] / xi, p, pol))
+        tau_w = -g * (_tau_dlog_theta(z[0] / xi, p, pol) + _tau_dlog_theta(z[1] / xi, p, pol))
         d["tau"] = pref * np.mean(base * tau_w)
         return P, d
 
@@ -444,6 +407,4 @@ def kernel_transform(spec: KernelSpec, source: Callable, x,
         vals = np.array([integrand(y) for y in pts])
         return complex(np.mean(vals) * (2.0 * dom.ell) ** spec.M)
 
-    a = run(nodes)
-    b = run(2 * nodes)
-    return ContourResult(value=b, node_delta=abs(b - a))
+    return _node_doubled(run, nodes)
