@@ -25,7 +25,6 @@ class EllipticDomain:
     ell: float
     delta: float
     p: float
-    tau: complex
 
     def __post_init__(self):
         if not (self.ell > 0):
@@ -37,20 +36,23 @@ class EllipticDomain:
         p_check = 0.0 if math.isinf(self.delta) else math.exp(-2.0 * math.pi * self.delta / self.ell)
         if abs(p_check - self.p) > _REL_EPS * max(1.0, abs(self.p)):
             raise DomainError(f"stored p={self.p} inconsistent with exp(-2 pi delta/ell)={p_check}")
-        if not math.isinf(self.delta) and self.tau * self.ell / 1j != self.delta:
-            raise DomainError("tau must equal i*delta/ell exactly")
+
+    @property
+    def tau(self) -> complex:
+        """Half-period ratio i*delta/ell, derived so it cannot disagree with delta."""
+        return 1j * self.delta / self.ell
 
     @classmethod
     def from_half_periods(cls, ell: float, delta: float) -> "EllipticDomain":
         p = 0.0 if math.isinf(delta) else math.exp(-2.0 * math.pi * delta / ell)
-        return cls(ell=float(ell), delta=float(delta), p=p, tau=1j * delta / ell)
+        return cls(ell=float(ell), delta=float(delta), p=p)
 
     @classmethod
     def from_nome(cls, ell: float, p: float) -> "EllipticDomain":
         if not (0.0 <= p < 1.0):
             raise DomainError(f"nome p must lie in [0, 1), got {p}")
         delta = math.inf if p == 0.0 else -float(ell) * math.log(p) / (2.0 * math.pi)
-        return cls(ell=float(ell), delta=delta, p=float(p), tau=1j * delta / ell)
+        return cls(ell=float(ell), delta=delta, p=float(p))
 
 
 @dataclass(frozen=True)

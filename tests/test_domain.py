@@ -25,7 +25,7 @@ def test_trigonometric_domain():
 
 def test_inconsistent_p_rejected():
     with pytest.raises(DomainError):
-        EllipticDomain(ell=2.0, delta=0.7, p=0.5, tau=0.35j)
+        EllipticDomain(ell=2.0, delta=0.7, p=0.5)
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5])

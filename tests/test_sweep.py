@@ -1,0 +1,58 @@
+"""Seeded sweep over random valid domains (ell, p).
+
+Every valid domain must be accepted, and the identity suites and the Bethe
+solver must certify on it; a single hand-picked domain can miss a whole class
+of rejections (tau was once re-checked with exact float equality, which
+refused about one domain in eleven).
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from ellipcmr.cli import main
+from ellipcmr.domain import EllipticDomain
+
+SEED = 20240805
+
+
+def draws(count, salt):
+    """count pairs (ell, p), ell in [1, 4), p in [0.01, 0.2): the benchmark's range."""
+    rng = np.random.default_rng([SEED, salt])
+    return [(float(ell), float(p)) for ell, p in
+            zip(rng.uniform(1.0, 4.0, count), rng.uniform(0.01, 0.2, count))]
+
+
+def run_cli(argv, capsys):
+    code = main(argv)
+    out = capsys.readouterr()
+    assert code == 0, f"{' '.join(argv)} exited {code}: {out.out}{out.err}"
+
+
+def test_domain_constructors_accept_every_valid_input():
+    rng = np.random.default_rng([SEED, 0])
+    for ell, p in zip(rng.uniform(0.1, 10.0, 500), rng.uniform(1e-6, 0.9, 500)):
+        dom = EllipticDomain.from_nome(ell, p)
+        assert abs(cmath.exp(2j * math.pi * dom.tau) - p) <= 1e-12 * p
+        again = EllipticDomain.from_half_periods(ell, dom.delta)
+        assert abs(again.p - p) <= 1e-12 * p
+        assert again.tau == dom.tau
+
+
+@pytest.mark.parametrize("suite", ["quasi-periodicity", "heat"])
+def test_verify_suites_on_random_domains(suite, capsys):
+    for ell, p in draws(4, salt=1):
+        run_cli(["verify", "--suite", suite, "--ell", repr(ell), "--p", repr(p)], capsys)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_bethe_certifies_on_a_random_domain(n, capsys):
+    (ell, p), = draws(1, salt=10 + n)
+    run_cli(["bethe", "--n", str(n), "--ell", repr(ell), "--p", repr(p)], capsys)
+
+
+def test_bethe_n4_at_default_ell(capsys):
+    # the documented example; its nome homotopy builds intermediate domains
+    run_cli(["bethe", "--n", "4", "--p", "0.05"], capsys)
