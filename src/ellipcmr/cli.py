@@ -2,8 +2,7 @@
 
 Output is deterministic: fixed node counts and summation orders, numbers
 printed with 17 significant digits, JSON keys sorted.  Exit code 0 means every
-requested certificate passed its tolerance.  ELLIPCMR_THREADS caps the worker
-threads used for independent transform jobs.
+requested certificate passed its tolerance.
 """
 
 from __future__ import annotations
@@ -11,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -65,14 +62,6 @@ def _domain(args) -> EllipticDomain:
     return EllipticDomain.from_half_periods(args.ell, args.delta)
 
 
-def worker_count() -> int:
-    raw = os.environ.get("ELLIPCMR_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------- eval
 
 _EVAL_FNS = ("theta1", "zeta1", "wp1", "theta", "gamma", "W")
@@ -111,12 +100,12 @@ def cmd_eval(args) -> int:
 
 # ---------------------------------------------------------------- verify
 
-def _suite_heat(dom, tol):
+def _suite_heat(dom):
     xs = [dom.ell * (0.05 + 0.045 * j) for j in range(20)]
     return max(abs(heat_residual(x, dom)) for x in xs)
 
 
-def _suite_qper(dom, tol):
+def _suite_qper(dom):
     worst = 0.0
     cap = min(dom.delta, dom.ell) if not math.isinf(dom.delta) else dom.ell
     for j in range(8):
@@ -129,7 +118,7 @@ def _suite_qper(dom, tol):
     return worst
 
 
-def _suite_kernel_identity(dom, tol, N, M, g):
+def _suite_kernel_identity(dom, N, M, g):
     spec = KernelSpec(N, M, g)
     configs = [(np.array([0.9, 0.1, -0.7, 1.3])[:N] + 0.03 * j,
                 np.array([0.55, -0.62, 1.1, -1.0])[:M] + 0.05 * j) for j in range(5)]
@@ -140,7 +129,7 @@ def _suite_kernel_identity(dom, tol, N, M, g):
     return max(abs(v - vals[0]) for v in vals)
 
 
-def _suite_duality(dom, tol, g):
+def _suite_duality(dom, g):
     psi = plane_wave([0.5, 0.2])
     psi_sw = SmoothField(value=lambda u: psi(u[::-1]),
                          d1=lambda u, i: psi.d1(u[::-1], 1 - i),
@@ -150,7 +139,7 @@ def _suite_duality(dom, tol, g):
     return abs(a + g * b)
 
 
-def _suite_calogero(dom, tol, g):
+def _suite_calogero(dom, g):
     from .operators import apply_generalized_ecs
     k = np.array([0.4, -0.2, 0.9])
     psi = plane_wave(k)
@@ -170,7 +159,7 @@ def _suite_calogero(dom, tol, g):
     return abs(lhs - rhs)
 
 
-def _suite_nonstationary_theta(dom, tol, g):
+def _suite_nonstationary_theta(dom, g):
     f = theta_power_field(g, dom)
     E = fit_nonstationary_E(f, 2 * g, [0.45 * dom.ell, 0.05 * dom.ell], g, dom)
     pts = [(dom.ell * (0.1 + 0.08 * j), dom.ell * (0.02 + 0.004 * j)) for j in range(10)]
@@ -186,17 +175,17 @@ def cmd_verify(args) -> int:
     dom = _domain(args)
     tol = args.tol
     if args.suite == "heat":
-        resid = _suite_heat(dom, tol)
+        resid = _suite_heat(dom)
     elif args.suite == "quasi-periodicity":
-        resid = _suite_qper(dom, tol)
+        resid = _suite_qper(dom)
     elif args.suite == "kernel-identity":
-        resid = _suite_kernel_identity(dom, tol, args.N, args.M, args.g)
+        resid = _suite_kernel_identity(dom, args.N, args.M, args.g)
     elif args.suite == "duality":
-        resid = _suite_duality(dom, tol, args.g)
+        resid = _suite_duality(dom, args.g)
     elif args.suite == "calogero-trick":
-        resid = _suite_calogero(dom, tol, args.g)
+        resid = _suite_calogero(dom, args.g)
     else:
-        resid = _suite_nonstationary_theta(dom, tol, args.g)
+        resid = _suite_nonstationary_theta(dom, args.g)
     ok = resid <= tol
     _dump({"schema": SCHEMA, "suite": args.suite, "max_residual": _fmt(float(resid)),
            "tol": _fmt(tol), "pass": bool(ok)}, args)
@@ -272,12 +261,7 @@ def _one_transform(lam_pair, args, dom):
 def cmd_transform(args) -> int:
     dom = _domain(args)
     lam_pairs = [tuple(int(v) for v in spec.split(",")) for spec in args.lam]
-    nworkers = min(worker_count(), len(lam_pairs))
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(lambda lp: _one_transform(lp, args, dom), lam_pairs))
-    else:
-        results = [_one_transform(lp, args, dom) for lp in lam_pairs]
+    results = [_one_transform(lp, args, dom) for lp in lam_pairs]
     ok = all(r["node_delta"] <= QUAD_TOL for r in results)
     payload = {"schema": SCHEMA, "results": results, "pass": bool(ok)}
     if len(results) == 1:

@@ -19,8 +19,12 @@ s_lam(z1, z2); the double-contour building block is
                theta(xi1/xi2; p)^g / prod_{i,j} theta(z_i/xi_j; p)^g,
 
 with 1 < R1 < R2 < 1/p (at p = 0, g = 1 this is the Jacobi-Trudi determinant
-h_{lam1} h_{lam2} - h_{lam1+1} h_{lam2-1}).  Values are reported raw: no
-normalization is fixed, only proportionality to reference polynomials.
+h_{lam1} h_{lam2} - h_{lam1+1} h_{lam2-1}).  On equispaced nodes the cross
+factor theta(xi1_a/xi2_b)^g depends on a - b only: it is a circulant matrix
+fixed by one row of theta values, and the double mean is a circular
+convolution done by FFT, O(N log N) per moment instead of N^2 theta values.
+Values are reported raw: no normalization is fixed, only proportionality to
+reference polynomials.
 """
 
 from __future__ import annotations
@@ -150,44 +154,46 @@ def _f_moments(mu_pairs, z, g: float, p: float, r1: float, r2: float,
                count: int, pol, derivs: bool = False):
     """F_mu (and optional z-Euler moments) for a list of (mu1, mu2) pairs.
 
-    Shared node data is contracted once: F = mean_a mean_b xi1^mu1 xi2^mu2 M_ab
-    with M_ab = theta(xi1a/xi2b)^g u_a v_b, u_a = prod_i theta(z_i/xi1a)^-g.
+    F = mean_a mean_b xi1^mu1 xi2^mu2 M_ab with M_ab = c_{a-b} u_a v_b, where
+    u_a = prod_i theta(z_i/xi1a)^-g, v_b = prod_i theta(z_i/xi2b)^-g and
+    c_k = theta((r1/r2) w^k)^g, w = e^{2 pi i/count}: xi1a/xi2b depends on
+    a - b only, so the cross factor is circulant and one row of theta values
+    defines it.  Every contraction M @ y / count is then the circular
+    convolution u * ifft(fft(c) fft(v y)) / count, taken for all pairs at
+    once along the last axis.
     """
     xi1 = _nodes(r1, count)
     xi2 = _nodes(r2, count)
     u = np.exp(-g * (log_theta_q(z[0] / xi1, p, pol) + log_theta_q(z[1] / xi1, p, pol)))
     v = np.exp(-g * (log_theta_q(z[0] / xi2, p, pol) + log_theta_q(z[1] / xi2, p, pol)))
-    cross = np.exp(g * log_theta_q(xi1[:, None] / xi2[None, :], p, pol))
-    M = cross * u[:, None] * v[None, :]   # theta-power factor of the integrand
-    _check_winding(M[:, 0], "F contour 1")
-    _check_winding(M[0, :], "F contour 2")
+    c = np.exp(g * log_theta_q(_nodes(r1 / r2, count), p, pol))
+    # the theta-power factor of the integrand along each contour: M[:, 0] and M[0, :]
+    _check_winding(c * u * v[0], "F contour 1")
+    _check_winding(np.roll(c[::-1], 1) * u[0] * v, "F contour 2")
     _check_winding(u, "F z-legs on contour 1")
     _check_winding(v, "F z-legs on contour 2")
+    # np.fft by attribute: numpy loads it lazily, so importing ellipcmr stays cheap
+    c_hat = np.fft.fft(c)
 
-    out = {"F": np.empty(len(mu_pairs), dtype=complex)}
+    def conv(y):
+        return u * np.fft.ifft(c_hat * np.fft.fft(v * y)) / count
+
+    m1, m2 = np.array(mu_pairs).T
+    w1 = xi1 ** m1[:, None]
+    w2 = xi2 ** m2[:, None]
+    col = conv(w2)
+    out = {"F": np.mean(w1 * col, axis=-1)}
     if derivs:
-        # alpha_i[a] = z_i dlog of the xi1-leg, beta_i[b] of the xi2-leg
-        al = [-g * _wdlog_theta(z[i] / xi1, p, pol) for i in range(2)]
-        be = [-g * _wdlog_theta(z[i] / xi2, p, pol) for i in range(2)]
-        al2 = [-g * _w2dlog_theta(z[i] / xi1, p, pol) for i in range(2)]
-        be2 = [-g * _w2dlog_theta(z[i] / xi2, p, pol) for i in range(2)]
-        for key in ("D1", "D11", "D2", "D22"):
-            out[key] = np.empty(len(mu_pairs), dtype=complex)
-
-    w2 = {}
-    for idx, (m1, m2) in enumerate(mu_pairs):
-        if m2 not in w2:
-            w2[m2] = xi2 ** m2
-        col = M @ w2[m2] / count            # [a]
-        w1 = xi1 ** m1
-        out["F"][idx] = np.mean(w1 * col)
-        if derivs:
-            for i, k1, k2 in ((0, "D1", "D11"), (1, "D2", "D22")):
-                colb = M @ (w2[m2] * be[i]) / count
-                colb2 = M @ (w2[m2] * (be[i] ** 2 + be2[i])) / count
-                out[k1][idx] = np.mean(w1 * (al[i] * col + colb))
-                out[k2][idx] = np.mean(w1 * ((al[i] ** 2 + al2[i]) * col
-                                             + 2.0 * al[i] * colb + colb2))
+        # al = z_i dlog of the xi1-leg, be of the xi2-leg; al2, be2 second order
+        for i, k1, k2 in ((0, "D1", "D11"), (1, "D2", "D22")):
+            al = -g * _wdlog_theta(z[i] / xi1, p, pol)
+            al2 = -g * _w2dlog_theta(z[i] / xi1, p, pol)
+            be = -g * _wdlog_theta(z[i] / xi2, p, pol)
+            be2 = -g * _w2dlog_theta(z[i] / xi2, p, pol)
+            colb = conv(w2 * be)
+            colb2 = conv(w2 * (be ** 2 + be2))
+            out[k1] = np.mean(w1 * (al * col + colb), axis=-1)
+            out[k2] = np.mean(w1 * ((al ** 2 + al2) * col + 2.0 * al * colb + colb2), axis=-1)
     return out
 
 
@@ -273,13 +279,13 @@ def eigen_residuals_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
     ipl = 1j * math.pi / dom.ell
     out = []
     for K in Ks:
-        weights = np.array([sum(complex(table.coefficient(n, k)) * p ** k
-                                for k in range(K + 1))
-                            for n in range(-table.K, table.n_cap + 1)])
-        P = mom["F"] @ weights
+        # a_{n,k} = 0 for n < -k, so order K drops the first table.K - K pairs
+        _, weights = _assembly_weights(lam, table, p, K)
+        m = {key: val[table.K - K:] for key, val in mom.items()}
+        P = m["F"] @ weights
         if abs(P) == 0.0:
             raise ConvergenceError("assembled P vanished at this point")
-        d = {key: (mom[key] @ weights) / P for key in ("D1", "D11", "D2", "D22")}
+        d = {key: (m[key] @ weights) / P for key in ("D1", "D11", "D2", "D22")}
         h = 0.0 + 0.0j
         for i, (first, second) in enumerate((("D1", "D11"), ("D2", "D22"))):
             li = g * zl * (1.0 if i == 0 else -1.0)      # d_i ln psi0
@@ -321,8 +327,15 @@ def single_contour_psi_field(lam_diff: int, lam2: int, g: float,
     xi = _nodes(r, cfg.nodes)
     sigma = (1.0, -1.0)
 
+    memo = {}
+
     def moments(x):
-        z = np.exp(1j * math.pi * np.asarray(x, dtype=complex) / dom.ell)
+        # value and derivatives at one x share these moments: keep the last x
+        x = np.asarray(x, dtype=complex)
+        key = x.tobytes()
+        if key in memo:
+            return memo[key]
+        z = np.exp(1j * math.pi * x / dom.ell)
         pref, base = _single_integrand(lam_diff, lam2, z, xi, g, p, pol)
         P = pref * np.mean(base)
         d = {}
@@ -333,6 +346,8 @@ def single_contour_psi_field(lam_diff: int, lam2: int, g: float,
             d[("e2", i)] = pref * np.mean(base * (al * al + al2))
         tau_w = -g * (_tau_dlog_theta(z[0] / xi, p, pol) + _tau_dlog_theta(z[1] / xi, p, pol))
         d["tau"] = pref * np.mean(base * tau_w)
+        memo.clear()
+        memo[key] = P, d
         return P, d
 
     def val(x):

@@ -136,8 +136,7 @@ class TestArtifacts:
         assert d["node_delta"] <= 1e-10
         assert d["lambda"] == [1, 0] and d["pass"] is True
 
-    def test_transform_multi_lambda_threaded(self, monkeypatch):
-        monkeypatch.setenv("ELLIPCMR_THREADS", "2")
+    def test_transform_multi_lambda(self):
         code, out = run_cli(["transform", "--lambda", "1,0", "1,1", "--p", "0.05",
                              "--g", "1", "--K", "3"])
         assert code == 0

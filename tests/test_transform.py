@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from ellipcmr.domain import DEFAULT_POLICY
 from ellipcmr.errors import DomainError, SeamError, WindowError
 from ellipcmr.kernels import KernelSpec, kernel_identity_residual
 from ellipcmr.operators import fit_nonstationary_E, nonstationary_residual
 from ellipcmr.pseries import solve_variant_I
 from ellipcmr.theta import theta1_power
-from ellipcmr.transform import (ContourConfig, Partition2, assemble_P_lambda,
-                                contour_F_lambda, eigen_residuals_P_lambda,
-                                kernel_transform, n2_single_contour_P,
-                                single_contour_psi_field)
+from ellipcmr.transform import (ContourConfig, Partition2, _f_moments,
+                                assemble_P_lambda, contour_F_lambda,
+                                eigen_residuals_P_lambda, kernel_transform,
+                                n2_single_contour_P, single_contour_psi_field)
 
 from oracles import schur_2
 
@@ -105,11 +106,68 @@ class TestDoubleContour:
         with pytest.raises(WindowError):
             contour_F_lambda(1, 0, Z, 1.0, 0.2, ContourConfig(R1=2.0, R2=6.0))
 
+    def test_winding_checks(self):
+        # |z1| = 2.5 > R1 puts z1/xi1 outside the annulus (p, 1); |z1| = 0.2 < p R2
+        # puts z1/xi2 inside |w| < p, which only the contour-2 factor sees
+        cfg = ContourConfig(R1=2.0, R2=6.0, nodes=64)
+        for z1, which in ((2.5, "F contour 1"), (0.2, "F contour 2")):
+            with pytest.raises(WindowError, match=which):
+                contour_F_lambda(1, 0, [z1, 1.0], 1.4, 0.05, cfg)
+
     def test_node_count_validation(self):
         with pytest.raises(DomainError):
             ContourConfig(nodes=100)
         with pytest.raises(DomainError):
             ContourConfig(nodes=32)
+
+
+def dense_moments(pairs, z, g, p, r1, r2, count, terms=40):
+    """F and z-Euler moments as the plain count x count double sum.
+
+    log theta is summed factor by factor over 1 - y, y in {w, p^n w, p^n/w},
+    n <= terms.  With w d/dw y = s y (s = +1, +1, -1), a factor contributes
+    -s y/(1-y) to w d/dw log theta and -y/(1-y)^2 to (w d/dw)^2 log theta.
+    """
+    pn = [p ** n for n in range(1, terms + 1)]
+
+    def factors(w):
+        return [(w, 1.0)] + [(a * w, 1.0) for a in pn] + [(a / w, -1.0) for a in pn]
+
+    def log_theta(w):
+        return sum(np.log(1.0 - y) for y, _ in factors(w))
+
+    def euler(w):
+        return sum(-s * y / (1.0 - y) for y, s in factors(w))
+
+    def euler2(w):
+        return sum(-y / (1.0 - y) ** 2 for y, _ in factors(w))
+
+    xi1 = r1 * np.exp(2j * math.pi * np.arange(count) / count)[:, None]
+    xi2 = r2 * np.exp(2j * math.pi * np.arange(count) / count)[None, :]
+    M = np.exp(g * log_theta(xi1 / xi2)
+               - g * sum(log_theta(zi / xi1) + log_theta(zi / xi2) for zi in z))
+    e1 = [-g * (euler(zi / xi1) + euler(zi / xi2)) for zi in z]
+    e2 = [-g * (euler2(zi / xi1) + euler2(zi / xi2)) for zi in z]
+    out = {"F": [], "D1": [], "D11": [], "D2": [], "D22": []}
+    for m1, m2 in pairs:
+        W = xi1 ** m1 * xi2 ** m2 * M
+        out["F"].append(np.mean(W))
+        for i, k1, k2 in ((0, "D1", "D11"), (1, "D2", "D22")):
+            out[k1].append(np.mean(W * e1[i]))
+            out[k2].append(np.mean(W * (e1[i] ** 2 + e2[i])))
+    return {key: np.array(val) for key, val in out.items()}
+
+
+class TestCirculantMoments:
+    def test_matches_dense_double_sum(self):
+        g, p, count = 1.4, 0.1, 64
+        r1, r2 = ContourConfig().radii(p)
+        pairs = [(-2, 3), (-1, 2), (0, 1), (1, 0), (2, -1), (3, -2), (1, 1), (4, 0)]
+        got = _f_moments(pairs, Z, g, p, r1, r2, count, DEFAULT_POLICY, derivs=True)
+        want = dense_moments(pairs, Z, g, p, r1, r2, count)
+        for key in ("F", "D1", "D11", "D2", "D22"):
+            err = np.max(np.abs(got[key] - want[key]))
+            assert err <= 1e-12 * np.max(np.abs(want[key])), key
 
 
 class TestAssembly:
