@@ -25,7 +25,7 @@ from .domain import DEFAULT_POLICY, EllipticDomain, TruncationPolicy
 from .errors import (BranchError, ConvergenceError, DomainError,
                      EllipcmrError, PoleError)
 from .fields import SmoothField
-from .theta import theta1, theta1_logderiv, wp1
+from .theta import pair_values, theta1, theta1_logderiv, wp1
 
 __all__ = [
     "BetheState", "bethe_residuals", "bethe_jacobian", "solve_bethe",
@@ -58,43 +58,47 @@ class BetheState:
         return self.wronskian <= 1e-8
 
 
+def _with_origin(fn, t, dom, pol, parity):
+    """(fn(t_j - t_k) matrix, fn(t_j)) from one call: the origin joins t as point n."""
+    M = pair_values(fn, np.append(t, 0.0), dom=dom, pol=pol, parity=parity)
+    return M[:-1, :-1], M[:-1, -1]
+
+
+def _at_x_and_roots(fn, x, roots, dom, pol):
+    """(fn(x), fn(x - t_j)) from one call."""
+    v = pair_values(fn, x, np.append(0.0, roots), dom=dom, pol=pol)
+    return v[..., 0], v[..., 1:]
+
+
 def _check_roots(t, dom):
     t = np.asarray(t, dtype=complex)
-    for j in range(len(t)):
-        if abs(theta1(t[j], dom)) < 1e-12:
+    pairs, roots = _with_origin(theta1, t, dom, DEFAULT_POLICY, -1)
+    bad_pair = np.triu(np.abs(pairs) < 1e-12, 1)
+    bad_root = np.abs(roots) < 1e-12
+    # name what a j < k scan meets first: root t_j, then the pairs (j, k > j), then row j + 1
+    rows = np.flatnonzero(bad_root | bad_pair.any(axis=1))
+    if len(rows):
+        j = rows[0]
+        if bad_root[j]:
             raise PoleError(f"root t_{j} on the period lattice")
-        for k in range(j + 1, len(t)):
-            if abs(theta1(t[j] - t[k], dom)) < 1e-12:
-                raise PoleError(f"coincident roots t_{j}, t_{k}")
+        raise PoleError(f"coincident roots t_{j}, t_{np.argmax(bad_pair[j])}")
     return t
 
 
 def bethe_residuals(t, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
     """The n left-hand sides of the Bethe system at roots t."""
     t = _check_roots(t, dom)
-    n = len(t)
-    zt = np.array([theta1_logderiv(tj, dom, pol) for tj in t])
-    out = np.zeros(n, dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            if k != j:
-                out[j] += theta1_logderiv(t[j] - t[k], dom, pol) - zt[j] + zt[k]
-    return out
+    Z, zt = _with_origin(theta1_logderiv, t, dom, pol, -1)
+    # sum_{k != j} (Z_jk - zt_j + zt_k); the diagonal of Z is zero
+    return Z.sum(axis=1) - len(t) * zt + zt.sum()
 
 
 def bethe_jacobian(t, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
     """Analytic Jacobian d residual_j / d t_i (zeta1' = -wp1)."""
     t = np.asarray(t, dtype=complex)
-    n = len(t)
-    J = np.zeros((n, n), dtype=complex)
-    wp_t = np.array([wp1(tj, dom, pol) for tj in t])
-    for j in range(n):
-        for i in range(n):
-            if i == j:
-                J[j, j] = sum(wp_t[j] - wp1(t[j] - t[k], dom, pol)
-                              for k in range(n) if k != j)
-            else:
-                J[j, i] = wp1(t[j] - t[i], dom, pol) - wp_t[i]
+    W, wp_t = _with_origin(wp1, t, dom, pol, 1)
+    J = W - wp_t                     # J_ji = wp1(t_j - t_i) - wp1(t_i), i != j
+    np.fill_diagonal(J, (len(t) - 1) * wp_t - W.sum(axis=1))
     return J
 
 
@@ -178,40 +182,41 @@ def hermite_psi(x, roots, xi: complex, dom: EllipticDomain,
     """psi(x) = e^{xi x} prod_j vt1(x - t_j) / vt1(x)^n."""
     roots = np.asarray(roots, dtype=complex)
     x = np.asarray(x, dtype=complex)
-    den = theta1(x, dom, pol) ** len(roots)
+    at_x, at_roots = _at_x_and_roots(theta1, x, roots, dom, pol)
+    den = at_x ** len(roots)
     if np.any(np.abs(den) < 1e-300):
         raise PoleError("x on the period lattice")
-    num = np.prod([theta1(x - tj, dom, pol) for tj in roots], axis=0)
-    return np.exp(xi * x) * num / den
+    return np.exp(xi * x) * np.prod(at_roots, axis=-1) / den
+
+
+def _log_derivs(x, roots, xi, dom, pol):
+    """psi'/psi, psi''/psi and wp1(x) at the points x:
+
+    psi'/psi = xi + sum_j zeta1(x - t_j) - n zeta1(x)
+    psi''/psi = (psi'/psi)^2 - sum_j wp1(x - t_j) + n wp1(x).
+    """
+    n = len(roots)
+    zeta_x, zeta_r = _at_x_and_roots(theta1_logderiv, x, roots, dom, pol)
+    wp_x, wp_r = _at_x_and_roots(wp1, x, roots, dom, pol)
+    ld = xi + zeta_r.sum(axis=-1) - n * zeta_x
+    return ld, ld * ld - wp_r.sum(axis=-1) + n * wp_x, wp_x
 
 
 def hermite_psi_field(roots, xi: complex, dom: EllipticDomain,
                       pol: TruncationPolicy = DEFAULT_POLICY,
                       reflect: bool = False) -> SmoothField:
-    """One-coordinate field psi(+-x) with analytic first/second derivatives.
-
-    psi'/psi = xi + sum_j zeta1(x - t_j) - n zeta1(x)
-    psi''/psi = (psi'/psi)^2 - sum_j wp1(x - t_j) + n wp1(x).
-    """
+    """One-coordinate field psi(+-x) with the analytic derivatives of _log_derivs."""
     roots = np.asarray(roots, dtype=complex)
-    n = len(roots)
     s = -1.0 if reflect else 1.0
 
     def val(xv):
         return complex(hermite_psi(s * xv[0], roots, xi, dom, pol))
 
-    def logd(x):
-        return xi + sum(theta1_logderiv(x - tj, dom, pol) for tj in roots) \
-            - n * theta1_logderiv(x, dom, pol)
-
     def d1(xv, i):
-        return s * logd(s * xv[0]) * val(xv)
+        return s * _log_derivs(s * xv[0], roots, xi, dom, pol)[0] * val(xv)
 
     def d2(xv, i):
-        x = s * xv[0]
-        ld = logd(x)
-        curv = -sum(wp1(x - tj, dom, pol) for tj in roots) + n * wp1(x, dom, pol)
-        return (ld * ld + curv) * val(xv)
+        return _log_derivs(s * xv[0], roots, xi, dom, pol)[1] * val(xv)
 
     return SmoothField(value=val, d1=d1, d2=d2)
 
@@ -229,51 +234,43 @@ def bloch_multipliers(roots, xi: complex, dom: EllipticDomain):
 
 
 def _energy_grid(roots, dom):
-    """Ten deterministic probe points off the lattice and away from the roots."""
+    """Ten deterministic probe points off the lattice and away from the roots.
+
+    A row of 41 candidates that holds fewer than ten good points is followed by
+    the same row shifted by 0.0173 ell.
+    """
     pts = []
-    j = 0
     step = 0.0
     while len(pts) < 10:
-        x = dom.ell * (0.083 + 0.0947 * j + step) + 0.11j * dom.ell
-        j += 1
-        ok = abs(theta1(x, dom)) > 1e-6
-        for tj in roots:
-            if abs(theta1(x - tj, dom)) < 1e-6:
-                ok = False
-        if ok:
-            pts.append(x)
-        elif j > 40:
-            step += 0.0173
-            j = 0
-    return pts
+        x = dom.ell * (0.083 + 0.0947 * np.arange(41) + step) + 0.11j * dom.ell
+        at_x, at_roots = _at_x_and_roots(theta1, x, roots, dom, DEFAULT_POLICY)
+        pts.extend(x[(np.abs(at_x) > 1e-6) & ~np.any(np.abs(at_roots) < 1e-6, axis=-1)])
+        step += 0.0173
+    return np.array(pts[:10])
 
 
 def energy_from_roots(roots, xi: complex, dom: EllipticDomain,
                       pol: TruncationPolicy = DEFAULT_POLICY):
     """E from the operator quotient, certified x-independent over 10 points.
 
-    E(x) = (-psi'' + n(n+1) wp1(x) psi)/psi; returns (E, spread, constant)
+    E(x) = (-psi'' + n(n+1) wp1(x) psi)/psi = -psi''/psi + n(n+1) wp1(x), taken at
+    all points from one call per kernel; returns (E, spread, constant)
     where constant = E + (2n-1) sum_j wp1(t_j) is the root-independent shift
     in the closed-form energy report.
     """
     roots = np.asarray(roots, dtype=complex)
     n = len(roots)
-    f = hermite_psi_field(roots, xi, dom, pol)
-    gamma = n * (n + 1.0)    # g = -n, so g(g-1) = n(n+1)
-    vals = []
-    for x in _energy_grid(roots, dom):
-        xv = np.array([x])
-        vals.append((-f.second(xv, 0) + gamma * wp1(x, dom, pol) * f(xv)) / f(xv))
-    vals = np.array(vals)
+    _, second, wp_x = _log_derivs(_energy_grid(roots, dom), roots, xi, dom, pol)
+    vals = -second + n * (n + 1.0) * wp_x    # g = -n, so g(g-1) = n(n+1)
     E = vals[0]
     spread = float(np.max(np.abs(vals - E)))
-    const = E + (2.0 * n - 1.0) * sum(wp1(tj, dom, pol) for tj in roots)
+    const = E + (2.0 * n - 1.0) * wp1(roots, dom, pol).sum()
     return E, spread, const
 
 
 def _certify(t, dom, pol, newton_res) -> BetheState:
     n = len(t)
-    xi = sum(theta1_logderiv(tj, dom, pol) for tj in t)
+    xi = theta1_logderiv(t, dom, pol).sum()
     bres = float(np.max(np.abs(bethe_residuals(t, dom, pol)))) if n > 1 else 0.0
     E, spread, const = energy_from_roots(t, xi, dom, pol)
 
@@ -308,29 +305,18 @@ def saddle_G_value(t, xi: complex, dom: EllipticDomain,
     branch-free and always available).
     """
     t = _check_roots(t, dom)
-    n = len(t)
-    total = 0.0 + 0.0j
-    for j in range(n):
-        v = theta1(t[j], dom, pol)
-        if v.real <= 0.0:
-            raise BranchError("ln vt1(t_j) outside principal-branch domain")
-        total += xi * t[j] - n * np.log(v)
-    for j in range(n):
-        for k in range(j + 1, n):
-            v = theta1(t[j] - t[k], dom, pol)
-            if v.real <= 0.0:
-                raise BranchError("ln vt1(t_j - t_k) outside principal-branch domain")
-            total += np.log(v)
-    return complex(total)
+    v = theta1(t, dom, pol)
+    if np.any(v.real <= 0.0):
+        raise BranchError("ln vt1(t_j) outside principal-branch domain")
+    vp = pair_values(theta1, t, dom=dom, pol=pol)
+    if np.any(vp.real <= 0.0):
+        raise BranchError("ln vt1(t_j - t_k) outside principal-branch domain")
+    return complex(np.sum(xi * t - len(t) * np.log(v)) + np.sum(np.log(vp)))
 
 
 def saddle_G_gradient(t, xi: complex, dom: EllipticDomain,
                       pol: TruncationPolicy = DEFAULT_POLICY):
     """dG/dt_j = xi - n zeta1(t_j) + sum_{k != j} zeta1(t_j - t_k)."""
     t = _check_roots(t, dom)
-    n = len(t)
-    out = np.zeros(n, dtype=complex)
-    for j in range(n):
-        out[j] = xi - n * theta1_logderiv(t[j], dom, pol) + sum(
-            theta1_logderiv(t[j] - t[k], dom, pol) for k in range(n) if k != j)
-    return out
+    Z, zt = _with_origin(theta1_logderiv, t, dom, pol, -1)
+    return xi - len(t) * zt + Z.sum(axis=1)

@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .bethe import solve_bethe
 from .domain import EllipticDomain, RuijsenaarsParams
-from .errors import EllipcmrError
+from .errors import DomainError, EllipcmrError
 from .gamma import elliptic_gamma, weight_W
 from .kernels import KernelSpec, kernel_identity_residual
 from .operators import (apply_deformed_ecs, apply_ecs, fit_nonstationary_E,
@@ -141,6 +141,8 @@ def _suite_duality(dom, g):
 
 def _suite_calogero(dom, g):
     from .operators import apply_generalized_ecs
+    if dom.p == 0.0:
+        raise DomainError("calogero-trick shifts by i delta, which is infinite at p = 0")
     k = np.array([0.4, -0.2, 0.9])
     psi = plane_wave(k)
     xx = np.array([0.25 * dom.ell, 0.7 * dom.ell])

@@ -11,7 +11,7 @@ import numpy as np
 
 from .domain import DEFAULT_POLICY, EllipticDomain, RuijsenaarsParams, TruncationPolicy
 from .errors import PoleError
-from .theta import theta_q, theta1_power
+from .theta import pair_values, theta_q, theta1_power
 
 __all__ = ["elliptic_gamma", "weight_W", "weight_Wrel"]
 
@@ -87,9 +87,4 @@ def weight_Wrel(z, par: RuijsenaarsParams, pol: TruncationPolicy = DEFAULT_POLIC
 def ground_state_psi0(x, g: float, dom: EllipticDomain,
                       pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """psi0(x) = prod_{i<j} vt1(x_i - x_j)^g; needs x_i - x_j in the branch domain."""
-    x = np.asarray(x, dtype=complex)
-    out = 1.0 + 0.0j
-    for i in range(len(x)):
-        for j in range(i + 1, len(x)):
-            out *= theta1_power(x[i] - x[j], g, dom, pol)
-    return complex(out)
+    return complex(np.prod(pair_values(theta1_power, x, g=g, dom=dom, pol=pol)))

@@ -19,7 +19,7 @@ import numpy as np
 from .domain import DEFAULT_POLICY, EllipticDomain, TruncationPolicy
 from .errors import DomainError
 from .gamma import ground_state_psi0
-from .theta import theta1_logderiv, theta1_power, theta1_tau_logderiv, wp1
+from .theta import pair_values, theta1_logderiv, theta1_power, theta1_tau_logderiv, wp1
 
 __all__ = ["KernelSpec", "kernel_K", "kernel_identity_residual"]
 
@@ -50,10 +50,7 @@ def kernel_K(spec: KernelSpec, x, y, dom: EllipticDomain,
         raise DomainError("coordinate counts must match the KernelSpec")
     g = spec.g
     out = ground_state_psi0(x, g, dom, pol) * ground_state_psi0(y, g, dom, pol)
-    for i in range(spec.N):
-        for j in range(spec.M):
-            out /= theta1_power(x[i] - y[j], g, dom, pol)
-    return complex(out)
+    return complex(out / np.prod(pair_values(theta1_power, x, y, g=g, dom=dom, pol=pol)))
 
 
 def kernel_identity_residual(spec: KernelSpec, x, y, dom: EllipticDomain,
@@ -68,31 +65,22 @@ def kernel_identity_residual(spec: KernelSpec, x, y, dom: EllipticDomain,
     if len(x) != spec.N or len(y) != spec.M:
         raise DomainError("coordinate counts must match the KernelSpec")
     g = spec.g
+    kw = dict(dom=dom, pol=pol)
+    # x-y cross matrices; the y-x ones follow from parity (zeta1 odd, wp1 even)
+    zeta_xy = pair_values(theta1_logderiv, x, y, **kw)
+    wp_xy = pair_values(wp1, x, y, **kw)
 
-    def zeta(u):
-        return theta1_logderiv(u, dom, pol)
-
-    def wp(u):
-        return wp1(u, dom, pol)
-
-    def h_part(u, v):
+    def h_part(u, zeta_uv, wp_uv):
         """H(u) K / K for the family u against the opposite family v."""
-        total = 0.0 + 0.0j
-        for i in range(len(u)):
-            li = g * (sum(zeta(u[i] - u[j]) for j in range(len(u)) if j != i)
-                      - sum(zeta(u[i] - v[j]) for j in range(len(v))))
-            lii = g * (-sum(wp(u[i] - u[j]) for j in range(len(u)) if j != i)
-                       + sum(wp(u[i] - v[j]) for j in range(len(v))))
-            total += -0.5 * (li * li + lii)
-        pot = sum(wp(u[i] - u[j]) for i in range(len(u)) for j in range(i + 1, len(u)))
-        return total + g * (g - 1.0) * pot
-
-    def tlog(u):
-        return theta1_tau_logderiv(u, dom, pol)
+        wp_uu = pair_values(wp1, u, parity=1, **kw)
+        li = g * (pair_values(theta1_logderiv, u, parity=-1, **kw).sum(axis=1)
+                  - zeta_uv.sum(axis=1))
+        lii = g * (-wp_uu.sum(axis=1) + wp_uv.sum(axis=1))
+        return -0.5 * np.sum(li * li + lii) + g * (g - 1.0) * 0.5 * wp_uu.sum()
 
     # d_tau ln K = g * (signed sum of per-pair tau log-derivatives)
-    dtau_log = g * (sum(tlog(x[i] - x[j]) for i in range(spec.N) for j in range(i + 1, spec.N))
-                    + sum(tlog(y[i] - y[j]) for i in range(spec.M) for j in range(i + 1, spec.M))
-                    - sum(tlog(x[i] - y[j]) for i in range(spec.N) for j in range(spec.M)))
+    dtau_log = g * (pair_values(theta1_tau_logderiv, x, **kw).sum()
+                    + pair_values(theta1_tau_logderiv, y, **kw).sum()
+                    - pair_values(theta1_tau_logderiv, x, y, **kw).sum())
     tau_term = (1j * math.pi * spec.kappa / (2.0 * dom.ell ** 2)) * dtau_log
-    return tau_term + h_part(x, y) - h_part(y, x)
+    return tau_term + h_part(x, zeta_xy, wp_xy) - h_part(y, -zeta_xy.T, wp_xy.T)

@@ -22,7 +22,8 @@ from .domain import DEFAULT_POLICY, EllipticDomain, RuijsenaarsParams, Truncatio
 from .errors import DomainError, PoleError
 from .fields import SmoothField
 from .gamma import ground_state_psi0
-from .theta import (theta1_logderiv, theta1_power, theta1_tau_logderiv, theta_q, wp1)
+from .theta import (pair_values, theta1_logderiv, theta1_power, theta1_tau_logderiv,
+                    theta_q, wp1)
 
 __all__ = [
     "CouplingSet", "half_period_shifts", "apply_ecs", "nonstationary_residual",
@@ -64,11 +65,7 @@ def half_period_shifts(dom: EllipticDomain):
 
 
 def _pairwise_potential(xs, dom, pol):
-    total = 0.0 + 0.0j
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            total += wp1(xs[i] - xs[j], dom, pol)
-    return total
+    return pair_values(wp1, xs, dom=dom, pol=pol).sum()
 
 
 def apply_ecs(psi: SmoothField, x: Sequence[complex], c, dom: EllipticDomain,
@@ -118,11 +115,7 @@ def heun_residual(psi: SmoothField, E: complex, x: complex, c: CouplingSet,
 
 
 def _cross_potential(us, vs, dom, pol, shift=0.0):
-    total = 0.0 + 0.0j
-    for u in us:
-        for v in vs:
-            total += wp1(u - v + shift, dom, pol)
-    return total
+    return pair_values(wp1, us, np.asarray(vs) - shift, dom=dom, pol=pol).sum()
 
 
 def _deformed_block(psi: SmoothField, full, iA, iB, g: float, dom, pol):
@@ -251,20 +244,17 @@ def ground_state_field(n: int, g: float, dom: EllipticDomain,
         return ground_state_psi0(x, g, dom, pol)
 
     def logd(x, i):
-        return g * sum(theta1_logderiv(x[i] - x[j], dom, pol)
-                       for j in range(n) if j != i)
+        return g * pair_values(theta1_logderiv, x, dom=dom, pol=pol, parity=-1)[i].sum()
 
     def d1(x, i):
         return logd(x, i) * val(x)
 
     def d2(x, i):
         li = logd(x, i)
-        lii = -g * sum(wp1(x[i] - x[j], dom, pol) for j in range(n) if j != i)
+        lii = -g * pair_values(wp1, x, dom=dom, pol=pol, parity=1)[i].sum()
         return (li * li + lii) * val(x)
 
     def dtau(x):
-        s = sum(theta1_tau_logderiv(x[i] - x[j], dom, pol)
-                for i in range(n) for j in range(i + 1, n))
-        return g * s * val(x)
+        return g * pair_values(theta1_tau_logderiv, x, dom=dom, pol=pol).sum() * val(x)
 
     return SmoothField(value=val, d1=d1, d2=d2, dtau=dtau)

@@ -27,6 +27,7 @@ rational inputs as an external cross-check.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,6 +114,10 @@ class PSeriesTable:
 
 
 def _solve(s, gamma, kappa, K, n_cap, variant, exact):
+    if K < 0 or n_cap < 0:
+        raise DomainError(f"need K >= 0 and n_cap >= 0, got K={K}, n_cap={n_cap}")
+    if not all(cmath.isfinite(complex(v)) for v in (*s, gamma, kappa)):
+        raise DomainError("s, gamma and kappa must be finite")
     s1, s2 = s
     delta = s1 - s2
     if exact:

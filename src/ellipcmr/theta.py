@@ -14,6 +14,7 @@ tau-derivatives use d/dtau = 2 pi i p d/dp, valid since p = e^{2 pi i tau}.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import mul
 
@@ -26,7 +27,7 @@ __all__ = [
     "theta_q", "log_theta_q", "theta1", "theta1_logderiv", "theta1_dlog2",
     "theta1_dtau", "theta1_tau_logderiv", "theta1_power", "wp1",
     "wp1_fourier_coeffs", "WpFourierCoeffs", "heat_constant_c0",
-    "eta1_over_omega1", "heat_residual",
+    "eta1_over_omega1", "heat_residual", "pair_values",
 ]
 
 
@@ -34,7 +35,7 @@ def _scale_for(z) -> float:
     az = np.abs(np.asarray(z))
     if np.any(az == 0.0):
         raise PoleError("zero argument z")
-    return float(np.max(az + 1.0 / az))
+    return float(np.max(az + 1.0 / az, initial=2.0))
 
 
 def _nome_ladder(p: float, z, pol: TruncationPolicy):
@@ -196,13 +197,46 @@ def wp1(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
     out = (0.5 * c) ** 2 / s ** 2
     if dom.p > 0.0:
         z = np.exp(1j * c * x)
-        zmax = float(np.max(np.maximum(np.abs(z), 1.0 / np.abs(z))))
+        zmax = float(np.max(np.maximum(np.abs(z), 1.0 / np.abs(z)), initial=1.0))
         nt = pol.n_terms(dom.p * zmax, 2.0 / max(1e-300, 1.0 - dom.p))
         pm = 1.0
         for m in range(1, nt + 1):
             pm *= dom.p
             out = out - 2.0 * c ** 2 * m * pm / (1.0 - pm) * np.cos(m * c * x)
     return out if out.shape else complex(out)
+
+
+@lru_cache(maxsize=None)
+def _pair_index(n: int):
+    """Row and column indices of the n(n-1)/2 pairs j < k, in row-major order.
+
+    Cached, so they are read-only: every caller shares them.
+    """
+    j, k = np.triu_indices(n, 1)
+    j.flags.writeable = k.flags.writeable = False
+    return j, k
+
+
+def pair_values(fn, a, b=None, *, parity: int = 0, **kw):
+    """fn(differences, **kw) on the pair differences of a, in one vectorised call.
+
+    With b: the (len(a), len(b)) matrix of fn(a_i - b_j).  Without b: fn(a_j - a_k)
+    over the pairs j < k in row-major order or, for parity -1 (odd fn) or +1
+    (even fn), the n x n matrix with zero diagonal whose lower triangle is filled
+    from those values.  The call takes its truncation order at the largest
+    |z| + 1/|z| over all pairs, so every entry keeps a certified tail bound.
+    """
+    a = np.asarray(a, dtype=complex)
+    if b is not None:
+        return fn(np.subtract.outer(a, np.asarray(b, dtype=complex)), **kw)
+    j, k = _pair_index(len(a))
+    vals = fn(a[j] - a[k], **kw)
+    if not parity:
+        return vals
+    out = np.zeros((len(a), len(a)), dtype=complex)
+    out[j, k] = vals
+    out[k, j] = parity * vals
+    return out
 
 
 class WpFourierCoeffs:

@@ -105,6 +105,23 @@ class TestVerify:
         assert not out_path.exists()
 
 
+class TestTypedErrors:
+    @pytest.mark.parametrize("argv", [
+        # the suite shifts by i delta, infinite at p = 0
+        ["verify", "--suite", "calogero-trick", "--ell", "1.8978743565450806", "--p", "0.0"],
+        ["perturb", "--s", "0.3,-0.2", "--gamma", "2", "--K", "-1"],
+        ["perturb", "--s", "0.3,-0.2", "--gamma", "2", "--K", "2", "--n-cap", "-1"],
+        ["perturb", "--s", "nan,0", "--gamma", "2", "--K", "3"],
+        ["perturb", "--s", "0.3,-0.2", "--gamma", "inf", "--K", "3"],
+        ["perturb", "--s", "0.3,-0.2", "--gamma", "2", "--K", "3", "--variant", "II",
+         "--kappa", "nan,1"],
+    ])
+    def test_domain_error_exit_2_no_output(self, argv, capsys):
+        code, out = run_cli(argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error [domain]")
+
+
 class TestArtifacts:
     def test_bethe_certificates(self, tmp_path):
         out_path = tmp_path / "bethe.json"

@@ -6,9 +6,9 @@ import pytest
 from ellipcmr.domain import EllipticDomain
 from ellipcmr.errors import BranchError, PoleError
 from ellipcmr.theta import (heat_constant_c0, heat_residual, eta1_over_omega1,
-                            theta1, theta1_dlog2, theta1_dtau, theta1_logderiv,
-                            theta1_power, theta_q, wp1,
-                            wp1_fourier_coeffs)
+                            log_theta_q, theta1, theta1_dlog2, theta1_dtau,
+                            theta1_logderiv, theta1_power, theta1_tau_logderiv,
+                            theta_q, wp1, wp1_fourier_coeffs)
 
 from oracles import fd_derivative, lattice_sum_wp1, periodized_sinh_sum
 
@@ -201,3 +201,19 @@ class TestTheta1Power:
         # vt1 < 0 for x in (-2 ell, 0)
         with pytest.raises(BranchError):
             theta1_power(-0.5 * dom.ell, 1.7, dom)
+
+
+class TestEmptyInput:
+    @pytest.mark.parametrize("p", [0.0, 0.1])
+    def test_every_kernel_returns_empty(self, p):
+        dom = EllipticDomain.from_nome(2.0, p)
+        e = np.array([], dtype=complex)
+        calls = [lambda: theta_q(e, p), lambda: log_theta_q(e, p),
+                 lambda: theta1(e, dom), lambda: theta1_logderiv(e, dom),
+                 lambda: theta1_dlog2(e, dom), lambda: theta1_dtau(e, dom),
+                 lambda: theta1_tau_logderiv(e, dom), lambda: theta1_power(e, 2, dom),
+                 lambda: theta1_power(e, 1.5, dom), lambda: wp1(e, dom),
+                 lambda: heat_residual(e, dom)]
+        for call in calls:
+            out = call()
+            assert isinstance(out, np.ndarray) and out.shape == (0,)

@@ -8,6 +8,7 @@ from ellipcmr.errors import DomainError, SeamError, WindowError
 from ellipcmr.kernels import KernelSpec, kernel_identity_residual
 from ellipcmr.operators import fit_nonstationary_E, nonstationary_residual
 from ellipcmr.pseries import solve_variant_I
+from ellipcmr import transform
 from ellipcmr.theta import theta1_power
 from ellipcmr.transform import (ContourConfig, Partition2, _f_moments,
                                 assemble_P_lambda, contour_F_lambda,
@@ -121,31 +122,41 @@ class TestDoubleContour:
             ContourConfig(nodes=32)
 
 
-def dense_moments(pairs, z, g, p, r1, r2, count, terms=40):
-    """F and z-Euler moments as the plain count x count double sum.
+def theta_factors(w, p, terms=40):
+    """(y, s) for the factors 1 - y of theta(w; p), y in {w, p^n w, p^n/w}, n <= terms.
 
-    log theta is summed factor by factor over 1 - y, y in {w, p^n w, p^n/w},
-    n <= terms.  With w d/dw y = s y (s = +1, +1, -1), a factor contributes
-    -s y/(1-y) to w d/dw log theta and -y/(1-y)^2 to (w d/dw)^2 log theta.
+    With w d/dw y = s y (s = +1, +1, -1), a factor contributes -s y/(1-y) to
+    w d/dw log theta and -y/(1-y)^2 to (w d/dw)^2 log theta.
     """
     pn = [p ** n for n in range(1, terms + 1)]
+    return [(w, 1.0)] + [(a * w, 1.0) for a in pn] + [(a / w, -1.0) for a in pn]
 
-    def factors(w):
-        return [(w, 1.0)] + [(a * w, 1.0) for a in pn] + [(a / w, -1.0) for a in pn]
 
-    def log_theta(w):
-        return sum(np.log(1.0 - y) for y, _ in factors(w))
+def dense_log_theta(w, p):
+    return sum(np.log(1.0 - y) for y, _ in theta_factors(w, p))
 
-    def euler(w):
-        return sum(-s * y / (1.0 - y) for y, s in factors(w))
 
-    def euler2(w):
-        return sum(-y / (1.0 - y) ** 2 for y, _ in factors(w))
-
+def dense_cross_matrix(z, g, p, r1, r2, count):
+    """Nodes xi1 (column), xi2 (row) and the count x count theta-power factor
+    M_ab = theta(xi1a/xi2b)^g / prod_i theta(z_i/xi1a)^g theta(z_i/xi2b)^g."""
     xi1 = r1 * np.exp(2j * math.pi * np.arange(count) / count)[:, None]
     xi2 = r2 * np.exp(2j * math.pi * np.arange(count) / count)[None, :]
-    M = np.exp(g * log_theta(xi1 / xi2)
-               - g * sum(log_theta(zi / xi1) + log_theta(zi / xi2) for zi in z))
+    M = np.exp(g * dense_log_theta(xi1 / xi2, p)
+               - g * sum(dense_log_theta(zi / xi1, p) + dense_log_theta(zi / xi2, p)
+                         for zi in z))
+    return xi1, xi2, M
+
+
+def dense_moments(pairs, z, g, p, r1, r2, count):
+    """F and z-Euler moments as the plain count x count double sum."""
+
+    def euler(w):
+        return sum(-s * y / (1.0 - y) for y, s in theta_factors(w, p))
+
+    def euler2(w):
+        return sum(-y / (1.0 - y) ** 2 for y, _ in theta_factors(w, p))
+
+    xi1, xi2, M = dense_cross_matrix(z, g, p, r1, r2, count)
     e1 = [-g * (euler(zi / xi1) + euler(zi / xi2)) for zi in z]
     e2 = [-g * (euler2(zi / xi1) + euler2(zi / xi2)) for zi in z]
     out = {"F": [], "D1": [], "D11": [], "D2": [], "D22": []}
@@ -168,6 +179,20 @@ class TestCirculantMoments:
         for key in ("F", "D1", "D11", "D2", "D22"):
             err = np.max(np.abs(got[key] - want[key]))
             assert err <= 1e-12 * np.max(np.abs(want[key])), key
+
+    def test_winding_checks_inspect_the_cross_matrix_edges(self, monkeypatch):
+        # 'F contour 1' walks xi1 at xi2 = r2: column 0 of M; 'F contour 2' walks
+        # xi2 at xi1 = r1: row 0 of M
+        seen = {}
+        monkeypatch.setattr(transform, "_check_winding",
+                            lambda values, what: seen.setdefault(what, np.asarray(values)))
+        g, p, count = 1.4, 0.1, 64
+        r1, r2 = ContourConfig().radii(p)
+        _f_moments([(0, 0)], Z, g, p, r1, r2, count, DEFAULT_POLICY)
+        M = dense_cross_matrix(Z, g, p, r1, r2, count)[2]
+        for what, edge in (("F contour 1", M[:, 0]), ("F contour 2", M[0, :])):
+            assert seen[what].shape == (count,)
+            assert np.max(np.abs(seen[what] - edge)) <= 1e-12 * np.max(np.abs(edge)), what
 
 
 class TestAssembly:
