@@ -285,15 +285,14 @@ def _certify(t, dom, pol, newton_res) -> BetheState:
     ratio = hermite_psi(x0 + 2 * dom.ell, t, xi, dom, pol) / hermite_psi(x0, t, xi, dom, pol)
     xi_res = abs(ratio - np.exp(2.0 * dom.ell * xi)) / abs(np.exp(2.0 * dom.ell * xi))
 
-    fm = hermite_psi_field(t, xi, dom, pol, reflect=True)
-    xv = np.array([x0])
-    wron = f(xv) * fm.first(xv, 0) - f.first(xv, 0) * fm(xv)
-    scale = max(abs(f(xv) * fm(xv)), 1e-300)
+    # W(psi(x), psi(-x)) / (psi(x) psi(-x)) = -(L(x0) + L(-x0)) with L = psi'/psi,
+    # finite where psi itself overflows
+    ld = _log_derivs(np.array([x0, -x0]), t, xi, dom, pol)[0]
     return BetheState(
         n=n, roots=tuple(np.asarray(t, dtype=complex)), xi=complex(xi), energy=complex(E),
         bethe_residual=bres, ode_residual=float(ode), xi_residual=float(xi_res),
         energy_spread=spread, energy_constant=complex(const),
-        wronskian=float(abs(wron) / scale))
+        wronskian=float(abs(ld[0] + ld[1])))
 
 
 def saddle_G_value(t, xi: complex, dom: EllipticDomain,

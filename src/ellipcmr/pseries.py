@@ -64,10 +64,6 @@ class PSeriesTable:
     def coefficient(self, n: int, k: int):
         return self.a.get((n, k), 0.0)
 
-    def n_max(self, k: int) -> int:
-        """Guaranteed-exact fill level of row k (at least n_cap + k)."""
-        return self.n_cap + 2 * (self.K - k) + k
-
     def constant_part(self):
         """C = 1 + sum_{k>=1} a_{0,k} p^k as a coefficient array."""
         return np.array([self.coefficient(0, k) for k in range(self.K + 1)], dtype=complex)
@@ -113,6 +109,11 @@ class PSeriesTable:
                    n_cap=int(d["n_cap"]), variant=d["variant"], a=a, eps=eps)
 
 
+def _fill_window(K: int, n_cap: int, k):
+    """First and last n filled in row k: -k .. n_cap + 2(K - k) + k."""
+    return -k, n_cap + 2 * (K - k) + k
+
+
 def _solve(s, gamma, kappa, K, n_cap, variant, exact):
     if K < 0 or n_cap < 0:
         raise DomainError(f"need K >= 0 and n_cap >= 0, got K={K}, n_cap={n_cap}")
@@ -135,61 +136,77 @@ def _solve(s, gamma, kappa, K, n_cap, variant, exact):
     if variant == "II" and kappa == 0:
         raise DomainError("Variant II needs kappa != 0")
 
-    a = {(0, 0): one}
-    eps = {0: (s1 * s1 + s2 * s2) / 2}
+    # Row k holds a_{n,k} at column n + 2K over its fill window; the zero
+    # columns on either side keep every shift n -+ m (m <= K) inside the array.
+    off = 2 * K
+    rows = np.full((K + 1, n_cap + 5 * K + 1), zero, dtype=object if exact else complex)
+    a = {}
+    eps = [(s1 * s1 + s2 * s2) / 2]
     running_scale = 1.0
 
     for k in range(K + 1):
-        fill_to = n_cap + 2 * (K - k) + k
-        for n in range(-k, fill_to + 1):
-            if (n, k) == (0, 0):
-                continue
-            rhs = zero
-            for kp in range(1, k + 1):
-                if kp in eps and eps[kp] != 0:
-                    prev = a.get((n, k - kp))
-                    if prev is not None and prev != 0:
-                        rhs += eps[kp] * prev
-            for m in range(1, n + k + 1):
-                prev = a.get((n - m, k))
-                if prev is not None and prev != 0:
-                    rhs += gamma * m * prev
-            for nu in range(1, k + 1):
-                for m in range(1, k // nu + 1):
-                    kp2 = k - nu * m
-                    lo = a.get((n - m, kp2), zero)
-                    hi = a.get((n + m, kp2))
-                    if hi is None:
-                        if n + m >= -kp2:   # inside support: must have been filled
-                            raise AssertionError(
-                                f"fill order violated: ({n + m},{kp2}) unfilled")
-                        hi = zero
-                    rhs += gamma * m * (lo + hi)
+        n_lo, n_hi = _fill_window(K, n_cap, k)
+        lo, hi = n_lo + off, n_hi + off + 1
+        # sources from the rows above, for the whole row at once
+        pre = np.full(hi - lo, zero, dtype=rows.dtype)
+        for kp in range(1, k):
+            if eps[kp] != 0:
+                pre += eps[kp] * rows[k - kp, lo:hi]
+        nu_sum = np.full(hi - lo, zero, dtype=rows.dtype)
+        for d in range(1, k + 1):         # d = nu m: row k - d, every m | d
+            above = rows[k - d]
+            for m in range(1, d + 1):
+                if d % m == 0:
+                    nu_sum += m * (above[lo - m:hi - m] + above[lo + m:hi + m])
+        pre = (pre + gamma * nu_sum).tolist()
 
-            div = n * (n + delta) - k * kappa
-            if n == 0 and k >= 1 and variant == "I":
-                # row determines Eps_k (divisor is -k kappa, zero in the
-                # stationary case); gauge a_{0,k} = 0
-                eps[k] = -rhs
-                a[(0, k)] = zero
-            elif n == 0 and k >= 1 and variant == "II":
-                eps[k] = zero
-                a[(0, k)] = rhs / div
-            elif (exact and div == 0) or (not exact and abs(div) < _RES_GUARD):
-                src = abs(rhs) if not exact else (0.0 if rhs == 0 else 1.0)
-                if src > 1e-9 * max(1.0, running_scale) * max(1.0, abs(complex(gamma))):
-                    raise ResonanceError(
-                        f"unresolvable resonance at (n,k)=({n},{k}): divisor "
-                        f"{complex(div):.2e} with source {src:.2e}")
-                a[(n, k)] = zero     # resolvable: source vanishes identically
+        # same row: conv = sum_m m a_{n-m,k} from two running sums (acc += a_n,
+        # conv += acc), Kahan-compensated so the rounding of a long row does not
+        # pile up in its later entries (exactly zero corrections in exact mode)
+        vals = []
+        acc = conv = acc_c = conv_c = zero
+        for j, n in enumerate(range(n_lo, n_hi + 1)):
+            if n == 0 and k == 0:
+                v = one
             else:
-                a[(n, k)] = rhs / div
-            if not exact:
-                running_scale = max(running_scale, abs(a[(n, k)]))
+                rhs = pre[j]
+                if n > 0 and k >= 1 and eps[k] != 0:
+                    rhs += eps[k] * a0[n]
+                rhs += gamma * conv
+                div = n * (n + delta) - k * kappa
+                if n == 0 and k >= 1 and variant == "I":
+                    # row determines Eps_k (divisor is -k kappa, zero in the
+                    # stationary case); gauge a_{0,k} = 0
+                    eps.append(-rhs)
+                    v = zero
+                elif n == 0 and k >= 1 and variant == "II":
+                    eps.append(zero)
+                    v = rhs / div
+                elif (exact and div == 0) or (not exact and abs(div) < _RES_GUARD):
+                    src = abs(rhs) if not exact else (0.0 if rhs == 0 else 1.0)
+                    if src > 1e-9 * max(1.0, running_scale) * max(1.0, abs(complex(gamma))):
+                        raise ResonanceError(
+                            f"unresolvable resonance at (n,k)=({n},{k}): divisor "
+                            f"{complex(div):.2e} with source {src:.2e}")
+                    v = zero     # resolvable: source vanishes identically
+                else:
+                    v = rhs / div
+                if not exact:
+                    running_scale = max(running_scale, abs(v))
+            vals.append(v)
+            y = v - acc_c
+            t = acc + y
+            acc_c, acc = (t - acc) - y, t
+            y = acc - conv_c
+            t = conv + y
+            conv_c, conv = (t - conv) - y, t
+        rows[k, lo:hi] = vals
+        if k == 0:
+            a0 = vals                # a_{n,0} at index n
+        a.update(zip(((n, k) for n in range(n_lo, n_hi + 1)), vals))
 
-    eps_t = tuple(eps[k] for k in range(K + 1))
     return PSeriesTable(K=K, s=(s1, s2), gamma=gamma, kappa=kappa, n_cap=n_cap,
-                        variant=variant, a=a, eps=eps_t, exact=exact)
+                        variant=variant, a=a, eps=tuple(eps), exact=exact)
 
 
 def solve_variant_I(s, gamma, K: int, n_cap: int = 16, kappa: complex = 0.0,
@@ -211,13 +228,16 @@ def solve_variant_II(s, gamma, kappa, K: int, n_cap: int = 16,
     kappa must keep every divisor n(n + s_1 - s_2) - k kappa away from zero
     (an imaginary part suffices); violations raise ResonanceError.
     """
-    s1, s2 = s
-    delta = s1 - s2
-    for k in range(1, K + 1):
-        for n in range(-k, n_cap + 2 * K + 1):
-            if (n, k) != (0, 0) and abs(n * (n + delta) - k * kappa) < _RES_GUARD and n != 0:
-                raise ResonanceError(
-                    f"small divisor at (n,k)=({n},{k}) for kappa={kappa}")
+    delta = complex(s[0]) - complex(s[1])
+    k = np.arange(1, K + 1)[:, None]
+    n = np.arange(-K, n_cap + 2 * K)           # the union of the fill windows of rows 1..K
+    n_lo, n_hi = _fill_window(K, n_cap, k)
+    small = ((n >= n_lo) & (n <= n_hi) & (n != 0)
+             & (np.abs(n * (n + delta) - k * complex(kappa)) < _RES_GUARD))
+    if small.any():
+        row, col = np.argwhere(small)[0]
+        raise ResonanceError(
+            f"small divisor at (n,k)=({n[col]},{row + 1}) for kappa={kappa}")
     return _solve(s, gamma, kappa, K, n_cap, "II", exact)
 
 
@@ -258,26 +278,38 @@ def apply_L_series(table: PSeriesTable, dom: Optional[EllipticDomain] = None,
     phat_minus = scale * fc.minus
 
     eps = np.array([complex(e) for e in table.eps])
+    # dense copy of the table over the reach of every shift below,
+    # n = n_lo .. n_cap + m_max; other entries are never read
+    n_lo = -K - m_max
+    dense = np.zeros((K + 1, n_cap + m_max - n_lo + 1), dtype=complex)
+    for (n, k), v in table.a.items():
+        if 0 <= k <= K and n_lo <= n <= n_cap + m_max:
+            dense[k, n - n_lo] = complex(v)
+
+    def f(shift, k_top):
+        """Rows 0..k_top - 1 of the table at n + shift, n = -K .. n_cap."""
+        c = shift - K - n_lo
+        return dense[:k_top, c:c + n_cap + K + 1]
+
+    # residual at every (n, k), n = -K .. n_cap; rows keep only n >= -k
+    # Euler and p d_p parts (diagonal)
+    e_n = np.array([0.5 * (n + s1) ** 2 + 0.5 * (s2 - n) ** 2 for n in range(-K, n_cap + 1)])
+    res = (e_n - kappa * np.arange(K + 1)[:, None]) * f(0, K + 1)
+    # -Eps * f as a p-product
+    for kp in range(K + 1):
+        res[kp:] -= eps[kp] * f(0, K + 1 - kp)
+    # -gamma * Phat * f
+    for kp in range(K + 1):
+        for m in range(1, m_max + 1):
+            cp = phat_plus[m, kp]
+            cm = phat_minus[m, kp]
+            if cp != 0.0:
+                res[kp:] -= gamma * cp * f(-m, K + 1 - kp)
+            if cm != 0.0:
+                res[kp:] -= gamma * cm * f(m, K + 1 - kp)
     out = {}
-    for k in range(K + 1):
-        for n in range(-k, n_cap + 1):
-            acc = 0.0 + 0.0j
-            # Euler and p d_p parts (diagonal)
-            e_n = 0.5 * (n + s1) ** 2 + 0.5 * (s2 - n) ** 2
-            acc += (e_n - kappa * k) * complex(table.coefficient(n, k))
-            # -Eps * f as a p-product
-            for kp in range(0, k + 1):
-                acc -= eps[kp] * complex(table.coefficient(n, k - kp))
-            # -gamma * Phat * f
-            for kp in range(0, k + 1):
-                for m in range(1, m_max + 1):
-                    cp = phat_plus[m, kp]
-                    cm = phat_minus[m, kp]
-                    if cp != 0.0:
-                        acc -= gamma * cp * complex(table.coefficient(n - m, k - kp))
-                    if cm != 0.0:
-                        acc -= gamma * cm * complex(table.coefficient(n + m, k - kp))
-            out[(n, k)] = acc
+    for k, row in enumerate(res.tolist()):
+        out.update(((n, k), row[n + K]) for n in range(-k, n_cap + 1))
     return LaurentPSeries(out, K, lambda k: -k, n_cap)
 
 

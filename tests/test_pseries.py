@@ -1,13 +1,17 @@
 import json
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ellipcmr.domain import EllipticDomain
 from ellipcmr.errors import DomainError, ResonanceError
 from ellipcmr.pseries import (PSeriesTable, apply_L_series, eigenvalue_from_gauge,
                               gauge_eps_series, pseries_inv, pseries_log,
                               solve_variant_I, solve_variant_II)
+from ellipcmr.theta import wp1_fourier_coeffs
 
 S = (0.3, -0.2)
 GAMMA = 2.0
@@ -23,6 +27,199 @@ def single_entry_table(n0, k0, K=4, n_cap=8, s=S, gamma=GAMMA, kappa=0.0):
     """Hand-filled table with one unit coefficient (oracle input)."""
     return PSeriesTable(K=K, s=s, gamma=gamma, kappa=kappa, n_cap=n_cap,
                         variant="I", a={(n0, k0): 1.0}, eps=tuple([0.0] * (K + 1)))
+
+
+def reference_solve(s, gamma, kappa, K, n_cap, variant, exact=False):
+    """The recursion of the module docstring, entry by entry over a dict.
+
+    Sums run in the docstring's order (Eps terms, the same row, then nu and
+    m); rows are filled up to n = n_cap + 2(K - k) + k.  Returns (a, eps).
+    """
+    s1, s2 = s
+    delta = s1 - s2
+    if exact:
+        s1, s2, delta = Fraction(s1), Fraction(s2), Fraction(s1) - Fraction(s2)
+        gamma, kappa = Fraction(gamma), Fraction(kappa)
+        zero, one = Fraction(0), Fraction(1)
+    else:
+        gamma, kappa = complex(gamma), complex(kappa)
+        zero, one = 0.0 + 0.0j, 1.0 + 0.0j
+    a = {(0, 0): one}
+    eps = {0: (s1 * s1 + s2 * s2) / 2}
+    running_scale = 1.0
+    for k in range(K + 1):
+        for n in range(-k, n_cap + 2 * (K - k) + k + 1):
+            if (n, k) == (0, 0):
+                continue
+            rhs = zero
+            for kp in range(1, k + 1):
+                if kp in eps and eps[kp] != 0:
+                    prev = a.get((n, k - kp))
+                    if prev is not None and prev != 0:
+                        rhs += eps[kp] * prev
+            for m in range(1, n + k + 1):
+                prev = a.get((n - m, k))
+                if prev is not None and prev != 0:
+                    rhs += gamma * m * prev
+            for nu in range(1, k + 1):
+                for m in range(1, k // nu + 1):
+                    rhs += gamma * m * (a.get((n - m, k - nu * m), zero)
+                                        + a.get((n + m, k - nu * m), zero))
+            div = n * (n + delta) - k * kappa
+            if n == 0 and k >= 1 and variant == "I":
+                eps[k] = -rhs
+                a[(0, k)] = zero
+            elif n == 0 and k >= 1 and variant == "II":
+                eps[k] = zero
+                a[(0, k)] = rhs / div
+            elif (exact and div == 0) or (not exact and abs(div) < 1e-10):
+                src = abs(rhs) if not exact else (0.0 if rhs == 0 else 1.0)
+                if src > 1e-9 * max(1.0, running_scale) * max(1.0, abs(complex(gamma))):
+                    raise ResonanceError(f"unresolvable resonance at (n,k)=({n},{k})")
+                a[(n, k)] = zero
+            else:
+                a[(n, k)] = rhs / div
+            if not exact:
+                running_scale = max(running_scale, abs(a[(n, k)]))
+    return a, tuple(eps[k] for k in range(K + 1))
+
+
+def dense_solve(s, gamma, kappa, K, n_cap, variant, exact=False):
+    if variant == "I":
+        return solve_variant_I(s, gamma, K, n_cap=n_cap, kappa=kappa, exact=exact)
+    return solve_variant_II(s, gamma, kappa, K, n_cap=n_cap, exact=exact)
+
+
+def resonance_at(call):
+    """The (n, k) named by the ResonanceError that call raises, or None."""
+    try:
+        call()
+    except ResonanceError as err:
+        return re.search(r"\(n,k\)=\((-?\d+),(-?\d+)\)", str(err)).groups()
+    return None
+
+
+def seeded_draws():
+    """(s, gamma, kappa, K, n_cap, variant): complex gamma and kappa on every grid point."""
+    rng = np.random.default_rng(20240806)
+    out = []
+    for K in (0, 1, 6, 12):
+        for n_cap in (0, 16, 24):
+            for variant in ("I", "II"):
+                s = (float(rng.uniform(-1.5, 2.5)), float(rng.uniform(-1.5, 1.5)))
+                gamma = complex(rng.uniform(0.25, 3.0), rng.uniform(-0.5, 0.5))
+                kappa = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.25, 1.0))
+                if variant == "I" and rng.uniform() < 0.5:
+                    kappa = 0.0
+                out.append((s, gamma, kappa, K, n_cap, variant))
+    # physical point: s1 - s2 = 3, resonant entries (-3, k >= 3) set to zero
+    out += [((2.0, -1.0), 2.0, 0.0, K, n_cap, "I") for K in (6, 12) for n_cap in (0, 16)]
+    return out
+
+
+class TestDenseRecursion:
+    def test_float_tables_match_the_dict_recursion(self):
+        for s, gamma, kappa, K, n_cap, variant in seeded_draws():
+            t = dense_solve(s, gamma, kappa, K, n_cap, variant)
+            a, eps = reference_solve(s, gamma, kappa, K, n_cap, variant)
+            assert list(t.a) == list(a)
+            scale = max(abs(v) for v in a.values())
+            assert max(abs(t.a[nk] - v) for nk, v in a.items()) <= 1e-13 * scale
+            eps_scale = max(abs(e) for e in eps)
+            assert max(abs(x - y) for x, y in zip(t.eps, eps)) <= 1e-13 * eps_scale
+            assert [type(x) for x in t.eps] == [type(y) for y in eps]
+
+    def test_exact_tables_equal_the_dict_recursion(self):
+        rng = np.random.default_rng(20240807)
+        cases = [((Fraction(2), Fraction(-1)), Fraction(2), 6, 16)]
+        for K in (0, 1, 6, 12):
+            for n_cap in (0, 16):
+                s = (Fraction(int(rng.integers(-48, 80)), 32), Fraction(int(rng.integers(-48, 48)), 32))
+                cases.append((s, Fraction(int(rng.integers(8, 96)), 32), K, n_cap))
+        for s, gamma, K, n_cap in cases:
+            t = solve_variant_I(s, gamma, K, n_cap=n_cap, exact=True)
+            a, eps = reference_solve(s, gamma, 0, K, n_cap, "I", exact=True)
+            assert t.a == a and list(t.a) == list(a)
+            assert all(type(t.a[nk]) is type(v) for nk, v in a.items())
+            assert t.eps == eps and all(type(x) is type(y) for x, y in zip(t.eps, eps))
+
+    def test_resonance_raised_at_the_same_entry(self):
+        rng = np.random.default_rng(20240808)
+        cases = [((1.0, 0.0), 2.0, 3, 16)]
+        for d in (1, 2, 4):
+            s1 = float(rng.uniform(-1.0, 1.0))
+            cases.append(((s1, s1 - d), complex(rng.uniform(0.5, 3.0), 0.3), 6, 8))
+            cases.append(((s1 + d, s1), float(rng.uniform(0.5, 3.0)), 6, 0))
+        for s, gamma, K, n_cap in cases:
+            where = resonance_at(lambda: solve_variant_I(s, gamma, K, n_cap=n_cap))
+            assert where is not None
+            assert where == resonance_at(lambda: reference_solve(s, gamma, 0.0, K, n_cap, "I"))
+
+
+class TestVariantIIPrecheck:
+    def test_unfilled_entries_are_not_checked(self):
+        # kappa = 5 zeroes the divisor of (2, 1), outside row 1's fill window at n_cap = 0
+        t = solve_variant_II(S, GAMMA, 5.0, K=1, n_cap=0)
+        near = solve_variant_II(S, GAMMA, 5.0 + 1e-6, K=1, n_cap=0)
+        assert set(t.a) == set(near.a) and (2, 1) not in t.a
+        assert max(abs(t.a[nk] - near.a[nk]) for nk in t.a) <= 1e-5
+        assert rel_L_residual(t) <= 1e-10
+
+    def test_filled_entries_are_checked(self):
+        assert resonance_at(lambda: solve_variant_II(S, GAMMA, 5.0, K=1, n_cap=1)) == ("2", "1")
+        assert resonance_at(lambda: solve_variant_II(S, GAMMA, 5.0, K=2, n_cap=0)) == ("2", "1")
+
+
+def reference_apply_L(table, dom=None):
+    """The oracle entry by entry: residual and the summed magnitude of its terms."""
+    K, n_cap = table.K, table.n_cap
+    s1, s2 = complex(table.s[0]), complex(table.s[1])
+    gamma, kappa = complex(table.gamma), complex(table.kappa)
+    dom = dom or EllipticDomain.from_nome(math.pi, 0.0)
+    m_max = n_cap + 3 * K + 1
+    fc = wp1_fourier_coeffs(dom, m_max=m_max, k_max=K)
+    scale = -((dom.ell / math.pi) ** 2)
+    plus, minus = scale * fc.plus, scale * fc.minus
+    coef = lambda n, k: complex(table.coefficient(n, k))
+    out, size = {}, 0.0
+    for k in range(K + 1):
+        for n in range(-k, n_cap + 1):
+            terms = [(0.5 * (n + s1) ** 2 + 0.5 * (s2 - n) ** 2 - kappa * k) * coef(n, k)]
+            terms += [-complex(table.eps[kp]) * coef(n, k - kp) for kp in range(k + 1)]
+            for kp in range(k + 1):
+                for m in range(1, m_max + 1):
+                    if plus[m, kp] != 0.0:
+                        terms.append(-gamma * plus[m, kp] * coef(n - m, k - kp))
+                    if minus[m, kp] != 0.0:
+                        terms.append(-gamma * minus[m, kp] * coef(n + m, k - kp))
+            out[(n, k)] = sum(terms)
+            size = max(size, sum(abs(x) for x in terms))
+    return out, size
+
+
+class TestDenseOracle:
+    def check(self, table, dom=None):
+        res = apply_L_series(table, dom)
+        want, size = reference_apply_L(table, dom)
+        assert list(res.data) == list(want)
+        assert max(abs(res.data[nk] - v) for nk, v in want.items()) <= 1e-13 * max(size, 1e-300)
+
+    def test_solved_tables(self):
+        for s, gamma, kappa, K, n_cap, variant in seeded_draws()[::3]:
+            self.check(dense_solve(s, gamma, kappa, K, n_cap, variant))
+        self.check(solve_variant_I(S, GAMMA, K=4), EllipticDomain.from_nome(2.0, 0.1))
+        self.check(solve_variant_I((Fraction(3, 10), Fraction(-1, 5)), Fraction(2), 4, exact=True))
+
+    def test_hand_filled_tables_off_support(self):
+        # K = 4, n_cap = 8, m_max = 21: entries below n = -k, at both ends of the
+        # dense copy n = -K - m_max .. n_cap + m_max, beyond it, and at k outside 0..K
+        for n0, k0 in [(-3, 0), (-7, 2), (-25, 4), (29, 0), (30, 0), (-26, 4), (2, 5), (-1, -1)]:
+            self.check(single_entry_table(n0, k0))
+        rng = np.random.default_rng(20240809)
+        keys = zip(rng.integers(-20, 30, 40).tolist(), rng.integers(0, 5, 40).tolist())
+        a = {nk: complex(*rng.normal(size=2)) for nk in keys}
+        self.check(PSeriesTable(K=4, s=S, gamma=1.5 - 0.5j, kappa=0.3j, n_cap=8, variant="I",
+                                a=a, eps=tuple(rng.normal(size=5).tolist())))
 
 
 class TestApplyLOracle:
@@ -97,7 +294,7 @@ class TestVariantI:
         # s = (lam1 + g/2, lam2 - g/2) with g = 2, lam = (1,0): Delta = 3
         t = solve_variant_I((2.0, -1.0), 2.0, K=6)
         assert rel_L_residual(t) <= 1e-10
-        assert t.coefficient(-3, 3) == 0.0
+        assert all(t.coefficient(-3, k) == 0.0 for k in range(3, 7))
 
     def test_unresolvable_resonance_rejected(self):
         with pytest.raises(ResonanceError):

@@ -7,11 +7,13 @@ refused about one domain in eleven).
 """
 
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
 
+from ellipcmr.bethe import hermite_psi_field, solve_bethe
 from ellipcmr.cli import main
 from ellipcmr.domain import EllipticDomain
 
@@ -56,3 +58,34 @@ def test_bethe_certifies_on_a_random_domain(n, capsys):
 def test_bethe_n4_at_default_ell(capsys):
     # the documented example; its nome homotopy builds intermediate domains
     run_cli(["bethe", "--n", "4", "--p", "0.05"], capsys)
+
+
+def old_wronskian(state, dom):
+    """|W(psi(x), psi(-x))| / |psi(x) psi(-x)| at x0 from the field values."""
+    f = hermite_psi_field(state.roots, state.xi, dom)
+    fm = hermite_psi_field(state.roots, state.xi, dom, reflect=True)
+    xv = np.array([dom.ell * (0.29 + 0.13j)])
+    wron = f(xv) * fm.first(xv, 0) - f.first(xv, 0) * fm(xv)
+    return abs(wron) / max(abs(f(xv) * fm(xv)), 1e-300)
+
+
+def test_bethe_wronskian_matches_the_field_form():
+    for n in range(2, 7):
+        (ell, p), = draws(1, salt=10 + n)
+        dom = EllipticDomain.from_nome(ell, p)
+        state = solve_bethe(n, dom)
+        old = old_wronskian(state, dom)
+        assert math.isfinite(old)
+        assert abs(state.wronskian - old) <= 1e-12 * max(1.0, old)
+
+
+def test_bethe_json_stays_strict_when_psi_overflows(capsys):
+    # Newton leaves a root far outside the strip, so psi(x0) overflows
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    with np.errstate(all="ignore"):
+        code = main(["bethe", "--n", "12", "--p", "0.19"])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert math.isfinite(out["wronskian"])
