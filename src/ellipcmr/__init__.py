@@ -19,7 +19,7 @@ from .domain import DEFAULT_POLICY, EllipticDomain, RuijsenaarsParams, Truncatio
 from .errors import (BranchError, ConvergenceError, DomainError, EllipcmrError,
                      PoleError, ResonanceError, SeamError, TailBoundError, WindowError)
 from .theta import (heat_constant_c0, heat_residual, theta1, theta1_dlog2,
-                    theta1_dtau, theta1_logderiv, theta1_power,
+                    theta1_dtau, theta1_jet, theta1_logderiv, theta1_power,
                     theta1_tau_logderiv, theta_q, wp1, wp1_fourier_coeffs)
 from .gamma import elliptic_gamma, ground_state_psi0, weight_W, weight_Wrel
 from .fields import SmoothField

@@ -10,7 +10,8 @@ whenever the roots satisfy, for j = 1..n,
 
 with xi = sum_j zeta1(t_j).  The n residuals sum to zero identically (zeta1 is
 odd), so the solution set is a curve; Newton steps use the least-squares
-pseudo-inverse and homotopy in the nome seeds the iteration.
+pseudo-inverse, and predictor-corrector continuation in the nome seeds the
+iteration.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .domain import DEFAULT_POLICY, EllipticDomain, TruncationPolicy
 from .errors import (BranchError, ConvergenceError, DomainError,
                      EllipcmrError, PoleError)
 from .fields import SmoothField
-from .theta import pair_values, theta1, theta1_logderiv, wp1
+from .theta import pair_values, theta1, theta1_jet, theta1_logderiv, wp1
 
 __all__ = [
     "BetheState", "bethe_residuals", "bethe_jacobian", "solve_bethe",
@@ -35,6 +36,8 @@ __all__ = [
 
 # imaginary spread of the trigonometric seed roots, (ell/pi) ln(2+sqrt 3) per step
 _SEED_SPREAD = math.log(2.0 + math.sqrt(3.0)) / math.pi
+# Newton tolerance at the intermediate nomes of the continuation; tol applies at dom.p
+_PATH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -70,36 +73,68 @@ def _at_x_and_roots(fn, x, roots, dom, pol):
     return v[..., 0], v[..., 1:]
 
 
+def _raise_on_poles(V):
+    """PoleError if a root or a pair difference has |vt1| < 1e-12.
+
+    V is vt1 on the pair differences of the roots and the origin (last point),
+    so its last column holds vt1(t_j).
+    """
+    bad = np.abs(V) < 1e-12
+    np.fill_diagonal(bad, False)
+    if not bad.any():
+        return
+    # name what a j < k scan meets first: root t_j, then the pairs (j, k > j), then
+    # row j + 1; |V| is symmetric, so the first bad row has no bad entry left of j
+    j = np.argmax(bad.any(axis=1))
+    if bad[j, -1]:
+        raise PoleError(f"root t_{j} on the period lattice")
+    raise PoleError(f"coincident roots t_{j}, t_{np.argmax(bad[j, :-1])}")
+
+
 def _check_roots(t, dom):
     t = np.asarray(t, dtype=complex)
-    pairs, roots = _with_origin(theta1, t, dom, DEFAULT_POLICY, -1)
-    bad_pair = np.triu(np.abs(pairs) < 1e-12, 1)
-    bad_root = np.abs(roots) < 1e-12
-    # name what a j < k scan meets first: root t_j, then the pairs (j, k > j), then row j + 1
-    rows = np.flatnonzero(bad_root | bad_pair.any(axis=1))
-    if len(rows):
-        j = rows[0]
-        if bad_root[j]:
-            raise PoleError(f"root t_{j} on the period lattice")
-        raise PoleError(f"coincident roots t_{j}, t_{np.argmax(bad_pair[j])}")
+    _raise_on_poles(pair_values(theta1, np.append(t, 0.0), dom=dom, pol=DEFAULT_POLICY,
+                                parity=-1))
     return t
+
+
+def _bethe_system(t, dom, pol):
+    """(residuals, Jacobian) at roots t from one theta1_jet call on the roots and the origin.
+
+    The kernels are taken at the roots moved by multiples of 2 i delta into
+    |Im t| <= delta, so no product is evaluated far outside the strip.  The
+    system does not change under that move: zeta1 drops by i pi/ell per period,
+    which cancels in zeta1(t_j - t_k) - zeta1(t_j) + zeta1(t_k), and wp1 is periodic.
+    The Jacobian is d residual_j / d t_i with zeta1' = (ln vt1)'' = -wp1.
+    """
+    t = np.asarray(t, dtype=complex)
+    n = len(t)
+    if dom.p > 0.0:
+        t = t - 2j * dom.delta * np.round(t.imag / (2.0 * dom.delta))
+    try:
+        V, Z, D = pair_values(theta1_jet, np.append(t, 0.0), dom=dom, pol=pol,
+                              parity=(-1, -1, 1))
+    except PoleError:
+        _check_roots(t, dom)      # names the offending root or pair
+        raise
+    _raise_on_poles(V)
+    Z, zt = Z[:-1, :-1], Z[:-1, -1]
+    W, wp_t = -D[:-1, :-1], -D[:-1, -1]
+    # sum_{k != j} (Z_jk - zt_j + zt_k); the diagonal of Z is zero
+    r = Z.sum(axis=1) - n * zt + zt.sum()
+    J = W - wp_t                     # J_ji = wp1(t_j - t_i) - wp1(t_i), i != j
+    np.fill_diagonal(J, (n - 1) * wp_t - W.sum(axis=1))
+    return r, J
 
 
 def bethe_residuals(t, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
     """The n left-hand sides of the Bethe system at roots t."""
-    t = _check_roots(t, dom)
-    Z, zt = _with_origin(theta1_logderiv, t, dom, pol, -1)
-    # sum_{k != j} (Z_jk - zt_j + zt_k); the diagonal of Z is zero
-    return Z.sum(axis=1) - len(t) * zt + zt.sum()
+    return _bethe_system(t, dom, pol)[0]
 
 
 def bethe_jacobian(t, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
     """Analytic Jacobian d residual_j / d t_i (zeta1' = -wp1)."""
-    t = np.asarray(t, dtype=complex)
-    W, wp_t = _with_origin(wp1, t, dom, pol, 1)
-    J = W - wp_t                     # J_ji = wp1(t_j - t_i) - wp1(t_i), i != j
-    np.fill_diagonal(J, (len(t) - 1) * wp_t - W.sum(axis=1))
-    return J
+    return _bethe_system(t, dom, pol)[1]
 
 
 def default_seed(n: int, dom: EllipticDomain):
@@ -113,30 +148,47 @@ def default_seed(n: int, dom: EllipticDomain):
 
 
 def _newton(t0, dom, pol, tol, max_iter):
+    """Damped least-squares Newton to max |r| < tol; returns (t, r, J) at the last iterate."""
     t = np.array(t0, dtype=complex)
-    r = bethe_residuals(t, dom, pol)
+    r, J = _bethe_system(t, dom, pol)
     for _ in range(max_iter):
         if np.max(np.abs(r)) < tol:
-            return t, float(np.max(np.abs(r)))
-        step, *_ = np.linalg.lstsq(bethe_jacobian(t, dom, pol), -r, rcond=None)
+            return t, r, J
+        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         lam, nxt = 1.0, None
         for _ in range(25):
             try:
                 tn = t + lam * step
-                rn = bethe_residuals(tn, dom, pol)
+                rn, Jn = _bethe_system(tn, dom, pol)
                 if np.max(np.abs(rn)) < np.max(np.abs(r)):
-                    nxt = (tn, rn)
+                    nxt = (tn, rn, Jn)
                     break
             except EllipcmrError:
                 pass
             lam /= 2.0
         if nxt is None:
             break
-        t, r = nxt
+        t, r, J = nxt
     res = float(np.max(np.abs(r)))
     if res >= tol:
         raise ConvergenceError(f"Bethe Newton stalled at residual {res:.3e}")
-    return t, res
+    return t, r, J
+
+
+def _polish(t, r, J, dom, pol):
+    """Up to two full Newton steps past the tolerance, each kept only if it lowers max |r|.
+
+    Returns (t, max |r|)."""
+    for _ in range(2):
+        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
+        try:
+            rn, Jn = _bethe_system(t + step, dom, pol)
+        except EllipcmrError:
+            break
+        if np.max(np.abs(rn)) >= np.max(np.abs(r)):
+            break
+        t, r, J = t + step, rn, Jn
+    return t, float(np.max(np.abs(r)))
 
 
 def solve_bethe(n: int, dom: EllipticDomain, seed: Optional[Sequence[complex]] = None,
@@ -146,7 +198,10 @@ def solve_bethe(n: int, dom: EllipticDomain, seed: Optional[Sequence[complex]] =
 
     Without a seed, the system is first solved at a small nome (where the
     trigonometric seed is accurate) and the nome is continued geometrically to
-    dom.p, Newton-correcting at each step.  One branch is returned per seed; no
+    dom.p by predictor-corrector steps: a secant predictor in log p, then Newton
+    to the path tolerance at intermediate nomes and to tol at dom.p; a failed
+    correction is retried from the previous roots.  The final roots get up to
+    two polishing Newton steps.  One branch is returned per seed; no
     completeness claim is made.
     """
     if n < 1:
@@ -158,7 +213,8 @@ def solve_bethe(n: int, dom: EllipticDomain, seed: Optional[Sequence[complex]] =
         return _certify(t, dom, pol, 0.0)
 
     if seed is not None:
-        t, res = _newton(np.asarray(seed, dtype=complex), dom, pol, tol, max_iter)
+        t, res = _polish(*_newton(np.asarray(seed, dtype=complex), dom, pol, tol, max_iter),
+                         dom, pol)
         return _certify(t, dom, pol, res)
 
     # seed roots only fit inside |Im x| < 2 delta at a small enough nome
@@ -170,10 +226,23 @@ def solve_bethe(n: int, dom: EllipticDomain, seed: Optional[Sequence[complex]] =
     if dom.p == 0.0:
         steps = [0.0]
     t = default_seed(n, EllipticDomain.from_nome(dom.ell, steps[0]))
-    res = math.inf
-    for pk in steps:
-        dk = EllipticDomain.from_nome(dom.ell, pk)
-        t, res = _newton(t, dk, pol, tol, max_iter)
+    path_tol = max(tol, _PATH_TOL)
+    for k, pk in enumerate(steps):
+        last = k == len(steps) - 1
+        dk = dom if last else EllipticDomain.from_nome(dom.ell, pk)
+        tol_k = tol if last else path_tol
+        guess = t
+        if k >= 2:   # secant through the last two converged nomes, in log p
+            h = math.log(pk / steps[k - 1]) / math.log(steps[k - 1] / steps[k - 2])
+            guess = t + h * (t - t_prev)
+        try:
+            sol = _newton(guess, dk, pol, tol_k, max_iter)
+        except EllipcmrError:
+            if guess is t:
+                raise
+            sol = _newton(t, dk, pol, tol_k, max_iter)
+        t_prev, t = t, sol[0]
+    t, res = _polish(*sol, dom, pol)
     return _certify(t, dom, pol, res)
 
 
@@ -268,31 +337,30 @@ def energy_from_roots(roots, xi: complex, dom: EllipticDomain,
     return E, spread, const
 
 
-def _certify(t, dom, pol, newton_res) -> BetheState:
+def _certify(t, dom, pol, bethe_res) -> BetheState:
     n = len(t)
     xi = theta1_logderiv(t, dom, pol).sum()
-    bres = float(np.max(np.abs(bethe_residuals(t, dom, pol)))) if n > 1 else 0.0
     E, spread, const = energy_from_roots(t, xi, dom, pol)
 
-    f = hermite_psi_field(t, xi, dom, pol)
-    gamma_points = [dom.ell * (0.21 + 0.12 * j) + 0.09j * dom.ell for j in range(5)]
-    from .operators import lame_residual   # local import avoids a cycle
-    ode = max(abs(lame_residual(f, E, x, -float(n), dom, pol)) / abs(f(np.array([x])))
-              for x in gamma_points)
+    # one _log_derivs call on the five ODE points and x0, -x0:
+    # (-psi'' + n(n+1) wp1 psi - E psi) / psi = -psi''/psi + n(n+1) wp1 - E
+    x0 = dom.ell * (0.29 + 0.13j)
+    pts = np.append(dom.ell * (0.21 + 0.12 * np.arange(5)) + 0.09j * dom.ell, [x0, -x0])
+    ld, second, wp_x = _log_derivs(pts, t, xi, dom, pol)
+    ode = np.max(np.abs(-second[:5] + n * (n + 1.0) * wp_x[:5] - E))
 
     # Bloch-ratio certificate for xi: psi(x + 2 ell)/psi(x) = e^{2 ell xi}
-    x0 = dom.ell * (0.29 + 0.13j)
-    ratio = hermite_psi(x0 + 2 * dom.ell, t, xi, dom, pol) / hermite_psi(x0, t, xi, dom, pol)
-    xi_res = abs(ratio - np.exp(2.0 * dom.ell * xi)) / abs(np.exp(2.0 * dom.ell * xi))
+    psi = hermite_psi(np.array([x0 + 2 * dom.ell, x0]), t, xi, dom, pol)
+    bloch = np.exp(2.0 * dom.ell * xi)
+    xi_res = abs(psi[0] / psi[1] - bloch) / abs(bloch)
 
     # W(psi(x), psi(-x)) / (psi(x) psi(-x)) = -(L(x0) + L(-x0)) with L = psi'/psi,
     # finite where psi itself overflows
-    ld = _log_derivs(np.array([x0, -x0]), t, xi, dom, pol)[0]
     return BetheState(
         n=n, roots=tuple(np.asarray(t, dtype=complex)), xi=complex(xi), energy=complex(E),
-        bethe_residual=bres, ode_residual=float(ode), xi_residual=float(xi_res),
+        bethe_residual=bethe_res, ode_residual=float(ode), xi_residual=float(xi_res),
         energy_spread=spread, energy_constant=complex(const),
-        wronskian=float(abs(ld[0] + ld[1])))
+        wronskian=float(abs(ld[5] + ld[6])))
 
 
 def saddle_G_value(t, xi: complex, dom: EllipticDomain,

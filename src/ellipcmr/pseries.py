@@ -244,11 +244,9 @@ def solve_variant_II(s, gamma, kappa, K: int, n_cap: int = 16,
 class LaurentPSeries:
     """Truncated double series sum c_{n,k} u^n p^k (result of apply_L_series)."""
 
-    def __init__(self, data: dict, K: int, n_lo, n_hi):
+    def __init__(self, data: dict, K: int):
         self.data = data
         self.K = K
-        self.n_lo = n_lo
-        self.n_hi = n_hi
 
     def coefficient(self, n: int, k: int):
         return self.data.get((n, k), 0.0)
@@ -310,7 +308,7 @@ def apply_L_series(table: PSeriesTable, dom: Optional[EllipticDomain] = None,
     out = {}
     for k, row in enumerate(res.tolist()):
         out.update(((n, k), row[n + K]) for n in range(-k, n_cap + 1))
-    return LaurentPSeries(out, K, lambda k: -k, n_cap)
+    return LaurentPSeries(out, K)
 
 
 def pseries_inv(c):

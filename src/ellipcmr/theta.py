@@ -24,7 +24,7 @@ from .domain import DEFAULT_POLICY, EllipticDomain, TruncationPolicy
 from .errors import BranchError, PoleError
 
 __all__ = [
-    "theta_q", "log_theta_q", "theta1", "theta1_logderiv", "theta1_dlog2",
+    "theta_q", "log_theta_q", "theta1", "theta1_logderiv", "theta1_dlog2", "theta1_jet",
     "theta1_dtau", "theta1_tau_logderiv", "theta1_power", "wp1",
     "wp1_fourier_coeffs", "WpFourierCoeffs", "heat_constant_c0",
     "eta1_over_omega1", "heat_residual", "pair_values",
@@ -103,23 +103,40 @@ def theta1_logderiv(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLI
     return _scalar_or_array(out)
 
 
-def theta1_dlog2(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
-    """Second log-derivative (ln vt1)''(x), term-wise analytic.
+def theta1_jet(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
+    """(vt1, zeta1, (ln vt1)'') at x from one pass over the nome ladder.
 
-    Equals -wp1(x); computed from the product representation directly so the
-    two routes stay independent (wp1 uses the cosine series).
+    The three series share z, 1 - p^n z and 1 - p^n/z; vt1 is formed exactly as
+    theta1 forms it, zeta1 is the series of theta1_logderiv, and
+    (ln vt1)'' = -(pi/2 ell)^2 / sin^2(pi x/2 ell)
+                 + (pi/ell)^2 sum_n [ p^n z/(1-p^n z)^2 + (p^n/z)/(1-p^n/z)^2 ],
+    which equals -wp1(x) but stays independent of wp1's cosine series.
     """
     x = np.asarray(x, dtype=complex)
     c = math.pi / dom.ell
-    z = np.exp(1j * c * x)
-    s = np.sin(0.5 * c * x)
+    z = np.exp(1j * math.pi * x / dom.ell)
+    arg = math.pi * x / (2.0 * dom.ell)
+    s = np.sin(arg)
     if np.any(np.abs(s) < 1e-300):
         raise PoleError("x on the period lattice")
-    out = -(0.5 * c) ** 2 / s ** 2
+    vt = 2.0 * s
+    s1 = np.zeros_like(z)     # sum_n [ w/(1-w) - v/(1-v) ],      w = p^n z, v = p^n/z
+    s2 = np.zeros_like(z)     # sum_n [ w/(1-w)^2 + v/(1-v)^2 ]
     for _, pn in _nome_ladder(dom.p, z, pol):
         w, v = pn * z, pn / z
-        out = out + c ** 2 * (w / (1.0 - w) ** 2 + v / (1.0 - v) ** 2)
-    return _scalar_or_array(out)
+        a, b = 1.0 - w, 1.0 - v
+        vt = vt * a * b
+        wa, vb = w / a, v / b
+        s1 += wa - vb
+        s2 += wa / a + vb / b
+    zeta = (0.5 * c) * np.cos(arg) / s - (1j * c) * s1
+    dlog2 = c * c * s2 - (0.5 * c) ** 2 / s ** 2
+    return _scalar_or_array(vt), _scalar_or_array(zeta), _scalar_or_array(dlog2)
+
+
+def theta1_dlog2(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
+    """Second log-derivative (ln vt1)''(x) = -wp1(x), the third output of theta1_jet."""
+    return theta1_jet(x, dom, pol)[2]
 
 
 def _wdlog_theta(w, p: float, pol: TruncationPolicy):
@@ -217,14 +234,16 @@ def _pair_index(n: int):
     return j, k
 
 
-def pair_values(fn, a, b=None, *, parity: int = 0, **kw):
+def pair_values(fn, a, b=None, *, parity: int | tuple = 0, **kw):
     """fn(differences, **kw) on the pair differences of a, in one vectorised call.
 
     With b: the (len(a), len(b)) matrix of fn(a_i - b_j).  Without b: fn(a_j - a_k)
     over the pairs j < k in row-major order or, for parity -1 (odd fn) or +1
     (even fn), the n x n matrix with zero diagonal whose lower triangle is filled
-    from those values.  The call takes its truncation order at the largest
-    |z| + 1/|z| over all pairs, so every entry keeps a certified tail bound.
+    from those values.  For an fn that returns a tuple (theta1_jet), parity has
+    one entry per output and the matrices come stacked along a first axis.  The
+    call takes its truncation order at the largest |z| + 1/|z| over all pairs,
+    so every entry keeps a certified tail bound.
     """
     a = np.asarray(a, dtype=complex)
     if b is not None:
@@ -233,9 +252,10 @@ def pair_values(fn, a, b=None, *, parity: int = 0, **kw):
     vals = fn(a[j] - a[k], **kw)
     if not parity:
         return vals
-    out = np.zeros((len(a), len(a)), dtype=complex)
-    out[j, k] = vals
-    out[k, j] = parity * vals
+    vals = np.asarray(vals)
+    out = np.zeros(vals.shape[:-1] + (len(a), len(a)), dtype=complex)
+    out[..., j, k] = vals
+    out[..., k, j] = np.asarray(parity)[..., None] * vals
     return out
 
 
@@ -329,8 +349,7 @@ def heat_constant_c0(dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY
 
 def heat_residual(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
     """Relative residual of (i pi/ell^2 d_tau - d_x^2 - c0) vt1 at x."""
-    zeta = theta1_logderiv(x, dom, pol)
-    dlog2 = theta1_dlog2(x, dom, pol)
+    _, zeta, dlog2 = theta1_jet(x, dom, pol)
     tlog = theta1_tau_logderiv(x, dom, pol)
     c0 = heat_constant_c0(dom, pol)
     # vt1'' / vt1 = zeta1^2 + zeta1'

@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from ellipcmr.bethe import (bethe_jacobian, bethe_residuals,
-                            bloch_multipliers, energy_from_roots, hermite_psi,
-                            hermite_psi_field, saddle_G_gradient, saddle_G_value,
-                            solve_bethe)
+                            bloch_multipliers, default_seed, energy_from_roots,
+                            hermite_psi, hermite_psi_field, saddle_G_gradient,
+                            saddle_G_value, solve_bethe)
 from ellipcmr.domain import EllipticDomain
-from ellipcmr.errors import PoleError
+from ellipcmr.errors import ConvergenceError, PoleError
 from ellipcmr.operators import lame_residual
 from ellipcmr.theta import theta1_logderiv, wp1
 
@@ -209,3 +211,62 @@ class TestSaddle:
         assert st.degenerate
         st1 = solve_bethe(1, dom_small_p)
         assert not st1.degenerate
+
+
+def per_point_ode_residual(state, dom):
+    """The ODE certificate point by point: lame_residual on the Hermite field over |psi|."""
+    f = hermite_psi_field(state.roots, state.xi, dom)
+    points = [dom.ell * (0.21 + 0.12 * j) + 0.09j * dom.ell for j in range(5)]
+    return max(abs(lame_residual(f, state.energy, x, -float(state.n), dom))
+               / abs(f(np.array([x]))) for x in points)
+
+
+def fully_converged_path(n, dom):
+    """The nome continuation with every step Newton-converged to the default tol.
+
+    Same schedule as the solver (start where the trigonometric seed fits, grow the
+    nome by 1.5 per step), no predictor: each step is a seeded solve_bethe call
+    started from the previous roots.
+    """
+    p_fit = 0.5 * (2.0 + math.sqrt(3.0)) ** (-2.0 * (n - 1))
+    steps = [min(dom.p, p_fit)]
+    while steps[-1] < dom.p:
+        steps.append(min(steps[-1] * 1.5, dom.p))
+    t = default_seed(n, EllipticDomain.from_nome(dom.ell, steps[0]))
+    for pk in steps:
+        state = solve_bethe(n, EllipticDomain.from_nome(dom.ell, pk), seed=t)
+        t = state.roots
+    return state
+
+
+class TestContinuation:
+    DOMAINS = [(1.7, 0.12), (3.3, 0.19), (2.0, 0.05)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_energy_equals_the_fully_converged_path(self, n):
+        for ell, p in self.DOMAINS:
+            dom = EllipticDomain.from_nome(ell, p)
+            got = solve_bethe(n, dom)
+            want = fully_converged_path(n, dom)
+            assert abs(got.energy - want.energy) <= 1e-10 * abs(want.energy), (ell, p)
+            assert got.bethe_residual <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_batched_ode_certificate_equals_the_per_point_route(self, n):
+        for ell, p in self.DOMAINS:
+            dom = EllipticDomain.from_nome(ell, p)
+            state = solve_bethe(n, dom)
+            assert abs(state.ode_residual - per_point_ode_residual(state, dom)) <= 1e-11
+
+    def test_callers_tol_applies_at_the_final_nome(self, dom):
+        # intermediate nomes stop at the path tolerance; an unreachable tol must
+        # still make the final correction fail
+        with pytest.raises(ConvergenceError):
+            solve_bethe(3, dom, tol=1e-30)
+
+    def test_residuals_do_not_change_when_a_root_moves_by_a_period(self, dom):
+        t = np.array([0.35 + 0.2j, 0.9 - 0.3j, 1.4 + 0.1j]) * dom.ell / 2
+        moved = t + 2j * dom.delta * np.array([3, -2, 0])
+        r = bethe_residuals(t, dom)
+        assert np.max(np.abs(bethe_residuals(moved, dom) - r)) <= 1e-12
+        assert np.max(np.abs(bethe_jacobian(moved, dom) - bethe_jacobian(t, dom))) <= 1e-12

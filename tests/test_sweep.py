@@ -9,6 +9,8 @@ refused about one domain in eleven).
 import cmath
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -89,3 +91,14 @@ def test_bethe_json_stays_strict_when_psi_overflows(capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out, parse_constant=reject)
     assert math.isfinite(out["wronskian"])
+
+
+def test_bethe_n12_runs_clean_with_warnings_as_errors():
+    # Newton's trial roots leave the strip by many periods; the Bethe system is
+    # evaluated at their images in |Im t| <= delta, so no product overflows
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "ellipcmr", "bethe",
+                           "--n", "12", "--p", "0.19"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    out = json.loads(proc.stdout)
+    assert abs(complex(*out["energy"]) - (-421.36950987654)) <= 1e-9

@@ -7,7 +7,7 @@ from ellipcmr.domain import EllipticDomain
 from ellipcmr.errors import BranchError, PoleError
 from ellipcmr.theta import (heat_constant_c0, heat_residual, eta1_over_omega1,
                             log_theta_q, theta1, theta1_dlog2, theta1_dtau,
-                            theta1_logderiv, theta1_power, theta1_tau_logderiv,
+                            theta1_jet, theta1_logderiv, theta1_power, theta1_tau_logderiv,
                             theta_q, wp1, wp1_fourier_coeffs)
 
 from oracles import fd_derivative, lattice_sum_wp1, periodized_sinh_sum
@@ -91,6 +91,47 @@ class TestLogDerivatives:
     def test_zeta1_pole_on_lattice(self, dom):
         with pytest.raises(PoleError):
             theta1_logderiv(0.0, dom)
+
+
+class TestTheta1Jet:
+    """The one-pass (vt1, zeta1, (ln vt1)'') against the three separate kernels."""
+
+    @staticmethod
+    def edge_points(dom, rng):
+        # real parts over two periods, |Im x| up to 1.98 delta: pair differences of
+        # roots inside |Im t| <= delta reach the edge 2 delta of the series' strip
+        height = dom.delta if dom.p > 0.0 else dom.ell
+        return (dom.ell * rng.uniform(-2.0, 2.0, 120)
+                + 1j * height * rng.uniform(-1.98, 1.98, 120))
+
+    @pytest.mark.parametrize("ell,p", [(1.3, 0.01), (2.0, 0.1), (2.0, 0.19), (3.7, 0.4),
+                                       (2.0, 0.0)])
+    def test_matches_the_separate_kernels(self, ell, p):
+        dom = EllipticDomain.from_nome(ell, p)
+        x = self.edge_points(dom, np.random.default_rng([31, int(1000 * p)]))
+        vt, zeta, dlog2 = theta1_jet(x, dom)
+        assert np.array_equal(vt, theta1(x, dom))        # bit-identical
+        ref_z = theta1_logderiv(x, dom)
+        assert np.all(np.abs(zeta - ref_z) <= 1e-12 * np.abs(ref_z))
+        ref_w = wp1(x, dom)
+        assert np.all(np.abs(-dlog2 - ref_w) <= 1e-12 * np.abs(ref_w))
+        assert np.array_equal(theta1_dlog2(x, dom), dlog2)
+
+    def test_scalar_input(self, dom):
+        x = 0.37 * dom.ell + 0.2j
+        out = theta1_jet(x, dom)
+        assert all(isinstance(v, complex) for v in out)
+        assert out[0] == theta1(x, dom)
+
+    @pytest.mark.parametrize("p", [0.0, 0.1])
+    def test_empty_input(self, p):
+        dom = EllipticDomain.from_nome(2.0, p)
+        for out in theta1_jet(np.array([], dtype=complex), dom):
+            assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    def test_pole_on_lattice(self, dom):
+        with pytest.raises(PoleError):
+            theta1_jet(np.array([0.3, 0.0]), dom)
 
 
 class TestWp1:
