@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .domain import DEFAULT_POLICY, EllipticDomain, TruncationPolicy
+from .domain import EllipticDomain
 from .errors import (BranchError, ConvergenceError, DomainError,
                      EllipcmrError, PoleError)
 from .fields import SmoothField
@@ -38,6 +38,9 @@ __all__ = [
 _SEED_SPREAD = math.log(2.0 + math.sqrt(3.0)) / math.pi
 # Newton tolerance at the intermediate nomes of the continuation; tol applies at dom.p
 _PATH_TOL = 1e-6
+# Newton iterations per corrector, and the nome ratio between continuation steps
+_MAX_ITER = 50
+_HOMOTOPY_STEP = 1.5
 
 
 @dataclass(frozen=True)
@@ -61,15 +64,15 @@ class BetheState:
         return self.wronskian <= 1e-8
 
 
-def _with_origin(fn, t, dom, pol, parity):
+def _with_origin(fn, t, dom, parity):
     """(fn(t_j - t_k) matrix, fn(t_j)) from one call: the origin joins t as point n."""
-    M = pair_values(fn, np.append(t, 0.0), dom=dom, pol=pol, parity=parity)
+    M = pair_values(fn, np.append(t, 0.0), dom=dom, parity=parity)
     return M[:-1, :-1], M[:-1, -1]
 
 
-def _at_x_and_roots(fn, x, roots, dom, pol):
+def _at_x_and_roots(fn, x, roots, dom):
     """(fn(x), fn(x - t_j)) from one call."""
-    v = pair_values(fn, x, np.append(0.0, roots), dom=dom, pol=pol)
+    v = pair_values(fn, x, np.append(0.0, roots), dom=dom)
     return v[..., 0], v[..., 1:]
 
 
@@ -93,12 +96,11 @@ def _raise_on_poles(V):
 
 def _check_roots(t, dom):
     t = np.asarray(t, dtype=complex)
-    _raise_on_poles(pair_values(theta1, np.append(t, 0.0), dom=dom, pol=DEFAULT_POLICY,
-                                parity=-1))
+    _raise_on_poles(pair_values(theta1, np.append(t, 0.0), dom=dom, parity=-1))
     return t
 
 
-def _bethe_system(t, dom, pol):
+def _bethe_system(t, dom):
     """(residuals, Jacobian) at roots t from one theta1_jet call on the roots and the origin.
 
     The kernels are taken at the roots moved by multiples of 2 i delta into
@@ -112,8 +114,7 @@ def _bethe_system(t, dom, pol):
     if dom.p > 0.0:
         t = t - 2j * dom.delta * np.round(t.imag / (2.0 * dom.delta))
     try:
-        V, Z, D = pair_values(theta1_jet, np.append(t, 0.0), dom=dom, pol=pol,
-                              parity=(-1, -1, 1))
+        V, Z, D = pair_values(theta1_jet, np.append(t, 0.0), dom=dom, parity=(-1, -1, 1))
     except PoleError:
         _check_roots(t, dom)      # names the offending root or pair
         raise
@@ -127,14 +128,14 @@ def _bethe_system(t, dom, pol):
     return r, J
 
 
-def bethe_residuals(t, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
+def bethe_residuals(t, dom: EllipticDomain):
     """The n left-hand sides of the Bethe system at roots t."""
-    return _bethe_system(t, dom, pol)[0]
+    return _bethe_system(t, dom)[0]
 
 
-def bethe_jacobian(t, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
+def bethe_jacobian(t, dom: EllipticDomain):
     """Analytic Jacobian d residual_j / d t_i (zeta1' = -wp1)."""
-    return _bethe_system(t, dom, pol)[1]
+    return _bethe_system(t, dom)[1]
 
 
 def default_seed(n: int, dom: EllipticDomain):
@@ -147,11 +148,11 @@ def default_seed(n: int, dom: EllipticDomain):
                      for j in range(1, n + 1)], dtype=complex)
 
 
-def _newton(t0, dom, pol, tol, max_iter):
+def _newton(t0, dom, tol):
     """Damped least-squares Newton to max |r| < tol; returns (t, r, J) at the last iterate."""
     t = np.array(t0, dtype=complex)
-    r, J = _bethe_system(t, dom, pol)
-    for _ in range(max_iter):
+    r, J = _bethe_system(t, dom)
+    for _ in range(_MAX_ITER):
         if np.max(np.abs(r)) < tol:
             return t, r, J
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
@@ -159,7 +160,7 @@ def _newton(t0, dom, pol, tol, max_iter):
         for _ in range(25):
             try:
                 tn = t + lam * step
-                rn, Jn = _bethe_system(tn, dom, pol)
+                rn, Jn = _bethe_system(tn, dom)
                 if np.max(np.abs(rn)) < np.max(np.abs(r)):
                     nxt = (tn, rn, Jn)
                     break
@@ -175,14 +176,14 @@ def _newton(t0, dom, pol, tol, max_iter):
     return t, r, J
 
 
-def _polish(t, r, J, dom, pol):
+def _polish(t, r, J, dom):
     """Up to two full Newton steps past the tolerance, each kept only if it lowers max |r|.
 
     Returns (t, max |r|)."""
     for _ in range(2):
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         try:
-            rn, Jn = _bethe_system(t + step, dom, pol)
+            rn, Jn = _bethe_system(t + step, dom)
         except EllipcmrError:
             break
         if np.max(np.abs(rn)) >= np.max(np.abs(r)):
@@ -192,8 +193,7 @@ def _polish(t, r, J, dom, pol):
 
 
 def solve_bethe(n: int, dom: EllipticDomain, seed: Optional[Sequence[complex]] = None,
-                pol: TruncationPolicy = DEFAULT_POLICY, tol: float = 1e-12,
-                max_iter: int = 50, homotopy_step: float = 1.5) -> BetheState:
+                tol: float = 1e-12) -> BetheState:
     """Solve the Bethe system and certify the resulting eigenfunction.
 
     Without a seed, the system is first solved at a small nome (where the
@@ -210,19 +210,18 @@ def solve_bethe(n: int, dom: EllipticDomain, seed: Optional[Sequence[complex]] =
         t = np.array([seed[0] if seed is not None else
                       dom.ell * (0.31 + 0.07j)], dtype=complex)
         _check_roots(t, dom)
-        return _certify(t, dom, pol, 0.0)
+        return _certify(t, dom, 0.0)
 
     if seed is not None:
-        t, res = _polish(*_newton(np.asarray(seed, dtype=complex), dom, pol, tol, max_iter),
-                         dom, pol)
-        return _certify(t, dom, pol, res)
+        t, res = _polish(*_newton(np.asarray(seed, dtype=complex), dom, tol), dom)
+        return _certify(t, dom, res)
 
     # seed roots only fit inside |Im x| < 2 delta at a small enough nome
     p_fit = 0.5 * math.exp(-2.0 * math.pi * _SEED_SPREAD) ** (n - 1)
     p_start = min(dom.p if dom.p > 0 else p_fit, p_fit)
     steps = [p_start]
     while steps[-1] < dom.p:
-        steps.append(min(steps[-1] * homotopy_step, dom.p))
+        steps.append(min(steps[-1] * _HOMOTOPY_STEP, dom.p))
     if dom.p == 0.0:
         steps = [0.0]
     t = default_seed(n, EllipticDomain.from_nome(dom.ell, steps[0]))
@@ -236,56 +235,54 @@ def solve_bethe(n: int, dom: EllipticDomain, seed: Optional[Sequence[complex]] =
             h = math.log(pk / steps[k - 1]) / math.log(steps[k - 1] / steps[k - 2])
             guess = t + h * (t - t_prev)
         try:
-            sol = _newton(guess, dk, pol, tol_k, max_iter)
+            sol = _newton(guess, dk, tol_k)
         except EllipcmrError:
             if guess is t:
                 raise
-            sol = _newton(t, dk, pol, tol_k, max_iter)
+            sol = _newton(t, dk, tol_k)
         t_prev, t = t, sol[0]
-    t, res = _polish(*sol, dom, pol)
-    return _certify(t, dom, pol, res)
+    t, res = _polish(*sol, dom)
+    return _certify(t, dom, res)
 
 
-def hermite_psi(x, roots, xi: complex, dom: EllipticDomain,
-                pol: TruncationPolicy = DEFAULT_POLICY):
+def hermite_psi(x, roots, xi: complex, dom: EllipticDomain):
     """psi(x) = e^{xi x} prod_j vt1(x - t_j) / vt1(x)^n."""
     roots = np.asarray(roots, dtype=complex)
     x = np.asarray(x, dtype=complex)
-    at_x, at_roots = _at_x_and_roots(theta1, x, roots, dom, pol)
+    at_x, at_roots = _at_x_and_roots(theta1, x, roots, dom)
     den = at_x ** len(roots)
     if np.any(np.abs(den) < 1e-300):
         raise PoleError("x on the period lattice")
     return np.exp(xi * x) * np.prod(at_roots, axis=-1) / den
 
 
-def _log_derivs(x, roots, xi, dom, pol):
+def _log_derivs(x, roots, xi, dom):
     """psi'/psi, psi''/psi and wp1(x) at the points x:
 
     psi'/psi = xi + sum_j zeta1(x - t_j) - n zeta1(x)
     psi''/psi = (psi'/psi)^2 - sum_j wp1(x - t_j) + n wp1(x).
     """
     n = len(roots)
-    zeta_x, zeta_r = _at_x_and_roots(theta1_logderiv, x, roots, dom, pol)
-    wp_x, wp_r = _at_x_and_roots(wp1, x, roots, dom, pol)
+    zeta_x, zeta_r = _at_x_and_roots(theta1_logderiv, x, roots, dom)
+    wp_x, wp_r = _at_x_and_roots(wp1, x, roots, dom)
     ld = xi + zeta_r.sum(axis=-1) - n * zeta_x
     return ld, ld * ld - wp_r.sum(axis=-1) + n * wp_x, wp_x
 
 
 def hermite_psi_field(roots, xi: complex, dom: EllipticDomain,
-                      pol: TruncationPolicy = DEFAULT_POLICY,
                       reflect: bool = False) -> SmoothField:
     """One-coordinate field psi(+-x) with the analytic derivatives of _log_derivs."""
     roots = np.asarray(roots, dtype=complex)
     s = -1.0 if reflect else 1.0
 
     def val(xv):
-        return complex(hermite_psi(s * xv[0], roots, xi, dom, pol))
+        return complex(hermite_psi(s * xv[0], roots, xi, dom))
 
     def d1(xv, i):
-        return s * _log_derivs(s * xv[0], roots, xi, dom, pol)[0] * val(xv)
+        return s * _log_derivs(s * xv[0], roots, xi, dom)[0] * val(xv)
 
     def d2(xv, i):
-        return _log_derivs(s * xv[0], roots, xi, dom, pol)[1] * val(xv)
+        return _log_derivs(s * xv[0], roots, xi, dom)[1] * val(xv)
 
     return SmoothField(value=val, d1=d1, d2=d2)
 
@@ -312,14 +309,13 @@ def _energy_grid(roots, dom):
     step = 0.0
     while len(pts) < 10:
         x = dom.ell * (0.083 + 0.0947 * np.arange(41) + step) + 0.11j * dom.ell
-        at_x, at_roots = _at_x_and_roots(theta1, x, roots, dom, DEFAULT_POLICY)
+        at_x, at_roots = _at_x_and_roots(theta1, x, roots, dom)
         pts.extend(x[(np.abs(at_x) > 1e-6) & ~np.any(np.abs(at_roots) < 1e-6, axis=-1)])
         step += 0.0173
     return np.array(pts[:10])
 
 
-def energy_from_roots(roots, xi: complex, dom: EllipticDomain,
-                      pol: TruncationPolicy = DEFAULT_POLICY):
+def energy_from_roots(roots, xi: complex, dom: EllipticDomain):
     """E from the operator quotient, certified x-independent over 10 points.
 
     E(x) = (-psi'' + n(n+1) wp1(x) psi)/psi = -psi''/psi + n(n+1) wp1(x), taken at
@@ -329,28 +325,28 @@ def energy_from_roots(roots, xi: complex, dom: EllipticDomain,
     """
     roots = np.asarray(roots, dtype=complex)
     n = len(roots)
-    _, second, wp_x = _log_derivs(_energy_grid(roots, dom), roots, xi, dom, pol)
+    _, second, wp_x = _log_derivs(_energy_grid(roots, dom), roots, xi, dom)
     vals = -second + n * (n + 1.0) * wp_x    # g = -n, so g(g-1) = n(n+1)
     E = vals[0]
     spread = float(np.max(np.abs(vals - E)))
-    const = E + (2.0 * n - 1.0) * wp1(roots, dom, pol).sum()
+    const = E + (2.0 * n - 1.0) * wp1(roots, dom).sum()
     return E, spread, const
 
 
-def _certify(t, dom, pol, bethe_res) -> BetheState:
+def _certify(t, dom, bethe_res) -> BetheState:
     n = len(t)
-    xi = theta1_logderiv(t, dom, pol).sum()
-    E, spread, const = energy_from_roots(t, xi, dom, pol)
+    xi = theta1_logderiv(t, dom).sum()
+    E, spread, const = energy_from_roots(t, xi, dom)
 
     # one _log_derivs call on the five ODE points and x0, -x0:
     # (-psi'' + n(n+1) wp1 psi - E psi) / psi = -psi''/psi + n(n+1) wp1 - E
     x0 = dom.ell * (0.29 + 0.13j)
     pts = np.append(dom.ell * (0.21 + 0.12 * np.arange(5)) + 0.09j * dom.ell, [x0, -x0])
-    ld, second, wp_x = _log_derivs(pts, t, xi, dom, pol)
+    ld, second, wp_x = _log_derivs(pts, t, xi, dom)
     ode = np.max(np.abs(-second[:5] + n * (n + 1.0) * wp_x[:5] - E))
 
     # Bloch-ratio certificate for xi: psi(x + 2 ell)/psi(x) = e^{2 ell xi}
-    psi = hermite_psi(np.array([x0 + 2 * dom.ell, x0]), t, xi, dom, pol)
+    psi = hermite_psi(np.array([x0 + 2 * dom.ell, x0]), t, xi, dom)
     bloch = np.exp(2.0 * dom.ell * xi)
     xi_res = abs(psi[0] / psi[1] - bloch) / abs(bloch)
 
@@ -363,8 +359,7 @@ def _certify(t, dom, pol, bethe_res) -> BetheState:
         wronskian=float(abs(ld[5] + ld[6])))
 
 
-def saddle_G_value(t, xi: complex, dom: EllipticDomain,
-                   pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def saddle_G_value(t, xi: complex, dom: EllipticDomain) -> complex:
     """G(t) = sum_j (xi t_j - n ln vt1(t_j)) + sum_{j<k} ln vt1(t_j - t_k).
 
     Principal logarithms; every vt1 value must have positive real part, else
@@ -372,18 +367,17 @@ def saddle_G_value(t, xi: complex, dom: EllipticDomain,
     branch-free and always available).
     """
     t = _check_roots(t, dom)
-    v = theta1(t, dom, pol)
+    v = theta1(t, dom)
     if np.any(v.real <= 0.0):
         raise BranchError("ln vt1(t_j) outside principal-branch domain")
-    vp = pair_values(theta1, t, dom=dom, pol=pol)
+    vp = pair_values(theta1, t, dom=dom)
     if np.any(vp.real <= 0.0):
         raise BranchError("ln vt1(t_j - t_k) outside principal-branch domain")
     return complex(np.sum(xi * t - len(t) * np.log(v)) + np.sum(np.log(vp)))
 
 
-def saddle_G_gradient(t, xi: complex, dom: EllipticDomain,
-                      pol: TruncationPolicy = DEFAULT_POLICY):
+def saddle_G_gradient(t, xi: complex, dom: EllipticDomain):
     """dG/dt_j = xi - n zeta1(t_j) + sum_{k != j} zeta1(t_j - t_k)."""
     t = _check_roots(t, dom)
-    Z, zt = _with_origin(theta1_logderiv, t, dom, pol, -1)
+    Z, zt = _with_origin(theta1_logderiv, t, dom, -1)
     return xi - len(t) * zt + Z.sum(axis=1)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import DEFAULT_POLICY, EllipticDomain, RuijsenaarsParams, TruncationPolicy
+from .domain import DEFAULT_POLICY, EllipticDomain, RuijsenaarsParams
 from .errors import PoleError
 from .theta import pair_values, theta_q, theta1_power
 
@@ -18,8 +18,7 @@ __all__ = ["elliptic_gamma", "weight_W", "weight_Wrel"]
 _POLE_EPS = 1e-13
 
 
-def elliptic_gamma(z: complex, par: RuijsenaarsParams,
-                   pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def elliptic_gamma(z: complex, par: RuijsenaarsParams) -> complex:
     """Truncated double product for Gamma(z; p, q)."""
     z = complex(z)
     if z == 0:
@@ -27,8 +26,8 @@ def elliptic_gamma(z: complex, par: RuijsenaarsParams,
     p, q = par.p, par.q
     scale = abs(z) + 1.0 / abs(z)
     # certified cutoffs per axis; the joint tail is dominated by the single-axis ones
-    np_ = pol.n_terms(p, scale) if p > 0 else 0
-    nq_ = pol.n_terms(q, scale) if q > 0 else 0
+    np_ = DEFAULT_POLICY.n_terms(p, scale) if p > 0 else 0
+    nq_ = DEFAULT_POLICY.n_terms(q, scale) if q > 0 else 0
     out = 1.0 + 0.0j
     pn = 1.0
     for n in range(np_ + 1):
@@ -43,7 +42,7 @@ def elliptic_gamma(z: complex, par: RuijsenaarsParams,
     return out
 
 
-def weight_W(z, g: float, p: float, pol: TruncationPolicy = DEFAULT_POLICY) -> float:
+def weight_W(z, g: float, p: float) -> float:
     """Scalar-product weight W(z) = ( prod_{i != j} theta(z_i/z_j; p) )^g.
 
     z must be unimodular with pairwise distinct entries; the product is real
@@ -60,7 +59,7 @@ def weight_W(z, g: float, p: float, pol: TruncationPolicy = DEFAULT_POLICY) -> f
             w = z[i] / z[j]
             if abs(w - 1.0) < _POLE_EPS:
                 raise PoleError("coincident arguments z_i = z_j")
-            base *= theta_q(w, p, pol) * theta_q(1.0 / w, p, pol)
+            base *= theta_q(w, p) * theta_q(1.0 / w, p)
     if abs(base.imag) > 1e-12 * max(1.0, abs(base)):
         raise PoleError(f"weight not real on the torus: Im = {base.imag}")
     if base.real < 0.0:
@@ -68,7 +67,7 @@ def weight_W(z, g: float, p: float, pol: TruncationPolicy = DEFAULT_POLICY) -> f
     return float(base.real) ** g
 
 
-def weight_Wrel(z, par: RuijsenaarsParams, pol: TruncationPolicy = DEFAULT_POLICY) -> float:
+def weight_Wrel(z, par: RuijsenaarsParams) -> float:
     """Relativistic weight prod_{i != j} Gamma(t z_i/z_j)/Gamma(z_i/z_j)."""
     z = np.asarray(z, dtype=complex)
     n = len(z)
@@ -78,13 +77,12 @@ def weight_Wrel(z, par: RuijsenaarsParams, pol: TruncationPolicy = DEFAULT_POLIC
             if i == j:
                 continue
             w = z[i] / z[j]
-            out *= elliptic_gamma(par.t * w, par, pol) / elliptic_gamma(w, par, pol)
+            out *= elliptic_gamma(par.t * w, par) / elliptic_gamma(w, par)
     if abs(out.imag) > 1e-10 * max(1.0, abs(out)):
         raise PoleError(f"relativistic weight not real on the torus: Im = {out.imag}")
     return float(out.real)
 
 
-def ground_state_psi0(x, g: float, dom: EllipticDomain,
-                      pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def ground_state_psi0(x, g: float, dom: EllipticDomain) -> complex:
     """psi0(x) = prod_{i<j} vt1(x_i - x_j)^g; needs x_i - x_j in the branch domain."""
-    return complex(np.prod(pair_values(theta1_power, x, g=g, dom=dom, pol=pol)))
+    return complex(np.prod(pair_values(theta1_power, x, g=g, dom=dom)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DEFAULT_POLICY, EllipticDomain, TruncationPolicy
+from .domain import EllipticDomain
 from .errors import DomainError
 from .gamma import ground_state_psi0
 from .theta import pair_values, theta1_logderiv, theta1_power, theta1_tau_logderiv, wp1
@@ -41,20 +41,18 @@ class KernelSpec:
         return (self.N - self.M) * self.g
 
 
-def kernel_K(spec: KernelSpec, x, y, dom: EllipticDomain,
-             pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def kernel_K(spec: KernelSpec, x, y, dom: EllipticDomain) -> complex:
     """Evaluate the theta-quotient kernel; fractional g needs the branch domain."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if len(x) != spec.N or len(y) != spec.M:
         raise DomainError("coordinate counts must match the KernelSpec")
     g = spec.g
-    out = ground_state_psi0(x, g, dom, pol) * ground_state_psi0(y, g, dom, pol)
-    return complex(out / np.prod(pair_values(theta1_power, x, y, g=g, dom=dom, pol=pol)))
+    out = ground_state_psi0(x, g, dom) * ground_state_psi0(y, g, dom)
+    return complex(out / np.prod(pair_values(theta1_power, x, y, g=g, dom=dom)))
 
 
-def kernel_identity_residual(spec: KernelSpec, x, y, dom: EllipticDomain,
-                             pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def kernel_identity_residual(spec: KernelSpec, x, y, dom: EllipticDomain) -> complex:
     """R = ((i pi kappa/2 ell^2) d_tau + H_N(x) - H_M(y)) K / K, kappa = (N-M)g.
 
     R equals the identity constant C_{N,M} (zero for N = M) whenever the kernel
@@ -65,7 +63,7 @@ def kernel_identity_residual(spec: KernelSpec, x, y, dom: EllipticDomain,
     if len(x) != spec.N or len(y) != spec.M:
         raise DomainError("coordinate counts must match the KernelSpec")
     g = spec.g
-    kw = dict(dom=dom, pol=pol)
+    kw = dict(dom=dom)
     # x-y cross matrices; the y-x ones follow from parity (zeta1 odd, wp1 even)
     zeta_xy = pair_values(theta1_logderiv, x, y, **kw)
     wp_xy = pair_values(wp1, x, y, **kw)

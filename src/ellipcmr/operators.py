@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import DEFAULT_POLICY, EllipticDomain, RuijsenaarsParams, TruncationPolicy
+from .domain import EllipticDomain, RuijsenaarsParams
 from .errors import DomainError, PoleError
 from .fields import SmoothField
 from .gamma import ground_state_psi0
@@ -64,76 +64,72 @@ def half_period_shifts(dom: EllipticDomain):
     return (0.0, dom.ell, 1j * dom.delta, -dom.ell - 1j * dom.delta)
 
 
-def _pairwise_potential(xs, dom, pol):
-    return pair_values(wp1, xs, dom=dom, pol=pol).sum()
+def _pairwise_potential(xs, dom):
+    return pair_values(wp1, xs, dom=dom).sum()
 
 
-def apply_ecs(psi: SmoothField, x: Sequence[complex], c, dom: EllipticDomain,
-              pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def apply_ecs(psi: SmoothField, x: Sequence[complex], c, dom: EllipticDomain) -> complex:
     """(H_N psi)(x) for the eCS operator with coupling c (float g or CouplingSet)."""
     x = np.asarray(x, dtype=complex)
     kin = -0.5 * sum(psi.second(x, i) for i in range(len(x)))
-    return kin + _gamma_of(c) * _pairwise_potential(x, dom, pol) * psi(x)
+    return kin + _gamma_of(c) * _pairwise_potential(x, dom) * psi(x)
 
 
 def nonstationary_residual(psi: SmoothField, kappa: complex, E: complex,
-                           x: Sequence[complex], c, dom: EllipticDomain,
-                           pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+                           x: Sequence[complex], c, dom: EllipticDomain) -> complex:
     """((i pi kappa / 2 ell^2) d_tau + H_N - E) psi at x; needs analytic d_tau."""
     x = np.asarray(x, dtype=complex)
     tau_term = (1j * math.pi * kappa / (2.0 * dom.ell ** 2)) * psi.tau_derivative(x)
-    return tau_term + apply_ecs(psi, x, c, dom, pol) - E * psi(x)
+    return tau_term + apply_ecs(psi, x, c, dom) - E * psi(x)
 
 
 def fit_nonstationary_E(psi: SmoothField, kappa: complex, x_ref, c,
-                        dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+                        dom: EllipticDomain) -> complex:
     """Generalized eigenvalue fixed by a vanishing residual at one reference point."""
     x_ref = np.asarray(x_ref, dtype=complex)
     tau_term = (1j * math.pi * kappa / (2.0 * dom.ell ** 2)) * psi.tau_derivative(x_ref)
-    return (tau_term + apply_ecs(psi, x_ref, c, dom, pol)) / psi(x_ref)
+    return (tau_term + apply_ecs(psi, x_ref, c, dom)) / psi(x_ref)
 
 
-def lame_residual(psi: SmoothField, E: complex, x: complex, g: float,
-                  dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY,
+def lame_residual(psi: SmoothField, E: complex, x: complex, g: float, dom: EllipticDomain,
                   shifted: bool = False) -> complex:
     """Residual of (-d^2/dx^2 + g(g-1) wp1(x + shifted * i delta) - E) psi."""
     xv = np.asarray([x], dtype=complex)
     arg = x + (1j * dom.delta if shifted else 0.0)
-    pot = g * (g - 1.0) * wp1(arg, dom, pol)
+    pot = g * (g - 1.0) * wp1(arg, dom)
     return -psi.second(xv, 0) + (pot - E) * psi(xv)
 
 
 def heun_residual(psi: SmoothField, E: complex, x: complex, c: CouplingSet,
-                  dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+                  dom: EllipticDomain) -> complex:
     """Residual of the BC_1 equation with potential sum_nu g_nu(g_nu-1) wp1(x+omega_nu)."""
     xv = np.asarray([x], dtype=complex)
     pot = 0.0 + 0.0j
     for gnu, om in zip(c.gnu, half_period_shifts(dom)):
         if gnu != 0.0:
-            pot += gnu * (gnu - 1.0) * wp1(x + om, dom, pol)
+            pot += gnu * (gnu - 1.0) * wp1(x + om, dom)
     return -psi.second(xv, 0) + (pot - E) * psi(xv)
 
 
-def _cross_potential(us, vs, dom, pol, shift=0.0):
-    return pair_values(wp1, us, np.asarray(vs) - shift, dom=dom, pol=pol).sum()
+def _cross_potential(us, vs, dom, shift=0.0):
+    return pair_values(wp1, us, np.asarray(vs) - shift, dom=dom).sum()
 
 
-def _deformed_block(psi: SmoothField, full, iA, iB, g: float, dom, pol):
+def _deformed_block(psi: SmoothField, full, iA, iB, g: float, dom):
     """Kinetic and potential parts of H_{N,M} on the coordinates full[iA], full[iB]."""
     kin = -0.5 * sum(psi.second(full, i) for i in iA)
     kin += 0.5 * g * sum(psi.second(full, i) for i in iB)
     ua, ub = full[iA], full[iB]
-    pot = g * (g - 1.0) * _pairwise_potential(ua, dom, pol)
+    pot = g * (g - 1.0) * _pairwise_potential(ua, dom)
     if len(ub) > 1:
-        pot -= (1.0 / g - 1.0) * _pairwise_potential(ub, dom, pol)
+        pot -= (1.0 / g - 1.0) * _pairwise_potential(ub, dom)
     if len(ua) and len(ub):
-        pot += (1.0 - g) * _cross_potential(ua, ub, dom, pol)
+        pot += (1.0 - g) * _cross_potential(ua, ub, dom)
     return kin, pot
 
 
 def apply_deformed_ecs(psi: SmoothField, x: Sequence[complex], xt: Sequence[complex],
-                       g: float, dom: EllipticDomain,
-                       pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+                       g: float, dom: EllipticDomain) -> complex:
     """(H_{N,M} psi)(x, xt): two particle families with couplings g and 1/g.
 
     psi is a field of N+M coordinates ordered (x_1..x_N, xt_1..xt_M).
@@ -144,13 +140,12 @@ def apply_deformed_ecs(psi: SmoothField, x: Sequence[complex], xt: Sequence[comp
         raise DomainError("deformed operator needs g != 0 when M > 0")
     full = np.concatenate([x, xt])
     n = len(x)
-    kin, pot = _deformed_block(psi, full, range(n), range(n, len(full)), g, dom, pol)
+    kin, pot = _deformed_block(psi, full, range(n), range(n, len(full)), g, dom)
     return kin + pot * psi(full)
 
 
 def apply_generalized_ecs(psi: SmoothField, x, xt, y, yt, g: float,
-                          dom: EllipticDomain,
-                          pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+                          dom: EllipticDomain) -> complex:
     """Four-family operator built from two deformed blocks and shifted couplings.
 
     H = H_{N1,M1}(x, xt) + H_{N2,M2}(y, yt) + V(x, y; g) - g V(xt, yt; 1/g)
@@ -167,14 +162,14 @@ def apply_generalized_ecs(psi: SmoothField, x, xt, y, yt, g: float,
         raise DomainError("generalized operator needs g != 0 when tilde families are present")
 
     idx = [list(range(offs[k], offs[k + 1])) for k in range(4)]
-    kin1, pot1 = _deformed_block(psi, full, idx[0], idx[1], g, dom, pol)
-    kin2, pot2 = _deformed_block(psi, full, idx[2], idx[3], g, dom, pol)
+    kin1, pot1 = _deformed_block(psi, full, idx[0], idx[1], g, dom)
+    kin2, pot2 = _deformed_block(psi, full, idx[2], idx[3], g, dom)
     shift = 1j * dom.delta
 
     def V(us, vs, c):
         if len(us) == 0 or len(vs) == 0:
             return 0.0
-        return c * (c - 1.0) * _cross_potential(us, vs, dom, pol, shift=shift)
+        return c * (c - 1.0) * _cross_potential(us, vs, dom, shift=shift)
 
     pot = pot1 + pot2 + V(x, y, g)
     if g != 0.0:
@@ -183,7 +178,7 @@ def apply_generalized_ecs(psi: SmoothField, x, xt, y, yt, g: float,
 
 
 def apply_ruijsenaars_D(f, z: Sequence[complex], par: RuijsenaarsParams,
-                        sign: int = +1, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+                        sign: int = +1) -> complex:
     """Macdonald-Ruijsenaars difference operator applied exactly (no derivatives).
 
     D f(z) = sum_i prod_{j != i} theta(t z_j/z_i; p)/theta(z_j/z_i; p) f(.., q z_i, ..);
@@ -201,60 +196,58 @@ def apply_ruijsenaars_D(f, z: Sequence[complex], par: RuijsenaarsParams,
             if j == i:
                 continue
             w = z[j] / z[i]
-            den = theta_q(w, par.p, pol)
+            den = theta_q(w, par.p)
             if abs(den) < 1e-13:
                 raise PoleError("coefficient pole: theta(z_j/z_i; p) = 0")
-            coef *= theta_q(t * w, par.p, pol) / den
+            coef *= theta_q(t * w, par.p) / den
         zs = np.array(z, dtype=complex)
         zs[i] *= q
         total += coef * f(zs)
     return total
 
 
-def theta_power_field(g: float, dom: EllipticDomain,
-                      pol: TruncationPolicy = DEFAULT_POLICY) -> SmoothField:
+def theta_power_field(g: float, dom: EllipticDomain) -> SmoothField:
     """Two-coordinate field vt1(x1 - x2)^g with analytic x- and tau-derivatives."""
 
     def val(x):
-        return complex(theta1_power(x[0] - x[1], g, dom, pol))
+        return complex(theta1_power(x[0] - x[1], g, dom))
 
     sigma = (1.0, -1.0)
 
     def d1(x, i):
         u = x[0] - x[1]
-        return sigma[i] * g * theta1_logderiv(u, dom, pol) * val(x)
+        return sigma[i] * g * theta1_logderiv(u, dom) * val(x)
 
     def d2(x, i):
         u = x[0] - x[1]
-        zl = theta1_logderiv(u, dom, pol)
-        return (g * g * zl * zl - g * wp1(u, dom, pol)) * val(x)
+        zl = theta1_logderiv(u, dom)
+        return (g * g * zl * zl - g * wp1(u, dom)) * val(x)
 
     def dtau(x):
         u = x[0] - x[1]
-        return g * theta1_tau_logderiv(u, dom, pol) * val(x)
+        return g * theta1_tau_logderiv(u, dom) * val(x)
 
     return SmoothField(value=val, d1=d1, d2=d2, dtau=dtau)
 
 
-def ground_state_field(n: int, g: float, dom: EllipticDomain,
-                       pol: TruncationPolicy = DEFAULT_POLICY) -> SmoothField:
+def ground_state_field(n: int, g: float, dom: EllipticDomain) -> SmoothField:
     """psi0(x) = prod_{i<j} vt1(x_i - x_j)^g as an N-coordinate field."""
 
     def val(x):
-        return ground_state_psi0(x, g, dom, pol)
+        return ground_state_psi0(x, g, dom)
 
     def logd(x, i):
-        return g * pair_values(theta1_logderiv, x, dom=dom, pol=pol, parity=-1)[i].sum()
+        return g * pair_values(theta1_logderiv, x, dom=dom, parity=-1)[i].sum()
 
     def d1(x, i):
         return logd(x, i) * val(x)
 
     def d2(x, i):
         li = logd(x, i)
-        lii = -g * pair_values(wp1, x, dom=dom, pol=pol, parity=1)[i].sum()
+        lii = -g * pair_values(wp1, x, dom=dom, parity=1)[i].sum()
         return (li * li + lii) * val(x)
 
     def dtau(x):
-        return g * pair_values(theta1_tau_logderiv, x, dom=dom, pol=pol).sum() * val(x)
+        return g * pair_values(theta1_tau_logderiv, x, dom=dom).sum() * val(x)
 
     return SmoothField(value=val, d1=d1, d2=d2, dtau=dtau)

@@ -31,11 +31,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .domain import DEFAULT_POLICY, EllipticDomain, TruncationPolicy
+from .domain import EllipticDomain
 from .errors import DomainError, ResonanceError
 from .theta import wp1_fourier_coeffs
 
@@ -255,8 +255,7 @@ class LaurentPSeries:
         return max((abs(v) for v in self.data.values()), default=0.0)
 
 
-def apply_L_series(table: PSeriesTable, dom: Optional[EllipticDomain] = None,
-                   pol: TruncationPolicy = DEFAULT_POLICY) -> LaurentPSeries:
+def apply_L_series(table: PSeriesTable, dom: Optional[EllipticDomain] = None) -> LaurentPSeries:
     """Apply L to the stored series exactly in the truncated ring.
 
     Independent route: the p-expansion coefficients of the potential come from
@@ -270,7 +269,7 @@ def apply_L_series(table: PSeriesTable, dom: Optional[EllipticDomain] = None,
     gamma, kappa = complex(table.gamma), complex(table.kappa)
     dom = dom or EllipticDomain.from_nome(math.pi, 0.0)
     m_max = n_cap + 3 * K + 1
-    fc = wp1_fourier_coeffs(dom, pol, m_max=m_max, k_max=K)
+    fc = wp1_fourier_coeffs(dom, m_max=m_max, k_max=K)
     scale = -((dom.ell / math.pi) ** 2)      # Phat = -(ell/pi)^2 * wp1-coefficients
     phat_plus = scale * fc.plus              # [m, k] -> coeff of u^m p^k
     phat_minus = scale * fc.minus
@@ -358,8 +357,11 @@ def _neville(xs, ys):
     return table[-1][0]
 
 
-def eigenvalue_from_gauge(s, gamma, K: int, n_cap: int = 16,
-                          kappas: Optional[Sequence[complex]] = None):
+# imaginary kappa ladder 2^-4 i .. 2^-10 i of eigenvalue_from_gauge
+_GAUGE_KAPPAS = tuple(1j * 2.0 ** (-j) for j in range(4, 11))
+
+
+def eigenvalue_from_gauge(s, gamma, K: int, n_cap: int = 16):
     """Variant-I eigenvalue series recovered from Variant-II constant parts.
 
     Evaluates kappa * k * [log C^{II}]_k on a shrinking ladder of imaginary
@@ -367,11 +369,9 @@ def eigenvalue_from_gauge(s, gamma, K: int, n_cap: int = 16,
     stops at 2^-10: the Variant-II coefficients grow like kappa^{-k}, so
     smaller kappa trades truncation error for roundoff.
     """
-    if kappas is None:
-        kappas = [1j * 2.0 ** (-j) for j in range(4, 11)]
-    xs = [abs(k) for k in kappas]
+    xs = [abs(k) for k in _GAUGE_KAPPAS]
     series = []
-    for kap in kappas:
+    for kap in _GAUGE_KAPPAS:
         t2 = solve_variant_II(s, gamma, kap, K, n_cap)
         series.append(gauge_eps_series(t2))
     out = np.zeros(K + 1, dtype=complex)

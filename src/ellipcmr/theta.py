@@ -20,7 +20,7 @@ from operator import mul
 
 import numpy as np
 
-from .domain import DEFAULT_POLICY, EllipticDomain, TruncationPolicy
+from .domain import DEFAULT_POLICY, EllipticDomain
 from .errors import BranchError, PoleError
 
 __all__ = [
@@ -38,12 +38,12 @@ def _scale_for(z) -> float:
     return float(np.max(az + 1.0 / az, initial=2.0))
 
 
-def _nome_ladder(p: float, z, pol: TruncationPolicy):
-    """Iterator over (n, p^n) for the n = 1..N that pol certifies at |z| + 1/|z|.
+def _nome_ladder(p: float, z):
+    """Iterator over (n, p^n) for the n = 1..N that DEFAULT_POLICY certifies at |z| + 1/|z|.
 
     p^n is the running product p, p*p, ..., not p**n, so every series keeps its rounding.
     """
-    nt = pol.n_terms(p, _scale_for(z))
+    nt = DEFAULT_POLICY.n_terms(p, _scale_for(z))
     return zip(range(1, nt + 1), accumulate(repeat(p, nt), mul))
 
 
@@ -51,16 +51,16 @@ def _scalar_or_array(out):
     return out if out.shape else complex(out)
 
 
-def theta_q(z, p: float, pol: TruncationPolicy = DEFAULT_POLICY):
+def theta_q(z, p: float):
     """Truncated product (1-z) prod (1 - p^n z)(1 - p^n / z); p in [0, 1)."""
     z = np.asarray(z, dtype=complex)
     out = 1.0 - z
-    for _, pn in _nome_ladder(p, z, pol):
+    for _, pn in _nome_ladder(p, z):
         out = out * (1.0 - pn * z) * (1.0 - pn / z)
     return _scalar_or_array(out)
 
 
-def log_theta_q(z, p: float, pol: TruncationPolicy = DEFAULT_POLICY):
+def log_theta_q(z, p: float):
     """log theta(z; p) as a sum of principal logs of the product factors.
 
     Smooth and single-valued on the annulus p < |z| < 1 (each factor then has
@@ -69,22 +69,22 @@ def log_theta_q(z, p: float, pol: TruncationPolicy = DEFAULT_POLICY):
     """
     z = np.asarray(z, dtype=complex)
     out = np.log(1.0 - z)
-    for _, pn in _nome_ladder(p, z, pol):
+    for _, pn in _nome_ladder(p, z):
         out = out + np.log(1.0 - pn * z) + np.log(1.0 - pn / z)
     return _scalar_or_array(out)
 
 
-def theta1(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
+def theta1(x, dom: EllipticDomain):
     """Odd theta function vt1(x) = 2 sin(pi x/2 ell) prod (1-p^n z)(1-p^n/z)."""
     x = np.asarray(x, dtype=complex)
     z = np.exp(1j * math.pi * x / dom.ell)
     out = 2.0 * np.sin(math.pi * x / (2.0 * dom.ell))
-    for _, pn in _nome_ladder(dom.p, z, pol):
+    for _, pn in _nome_ladder(dom.p, z):
         out = out * (1.0 - pn * z) * (1.0 - pn / z)
     return _scalar_or_array(out)
 
 
-def theta1_logderiv(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
+def theta1_logderiv(x, dom: EllipticDomain):
     """zeta1(x) = vt1'(x)/vt1(x), term-wise analytic.
 
     zeta1(x) = (pi/2 ell) cot(pi x/2 ell)
@@ -97,13 +97,13 @@ def theta1_logderiv(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLI
     if np.any(np.abs(s) < 1e-300):
         raise PoleError("zeta1 pole: x on the period lattice")
     out = (0.5 * c) * np.cos(0.5 * c * x) / s
-    for _, pn in _nome_ladder(dom.p, z, pol):
+    for _, pn in _nome_ladder(dom.p, z):
         w, v = pn * z, pn / z
         out = out - (1j * c) * (w / (1.0 - w) - v / (1.0 - v))
     return _scalar_or_array(out)
 
 
-def theta1_jet(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
+def theta1_jet(x, dom: EllipticDomain):
     """(vt1, zeta1, (ln vt1)'') at x from one pass over the nome ladder.
 
     The three series share z, 1 - p^n z and 1 - p^n/z; vt1 is formed exactly as
@@ -122,7 +122,7 @@ def theta1_jet(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
     vt = 2.0 * s
     s1 = np.zeros_like(z)     # sum_n [ w/(1-w) - v/(1-v) ],      w = p^n z, v = p^n/z
     s2 = np.zeros_like(z)     # sum_n [ w/(1-w)^2 + v/(1-v)^2 ]
-    for _, pn in _nome_ladder(dom.p, z, pol):
+    for _, pn in _nome_ladder(dom.p, z):
         w, v = pn * z, pn / z
         a, b = 1.0 - w, 1.0 - v
         vt = vt * a * b
@@ -134,59 +134,59 @@ def theta1_jet(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
     return _scalar_or_array(vt), _scalar_or_array(zeta), _scalar_or_array(dlog2)
 
 
-def theta1_dlog2(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
+def theta1_dlog2(x, dom: EllipticDomain):
     """Second log-derivative (ln vt1)''(x) = -wp1(x), the third output of theta1_jet."""
-    return theta1_jet(x, dom, pol)[2]
+    return theta1_jet(x, dom)[2]
 
 
-def _wdlog_theta(w, p: float, pol: TruncationPolicy):
+def _wdlog_theta(w, p: float):
     """w d/dw log theta(w; p), term-wise."""
     w = np.asarray(w, dtype=complex)
     out = -w / (1.0 - w)
-    for _, pn in _nome_ladder(p, w, pol):
+    for _, pn in _nome_ladder(p, w):
         u, v = pn * w, pn / w
         out = out - u / (1.0 - u) + v / (1.0 - v)
     return out
 
 
-def _w2dlog_theta(w, p: float, pol: TruncationPolicy):
+def _w2dlog_theta(w, p: float):
     """(w d/dw)^2 log theta(w; p), term-wise."""
     w = np.asarray(w, dtype=complex)
     out = -w / (1.0 - w) ** 2
-    for _, pn in _nome_ladder(p, w, pol):
+    for _, pn in _nome_ladder(p, w):
         u, v = pn * w, pn / w
         out = out - u / (1.0 - u) ** 2 - v / (1.0 - v) ** 2
     return out
 
 
-def _tau_dlog_theta(w, p: float, pol: TruncationPolicy):
+def _tau_dlog_theta(w, p: float):
     """d/dtau log theta(w; p) = d/dtau ln vt1(x) at w = e^{i pi x/ell}, term-wise."""
     out = np.zeros_like(w)
-    for n, pn in _nome_ladder(p, w, pol):
+    for n, pn in _nome_ladder(p, w):
         u, v = pn * w, pn / w
         out = out - n * (u / (1.0 - u) + v / (1.0 - v))
     return 2j * math.pi * out
 
 
-def theta1_tau_logderiv(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
+def theta1_tau_logderiv(x, dom: EllipticDomain):
     """d/dtau ln vt1(x) via d/dtau = 2 pi i p d/dp applied to each factor."""
     z = np.exp(1j * math.pi * np.asarray(x, dtype=complex) / dom.ell)
-    return _scalar_or_array(_tau_dlog_theta(z, dom.p, pol))
+    return _scalar_or_array(_tau_dlog_theta(z, dom.p))
 
 
-def theta1_dtau(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
+def theta1_dtau(x, dom: EllipticDomain):
     """d/dtau vt1(x), analytic (no finite differences)."""
-    return theta1(x, dom, pol) * theta1_tau_logderiv(x, dom, pol)
+    return theta1(x, dom) * theta1_tau_logderiv(x, dom)
 
 
-def theta1_power(x, g: float, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
+def theta1_power(x, g: float, dom: EllipticDomain):
     """vt1(x)^g with the principal branch on the Re vt1 > 0 domain.
 
     Integer g is exact for any x.  Otherwise the base must have positive real
     part (real x in (0, 2 ell) mod 2 ell gives vt1 > 0); elsewhere the branch
     is ambiguous and a BranchError is raised.
     """
-    v = theta1(x, dom, pol)
+    v = theta1(x, dom)
     if g == int(round(g)):
         return v ** int(round(g))
     if np.any(np.real(np.asarray(v)) <= 0.0):
@@ -194,7 +194,7 @@ def theta1_power(x, g: float, dom: EllipticDomain, pol: TruncationPolicy = DEFAU
     return np.exp(g * np.log(v))
 
 
-def wp1(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
+def wp1(x, dom: EllipticDomain):
     """Weierstrass-type function with constant shifted so wp1 = -(ln vt1)''.
 
     Series form: (pi/2 ell)^2 / sin^2(pi x/2 ell)
@@ -215,7 +215,7 @@ def wp1(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
     if dom.p > 0.0:
         z = np.exp(1j * c * x)
         zmax = float(np.max(np.maximum(np.abs(z), 1.0 / np.abs(z)), initial=1.0))
-        nt = pol.n_terms(dom.p * zmax, 2.0 / max(1e-300, 1.0 - dom.p))
+        nt = DEFAULT_POLICY.n_terms(dom.p * zmax, 2.0 / max(1e-300, 1.0 - dom.p))
         pm = 1.0
         for m in range(1, nt + 1):
             pm *= dom.p
@@ -307,22 +307,22 @@ class WpFourierCoeffs:
         return total
 
 
-def wp1_fourier_coeffs(dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY,
-                       m_max: int = 32, k_max: int | None = None) -> WpFourierCoeffs:
+def wp1_fourier_coeffs(dom: EllipticDomain, m_max: int = 32,
+                       k_max: int | None = None) -> WpFourierCoeffs:
     """Expansion coefficients of wp1 used by the nome-series solver."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     if k_max is None:
-        k_max = max(m_max, pol.n_terms(dom.p, 1.0) if dom.p > 0 else m_max)
+        k_max = max(m_max, DEFAULT_POLICY.n_terms(dom.p, 1.0) if dom.p > 0 else m_max)
     return WpFourierCoeffs(dom, m_max, k_max)
 
 
-def eta1_over_omega1(dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY) -> float:
+def eta1_over_omega1(dom: EllipticDomain) -> float:
     """(pi/ell)^2 (1/12 - sum_n p^n/(1-p^n)^2)."""
     c = (math.pi / dom.ell) ** 2
     total = 1.0 / 12.0
     if dom.p > 0.0:
-        nt = pol.n_terms(dom.p, 1.0 / (1.0 - dom.p) ** 2)
+        nt = DEFAULT_POLICY.n_terms(dom.p, 1.0 / (1.0 - dom.p) ** 2)
         pn = 1.0
         for _ in range(nt):
             pn *= dom.p
@@ -330,7 +330,7 @@ def eta1_over_omega1(dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY
     return c * total
 
 
-def heat_constant_c0(dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY) -> float:
+def heat_constant_c0(dom: EllipticDomain) -> float:
     """c0 = (pi/ell)^2 (1/4 - 2 sum_n n p^n/(1-p^n)).
 
     Cross-identity: c0 = 2 eta1/omega1 + (pi/ell)^2/12 through an independent
@@ -339,7 +339,7 @@ def heat_constant_c0(dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY
     c = (math.pi / dom.ell) ** 2
     total = 0.25
     if dom.p > 0.0:
-        nt = pol.n_terms(dom.p, 1.0 / (1.0 - dom.p))
+        nt = DEFAULT_POLICY.n_terms(dom.p, 1.0 / (1.0 - dom.p))
         pn = 1.0
         for n in range(1, nt + 1):
             pn *= dom.p
@@ -347,10 +347,10 @@ def heat_constant_c0(dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY
     return c * total
 
 
-def heat_residual(x, dom: EllipticDomain, pol: TruncationPolicy = DEFAULT_POLICY):
+def heat_residual(x, dom: EllipticDomain):
     """Relative residual of (i pi/ell^2 d_tau - d_x^2 - c0) vt1 at x."""
-    _, zeta, dlog2 = theta1_jet(x, dom, pol)
-    tlog = theta1_tau_logderiv(x, dom, pol)
-    c0 = heat_constant_c0(dom, pol)
+    _, zeta, dlog2 = theta1_jet(x, dom)
+    tlog = theta1_tau_logderiv(x, dom)
+    c0 = heat_constant_c0(dom)
     # vt1'' / vt1 = zeta1^2 + zeta1'
     return (1j * math.pi / dom.ell ** 2) * tlog - (zeta ** 2 + dlog2) - c0

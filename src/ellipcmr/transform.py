@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .domain import DEFAULT_POLICY, EllipticDomain, TruncationPolicy
+from .domain import EllipticDomain
 from .errors import ConvergenceError, DomainError, SeamError, WindowError
 from .kernels import KernelSpec, kernel_K
 from .pseries import PSeriesTable
@@ -46,6 +46,9 @@ __all__ = [
     "contour_F_lambda", "assemble_P_lambda", "eigen_residual_P_lambda",
     "eigen_residuals_P_lambda", "single_contour_psi_field", "kernel_transform",
 ]
+
+# relative mismatch allowed between the endpoint values of a closed line contour
+_SEAM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -119,17 +122,15 @@ def _node_doubled(value_at: Callable, nodes: int) -> ContourResult:
     return ContourResult(value=complex(b), node_delta=abs(b - a))
 
 
-def _single_integrand(lam_diff: int, lam2: int, z, xi, g: float, p: float, pol):
+def _single_integrand(lam_diff: int, lam2: int, z, xi, g: float, p: float):
     """Prefactor (z1 z2)^lam2 and integrand xi^lam_diff / prod_j theta(z_j/xi)^g."""
-    theta_part = np.exp(-g * (log_theta_q(z[0] / xi, p, pol)
-                              + log_theta_q(z[1] / xi, p, pol)))
+    theta_part = np.exp(-g * (log_theta_q(z[0] / xi, p) + log_theta_q(z[1] / xi, p)))
     _check_winding(theta_part, "single contour")
     return (z[0] * z[1]) ** lam2, xi ** lam_diff * theta_part
 
 
 def n2_single_contour_P(lam_diff: int, lam2: int, z, g: float, p: float,
-                        cfg: ContourConfig = ContourConfig(),
-                        pol: TruncationPolicy = DEFAULT_POLICY) -> ContourResult:
+                        cfg: ContourConfig = ContourConfig()) -> ContourResult:
     """Single-contour P for N = 2: lam = (lam2 + lam_diff, lam2), lam_diff >= 0.
 
     The contour |xi| = R must satisfy p < |z_j|/R < 1; psi0 * P solves the
@@ -144,14 +145,14 @@ def n2_single_contour_P(lam_diff: int, lam2: int, z, g: float, p: float,
             raise WindowError(f"|z|/R = {abs(zj) / r} outside (p, 1)")
 
     def P(count):
-        pref, integrand = _single_integrand(lam_diff, lam2, z, _nodes(r, count), g, p, pol)
+        pref, integrand = _single_integrand(lam_diff, lam2, z, _nodes(r, count), g, p)
         return complex(pref * np.mean(integrand))
 
     return _node_doubled(P, cfg.nodes)
 
 
 def _f_moments(mu_pairs, z, g: float, p: float, r1: float, r2: float,
-               count: int, pol, derivs: bool = False):
+               count: int, derivs: bool = False):
     """F_mu (and optional z-Euler moments) for a list of (mu1, mu2) pairs.
 
     F = mean_a mean_b xi1^mu1 xi2^mu2 M_ab with M_ab = c_{a-b} u_a v_b, where
@@ -164,9 +165,9 @@ def _f_moments(mu_pairs, z, g: float, p: float, r1: float, r2: float,
     """
     xi1 = _nodes(r1, count)
     xi2 = _nodes(r2, count)
-    u = np.exp(-g * (log_theta_q(z[0] / xi1, p, pol) + log_theta_q(z[1] / xi1, p, pol)))
-    v = np.exp(-g * (log_theta_q(z[0] / xi2, p, pol) + log_theta_q(z[1] / xi2, p, pol)))
-    c = np.exp(g * log_theta_q(_nodes(r1 / r2, count), p, pol))
+    u = np.exp(-g * (log_theta_q(z[0] / xi1, p) + log_theta_q(z[1] / xi1, p)))
+    v = np.exp(-g * (log_theta_q(z[0] / xi2, p) + log_theta_q(z[1] / xi2, p)))
+    c = np.exp(g * log_theta_q(_nodes(r1 / r2, count), p))
     # the theta-power factor of the integrand along each contour: M[:, 0] and M[0, :]
     _check_winding(c * u * v[0], "F contour 1")
     _check_winding(np.roll(c[::-1], 1) * u[0] * v, "F contour 2")
@@ -186,10 +187,10 @@ def _f_moments(mu_pairs, z, g: float, p: float, r1: float, r2: float,
     if derivs:
         # al = z_i dlog of the xi1-leg, be of the xi2-leg; al2, be2 second order
         for i, k1, k2 in ((0, "D1", "D11"), (1, "D2", "D22")):
-            al = -g * _wdlog_theta(z[i] / xi1, p, pol)
-            al2 = -g * _w2dlog_theta(z[i] / xi1, p, pol)
-            be = -g * _wdlog_theta(z[i] / xi2, p, pol)
-            be2 = -g * _w2dlog_theta(z[i] / xi2, p, pol)
+            al = -g * _wdlog_theta(z[i] / xi1, p)
+            al2 = -g * _w2dlog_theta(z[i] / xi1, p)
+            be = -g * _wdlog_theta(z[i] / xi2, p)
+            be2 = -g * _w2dlog_theta(z[i] / xi2, p)
             colb = conv(w2 * be)
             colb2 = conv(w2 * (be ** 2 + be2))
             out[k1] = np.mean(w1 * (al * col + colb), axis=-1)
@@ -198,13 +199,12 @@ def _f_moments(mu_pairs, z, g: float, p: float, r1: float, r2: float,
 
 
 def contour_F_lambda(lam1: int, lam2: int, z, g: float, p: float,
-                     cfg: ContourConfig = ContourConfig(),
-                     pol: TruncationPolicy = DEFAULT_POLICY) -> ContourResult:
+                     cfg: ContourConfig = ContourConfig()) -> ContourResult:
     """Double-contour F_lam with its node-doubling certificate."""
     z = np.asarray(z, dtype=complex)
     r1, r2 = cfg.radii(p)
     return _node_doubled(
-        lambda count: _f_moments([(lam1, lam2)], z, g, p, r1, r2, count, pol)["F"][0],
+        lambda count: _f_moments([(lam1, lam2)], z, g, p, r1, r2, count)["F"][0],
         cfg.nodes)
 
 
@@ -229,7 +229,6 @@ def _assembly_weights(lam: Partition2, table: PSeriesTable, p: float, K: int):
 
 def assemble_P_lambda(lam: Partition2, table: PSeriesTable, z, g: float, p: float,
                       cfg: ContourConfig = ContourConfig(),
-                      pol: TruncationPolicy = DEFAULT_POLICY,
                       K: Optional[int] = None) -> ContourResult:
     """P_lam(z) = sum_{k <= K} sum_n a_{n,k} F_{lam1+n, lam2-n}(z) p^k.
 
@@ -244,14 +243,12 @@ def assemble_P_lambda(lam: Partition2, table: PSeriesTable, z, g: float, p: floa
     r1, r2 = cfg.radii(p)
     pairs, weights = _assembly_weights(lam, table, p, K)
     return _node_doubled(
-        lambda count: _f_moments(pairs, z, g, p, r1, r2, count, pol)["F"] @ weights,
+        lambda count: _f_moments(pairs, z, g, p, r1, r2, count)["F"] @ weights,
         cfg.nodes)
 
 
 def eigen_residuals_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
-                             dom: EllipticDomain,
-                             cfg: ContourConfig = ContourConfig(),
-                             pol: TruncationPolicy = DEFAULT_POLICY,
+                             dom: EllipticDomain, cfg: ContourConfig = ContourConfig(),
                              Ks: Optional[Sequence[int]] = None):
     """|H_2 psi - E psi| / |psi| for psi = psi0 P_lam at real x, per order K.
 
@@ -271,11 +268,11 @@ def eigen_residuals_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
     z = np.exp(1j * math.pi * x / dom.ell)
     r1, r2 = cfg.radii(p)
     pairs, _ = _assembly_weights(lam, table, p, table.K)
-    mom = _f_moments(pairs, z, g, p, r1, r2, cfg.nodes, pol, derivs=True)
+    mom = _f_moments(pairs, z, g, p, r1, r2, cfg.nodes, derivs=True)
 
     u = x[0] - x[1]
-    zl = theta1_logderiv(u, dom, pol)
-    wp = wp1(u, dom, pol)
+    zl = theta1_logderiv(u, dom)
+    wp = wp1(u, dom)
     ipl = 1j * math.pi / dom.ell
     out = []
     for K in Ks:
@@ -299,19 +296,15 @@ def eigen_residuals_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
 
 
 def eigen_residual_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
-                            dom: EllipticDomain,
-                            cfg: ContourConfig = ContourConfig(),
-                            pol: TruncationPolicy = DEFAULT_POLICY,
+                            dom: EllipticDomain, cfg: ContourConfig = ContourConfig(),
                             K: Optional[int] = None) -> float:
     """Single-order convenience wrapper around eigen_residuals_P_lambda."""
     K = table.K if K is None else K
-    return float(eigen_residuals_P_lambda(lam, table, x, g, dom, cfg, pol, [K])[0])
+    return float(eigen_residuals_P_lambda(lam, table, x, g, dom, cfg, [K])[0])
 
 
-def single_contour_psi_field(lam_diff: int, lam2: int, g: float,
-                             dom: EllipticDomain,
-                             cfg: ContourConfig = ContourConfig(),
-                             pol: TruncationPolicy = DEFAULT_POLICY):
+def single_contour_psi_field(lam_diff: int, lam2: int, g: float, dom: EllipticDomain,
+                             cfg: ContourConfig = ContourConfig()):
     """psi(x) = psi0(x) P_lam(z(x)) as a SmoothField with analytic derivatives.
 
     psi0 = vt1(x1-x2)^g; x-derivatives of P are Euler moments differentiated
@@ -336,15 +329,15 @@ def single_contour_psi_field(lam_diff: int, lam2: int, g: float,
         if key in memo:
             return memo[key]
         z = np.exp(1j * math.pi * x / dom.ell)
-        pref, base = _single_integrand(lam_diff, lam2, z, xi, g, p, pol)
+        pref, base = _single_integrand(lam_diff, lam2, z, xi, g, p)
         P = pref * np.mean(base)
         d = {}
         for i in range(2):
-            al = lam2 - g * _wdlog_theta(z[i] / xi, p, pol)    # z_i-Euler weight
-            al2 = -g * _w2dlog_theta(z[i] / xi, p, pol)
+            al = lam2 - g * _wdlog_theta(z[i] / xi, p)    # z_i-Euler weight
+            al2 = -g * _w2dlog_theta(z[i] / xi, p)
             d[("e1", i)] = pref * np.mean(base * al)
             d[("e2", i)] = pref * np.mean(base * (al * al + al2))
-        tau_w = -g * (_tau_dlog_theta(z[0] / xi, p, pol) + _tau_dlog_theta(z[1] / xi, p, pol))
+        tau_w = -g * (_tau_dlog_theta(z[0] / xi, p) + _tau_dlog_theta(z[1] / xi, p))
         d["tau"] = pref * np.mean(base * tau_w)
         memo.clear()
         memo[key] = P, d
@@ -352,20 +345,20 @@ def single_contour_psi_field(lam_diff: int, lam2: int, g: float,
 
     def val(x):
         P, _ = moments(x)
-        return complex(theta1_power(x[0] - x[1], g, dom, pol) * P)
+        return complex(theta1_power(x[0] - x[1], g, dom) * P)
 
     def d1(x, i):
         P, d = moments(x)
-        psi0 = theta1_power(x[0] - x[1], g, dom, pol)
-        li = sigma[i] * g * theta1_logderiv(x[0] - x[1], dom, pol)
+        psi0 = theta1_power(x[0] - x[1], g, dom)
+        li = sigma[i] * g * theta1_logderiv(x[0] - x[1], dom)
         return complex(psi0 * (li * P + (1j * math.pi / dom.ell) * d[("e1", i)]))
 
     def d2(x, i):
         P, d = moments(x)
         u = x[0] - x[1]
-        psi0 = theta1_power(u, g, dom, pol)
-        li = sigma[i] * g * theta1_logderiv(u, dom, pol)
-        lii = -g * wp1(u, dom, pol)
+        psi0 = theta1_power(u, g, dom)
+        li = sigma[i] * g * theta1_logderiv(u, dom)
+        lii = -g * wp1(u, dom)
         ipl = 1j * math.pi / dom.ell
         return complex(psi0 * ((li * li + lii) * P
                                + 2.0 * li * ipl * d[("e1", i)]
@@ -374,32 +367,29 @@ def single_contour_psi_field(lam_diff: int, lam2: int, g: float,
     def dtau(x):
         P, d = moments(x)
         u = x[0] - x[1]
-        psi0 = theta1_power(u, g, dom, pol)
-        return complex(psi0 * (g * theta1_tau_logderiv(u, dom, pol) * P + d["tau"]))
+        psi0 = theta1_power(u, g, dom)
+        return complex(psi0 * (g * theta1_tau_logderiv(u, dom) * P + d["tau"]))
 
     return SmoothField(value=val, d1=d1, d2=d2, dtau=dtau)
 
 
-def kernel_transform(spec: KernelSpec, source: Callable, x,
-                     dom: EllipticDomain, epsilons: Optional[Sequence[float]] = None,
-                     nodes: int = 256, pol: TruncationPolicy = DEFAULT_POLICY,
-                     seam_tol: float = 1e-10) -> ContourResult:
+def kernel_transform(spec: KernelSpec, source: Callable, x, dom: EllipticDomain,
+                     nodes: int = 256) -> ContourResult:
     """Generic transform int K_{N,M}(x, y) source(y) dy over line contours.
 
-    Each y_j runs over the straight line from -ell - i eps_j to +ell - i eps_j;
-    closure requires the integrand to be 2 ell periodic in every y_j, which is
-    checked at the seam (mismatch raises SeamError; e.g. non-integer plane-wave
-    labels).  Trapezoid product rule; a node-doubling delta is attached.
+    Each y_j runs over the straight line from -ell - i eps_j to +ell - i eps_j,
+    eps_j = delta (j + 1) / (4 (M + 1)) (or (j + 1)/4 at p = 0); closure
+    requires the integrand to be 2 ell periodic in every y_j, which is checked
+    at the seam (a relative mismatch over _SEAM_TOL raises SeamError; e.g.
+    non-integer plane-wave labels).  Trapezoid product rule; a node-doubling
+    delta is attached.
     """
     x = np.asarray(x, dtype=complex)
-    if epsilons is None:
-        epsilons = [0.25 * dom.delta * (j + 1) / (spec.M + 1) if not math.isinf(dom.delta)
-                    else 0.25 * (j + 1) for j in range(spec.M)]
-    if len(epsilons) != spec.M:
-        raise DomainError("need one contour offset per y coordinate")
+    epsilons = [0.25 * dom.delta * (j + 1) / (spec.M + 1) if not math.isinf(dom.delta)
+                else 0.25 * (j + 1) for j in range(spec.M)]
 
     def integrand(y):
-        return kernel_K(spec, x, y, dom, pol) * source(y)
+        return kernel_K(spec, x, y, dom) * source(y)
 
     def run(count):
         s_grid = -dom.ell + 2.0 * dom.ell * np.arange(count) / count
@@ -412,7 +402,7 @@ def kernel_transform(spec: KernelSpec, source: Callable, x,
             hi[j] += dom.ell
             a, b = integrand(lo), integrand(hi)
             scale = max(abs(a), abs(b), 1e-300)
-            if abs(a - b) > seam_tol * scale:
+            if abs(a - b) > _SEAM_TOL * scale:
                 raise SeamError(
                     f"contour not closed in y_{j}: seam mismatch {abs(a - b) / scale:.2e}")
         if spec.M == 0:

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from ellipcmr.domain import DEFAULT_POLICY
 from ellipcmr.errors import DomainError, SeamError, WindowError
 from ellipcmr.kernels import KernelSpec, kernel_identity_residual
 from ellipcmr.operators import fit_nonstationary_E, nonstationary_residual
@@ -174,7 +173,7 @@ class TestCirculantMoments:
         g, p, count = 1.4, 0.1, 64
         r1, r2 = ContourConfig().radii(p)
         pairs = [(-2, 3), (-1, 2), (0, 1), (1, 0), (2, -1), (3, -2), (1, 1), (4, 0)]
-        got = _f_moments(pairs, Z, g, p, r1, r2, count, DEFAULT_POLICY, derivs=True)
+        got = _f_moments(pairs, Z, g, p, r1, r2, count, derivs=True)
         want = dense_moments(pairs, Z, g, p, r1, r2, count)
         for key in ("F", "D1", "D11", "D2", "D22"):
             err = np.max(np.abs(got[key] - want[key]))
@@ -188,7 +187,7 @@ class TestCirculantMoments:
                             lambda values, what: seen.setdefault(what, np.asarray(values)))
         g, p, count = 1.4, 0.1, 64
         r1, r2 = ContourConfig().radii(p)
-        _f_moments([(0, 0)], Z, g, p, r1, r2, count, DEFAULT_POLICY)
+        _f_moments([(0, 0)], Z, g, p, r1, r2, count)
         M = dense_cross_matrix(Z, g, p, r1, r2, count)[2]
         for what, edge in (("F contour 1", M[:, 0]), ("F contour 2", M[0, :])):
             assert seen[what].shape == (count,)
