@@ -27,7 +27,7 @@ from .operators import (CouplingSet, apply_deformed_ecs, apply_ecs,
                         apply_generalized_ecs, apply_ruijsenaars_D,
                         fit_nonstationary_E, ground_state_field,
                         half_period_shifts, heun_residual, lame_residual,
-                        nonstationary_residual, theta_power_field)
+                        nonstationary_residual)
 from .kernels import KernelSpec, kernel_K, kernel_identity_residual
 from .bethe import (BetheState, bethe_residuals, bloch_multipliers,
                     energy_from_roots, hermite_psi, hermite_psi_field,

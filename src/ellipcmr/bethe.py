@@ -38,9 +38,8 @@ __all__ = [
 _SEED_SPREAD = math.log(2.0 + math.sqrt(3.0)) / math.pi
 # Newton tolerance at the intermediate nomes of the continuation; tol applies at dom.p
 _PATH_TOL = 1e-6
-# Newton iterations per corrector, and the nome ratio between continuation steps
-_MAX_ITER = 50
-_HOMOTOPY_STEP = 1.5
+_MAX_ITER = 50         # Newton iterations per corrector
+_HOMOTOPY_STEP = 1.5   # nome ratio between continuation steps
 
 
 @dataclass(frozen=True)

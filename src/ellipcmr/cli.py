@@ -21,7 +21,7 @@ from .errors import DomainError, EllipcmrError
 from .gamma import elliptic_gamma, weight_W
 from .kernels import KernelSpec, kernel_identity_residual
 from .operators import (apply_deformed_ecs, apply_ecs, fit_nonstationary_E,
-                        nonstationary_residual, theta_power_field)
+                        ground_state_field, nonstationary_residual)
 from .fields import SmoothField, plane_wave
 from .pseries import apply_L_series, solve_variant_I, solve_variant_II
 from .theta import (heat_residual, theta1, theta1_logderiv, theta_q, wp1)
@@ -55,8 +55,6 @@ def _dump_csv(rows, header, args) -> None:
 
 
 def _domain(args) -> EllipticDomain:
-    if (args.p is None) == (args.delta is None):
-        raise SystemExit("supply exactly one of --p or --delta")
     if args.p is not None:
         return EllipticDomain.from_nome(args.ell, args.p)
     return EllipticDomain.from_half_periods(args.ell, args.delta)
@@ -162,7 +160,7 @@ def _suite_calogero(dom, g):
 
 
 def _suite_nonstationary_theta(dom, g):
-    f = theta_power_field(g, dom)
+    f = ground_state_field(2, g, dom)
     E = fit_nonstationary_E(f, 2 * g, [0.45 * dom.ell, 0.05 * dom.ell], g, dom)
     pts = [(dom.ell * (0.1 + 0.08 * j), dom.ell * (0.02 + 0.004 * j)) for j in range(10)]
     return max(abs(nonstationary_residual(f, 2 * g, E, [a, b], g, dom))
@@ -224,12 +222,11 @@ def cmd_bethe(args) -> int:
 # ---------------------------------------------------------------- perturb
 
 def cmd_perturb(args) -> int:
-    s = tuple(float(v) for v in args.s.split(","))
     if args.variant == "I":
-        table = solve_variant_I(s, args.gamma, args.K, n_cap=args.n_cap)
+        table = solve_variant_I(args.s, args.gamma, args.K, n_cap=args.n_cap)
     else:
-        kappa = complex(*(float(v) for v in args.kappa.split(",")))
-        table = solve_variant_II(s, args.gamma, kappa, args.K, n_cap=args.n_cap)
+        kappa = complex(*args.kappa)
+        table = solve_variant_II(args.s, args.gamma, kappa, args.K, n_cap=args.n_cap)
     res = apply_L_series(table)
     scale = max(abs(complex(v)) for v in table.a.values())
     rel = res.max_abs() / scale
@@ -262,8 +259,7 @@ def _one_transform(lam_pair, args, dom):
 
 def cmd_transform(args) -> int:
     dom = _domain(args)
-    lam_pairs = [tuple(int(v) for v in spec.split(",")) for spec in args.lam]
-    results = [_one_transform(lp, args, dom) for lp in lam_pairs]
+    results = [_one_transform(lp, args, dom) for lp in args.lam]
     ok = all(r["node_delta"] <= QUAD_TOL for r in results)
     payload = {"schema": SCHEMA, "results": results, "pass": bool(ok)}
     if len(results) == 1:
@@ -274,23 +270,50 @@ def cmd_transform(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+def _positive(cast):
+    """Option type: a cast value in (0, inf); nan is rejected too."""
+
+    def parse(text: str):
+        v = cast(text)
+        if not 0 < v < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        return v
+
+    return parse
+
+
+def _pair(cast):
+    """Option type: 'a,b' as a tuple of two cast values."""
+
+    def parse(text: str) -> tuple:
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise argparse.ArgumentTypeError(f"expected two comma-separated values, got {text!r}")
+        return tuple(cast(v) for v in parts)
+
+    parse.__name__ = f"{cast.__name__} pair"     # argparse names the type in its errors
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ellipcmr",
                                  description="elliptic CMR special functions toolkit")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_domain(p):
+    def add_domain(p, required=True):
         p.add_argument("--ell", type=float, default=math.pi)
-        p.add_argument("--p", type=float, default=None)
-        p.add_argument("--delta", type=float, default=None)
+        # perturb solves in the p-series ring and reads no domain
+        nome = p.add_mutually_exclusive_group(required=required)
+        nome.add_argument("--p", type=float)
+        nome.add_argument("--delta", type=float)
         p.add_argument("--output", default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     pe = sub.add_parser("eval", help="grid evaluation of the elliptic kernels")
     add_domain(pe)
     pe.add_argument("--fn", choices=_EVAL_FNS, required=True)
-    pe.add_argument("--grid", type=int, default=32)
+    pe.add_argument("--grid", type=_positive(int), default=32)
     pe.add_argument("--x-min", type=float, default=0.0)
     pe.add_argument("--x-max", type=float, default=None)
     pe.add_argument("--x-imag", type=float, default=0.0)
@@ -302,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a named identity suite")
     add_domain(pv)
     pv.add_argument("--suite", choices=_SUITES, required=True)
-    pv.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    pv.add_argument("--tol", type=_positive(float), default=DEFAULT_TOL)
     pv.add_argument("--g", type=float, default=1.4)
     pv.add_argument("--N", type=int, default=2)
     pv.add_argument("--M", type=int, default=2)
@@ -314,18 +337,18 @@ def build_parser() -> argparse.ArgumentParser:
     pb.set_defaults(func=cmd_bethe)
 
     pp = sub.add_parser("perturb", help="solve the nome-series recursion")
-    add_domain(pp)
-    pp.add_argument("--s", required=True, help="s1,s2")
+    add_domain(pp, required=False)
+    pp.add_argument("--s", type=_pair(float), required=True, help="s1,s2")
     pp.add_argument("--gamma", type=float, required=True)
     pp.add_argument("--K", type=int, default=6)
     pp.add_argument("--n-cap", type=int, default=16)
     pp.add_argument("--variant", choices=("I", "II"), default="I")
-    pp.add_argument("--kappa", default="0.0,0.5", help="re,im (Variant II)")
+    pp.add_argument("--kappa", type=_pair(float), default=(0.0, 0.5), help="re,im (Variant II)")
     pp.set_defaults(func=cmd_perturb)
 
     pt = sub.add_parser("transform", help="assemble P_lambda by contour quadrature")
     add_domain(pt)
-    pt.add_argument("--lambda", dest="lam", nargs="+", required=True,
+    pt.add_argument("--lambda", dest="lam", type=_pair(int), nargs="+", required=True,
                     help="one or more pairs lam1,lam2")
     pt.add_argument("--g", type=float, default=1.0)
     pt.add_argument("--K", type=int, default=6)

@@ -22,14 +22,13 @@ from .domain import EllipticDomain, RuijsenaarsParams
 from .errors import DomainError, PoleError
 from .fields import SmoothField
 from .gamma import ground_state_psi0
-from .theta import (pair_values, theta1_logderiv, theta1_power, theta1_tau_logderiv,
-                    theta_q, wp1)
+from .theta import pair_values, theta1_logderiv, theta1_tau_logderiv, theta_q, wp1
 
 __all__ = [
     "CouplingSet", "half_period_shifts", "apply_ecs", "nonstationary_residual",
     "fit_nonstationary_E", "lame_residual", "heun_residual",
     "apply_deformed_ecs", "apply_generalized_ecs", "apply_ruijsenaars_D",
-    "theta_power_field", "ground_state_field",
+    "ground_state_field",
 ]
 
 
@@ -91,12 +90,11 @@ def fit_nonstationary_E(psi: SmoothField, kappa: complex, x_ref, c,
     return (tau_term + apply_ecs(psi, x_ref, c, dom)) / psi(x_ref)
 
 
-def lame_residual(psi: SmoothField, E: complex, x: complex, g: float, dom: EllipticDomain,
-                  shifted: bool = False) -> complex:
-    """Residual of (-d^2/dx^2 + g(g-1) wp1(x + shifted * i delta) - E) psi."""
+def lame_residual(psi: SmoothField, E: complex, x: complex, g: float,
+                  dom: EllipticDomain) -> complex:
+    """Residual of (-d^2/dx^2 + g(g-1) wp1(x) - E) psi."""
     xv = np.asarray([x], dtype=complex)
-    arg = x + (1j * dom.delta if shifted else 0.0)
-    pot = g * (g - 1.0) * wp1(arg, dom)
+    pot = g * (g - 1.0) * wp1(x, dom)
     return -psi.second(xv, 0) + (pot - E) * psi(xv)
 
 
@@ -206,46 +204,30 @@ def apply_ruijsenaars_D(f, z: Sequence[complex], par: RuijsenaarsParams,
     return total
 
 
-def theta_power_field(g: float, dom: EllipticDomain) -> SmoothField:
-    """Two-coordinate field vt1(x1 - x2)^g with analytic x- and tau-derivatives."""
-
-    def val(x):
-        return complex(theta1_power(x[0] - x[1], g, dom))
-
-    sigma = (1.0, -1.0)
-
-    def d1(x, i):
-        u = x[0] - x[1]
-        return sigma[i] * g * theta1_logderiv(u, dom) * val(x)
-
-    def d2(x, i):
-        u = x[0] - x[1]
-        zl = theta1_logderiv(u, dom)
-        return (g * g * zl * zl - g * wp1(u, dom)) * val(x)
-
-    def dtau(x):
-        u = x[0] - x[1]
-        return g * theta1_tau_logderiv(u, dom) * val(x)
-
-    return SmoothField(value=val, d1=d1, d2=d2, dtau=dtau)
-
-
 def ground_state_field(n: int, g: float, dom: EllipticDomain) -> SmoothField:
     """psi0(x) = prod_{i<j} vt1(x_i - x_j)^g as an N-coordinate field."""
+    memo = {}
+
+    def at(x):
+        # value and derivatives at one x share psi0 and the pair sums: keep the last x
+        x = np.asarray(x, dtype=complex)
+        key = x.tobytes()
+        if key not in memo:
+            li = g * pair_values(theta1_logderiv, x, dom=dom, parity=-1).sum(axis=1)
+            lii = -g * pair_values(wp1, x, dom=dom, parity=1).sum(axis=1)
+            memo.clear()
+            memo[key] = ground_state_psi0(x, g, dom), li, lii
+        return memo[key]
 
     def val(x):
-        return ground_state_psi0(x, g, dom)
-
-    def logd(x, i):
-        return g * pair_values(theta1_logderiv, x, dom=dom, parity=-1)[i].sum()
+        return at(x)[0]
 
     def d1(x, i):
-        return logd(x, i) * val(x)
+        return at(x)[1][i] * val(x)
 
     def d2(x, i):
-        li = logd(x, i)
-        lii = -g * pair_values(wp1, x, dom=dom, parity=1)[i].sum()
-        return (li * li + lii) * val(x)
+        psi0, li, lii = at(x)
+        return (li[i] * li[i] + lii[i]) * psi0
 
     def dtau(x):
         return g * pair_values(theta1_tau_logderiv, x, dom=dom).sum() * val(x)

@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _RES_GUARD = 1e-10
+# imaginary kappa ladder 2^-4 i .. 2^-10 i of eigenvalue_from_gauge
+_GAUGE_KAPPAS = tuple(1j * 2.0 ** (-j) for j in range(4, 11))
 
 
 @dataclass(frozen=True)
@@ -355,10 +357,6 @@ def _neville(xs, ys):
             row.append(num / (xs[i] - xs[i + lev]))
         table.append(row)
     return table[-1][0]
-
-
-# imaginary kappa ladder 2^-4 i .. 2^-10 i of eigenvalue_from_gauge
-_GAUGE_KAPPAS = tuple(1j * 2.0 ** (-j) for j in range(4, 11))
 
 
 def eigenvalue_from_gauge(s, gamma, K: int, n_cap: int = 16):

@@ -380,9 +380,8 @@ def kernel_transform(spec: KernelSpec, source: Callable, x, dom: EllipticDomain,
     Each y_j runs over the straight line from -ell - i eps_j to +ell - i eps_j,
     eps_j = delta (j + 1) / (4 (M + 1)) (or (j + 1)/4 at p = 0); closure
     requires the integrand to be 2 ell periodic in every y_j, which is checked
-    at the seam (a relative mismatch over _SEAM_TOL raises SeamError; e.g.
-    non-integer plane-wave labels).  Trapezoid product rule; a node-doubling
-    delta is attached.
+    at the seam (mismatch raises SeamError; e.g. non-integer plane-wave labels).
+    Trapezoid product rule; a node-doubling delta is attached.
     """
     x = np.asarray(x, dtype=complex)
     epsilons = [0.25 * dom.delta * (j + 1) / (spec.M + 1) if not math.isinf(dom.delta)

@@ -121,6 +121,41 @@ class TestTypedErrors:
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("error [domain]")
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--fn", "theta1", "--p", "0.999"],
+        ["verify", "--suite", "heat", "--p", "0.999"],
+        ["bethe", "--n", "2", "--p", "0.999"],
+        ["transform", "--lambda", "1,0", "--p", "0.999"],
+        # |z| = e^{40 pi/ell} grows the certified tail past the term cap
+        ["eval", "--fn", "theta1", "--p", "0.9", "--x-imag", "40"],
+    ])
+    def test_tail_bound_exit_2_no_output(self, argv, capsys):
+        code, out = run_cli(argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error [tail-bound]")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--fn", "wp1", "--p", "0.1", "--delta", "0.5"],
+        ["eval", "--fn", "wp1"],
+        ["bethe", "--n", "2", "--delta", "0.5", "--p", "0.1"],
+        ["eval", "--fn", "wp1", "--p", "0.1", "--grid", "0"],
+        ["eval", "--fn", "wp1", "--p", "0.1", "--grid", "-3"],
+        ["transform", "--lambda", "1", "--p", "0.05"],
+        ["transform", "--lambda", "1,0", "2", "--p", "0.05"],
+        ["perturb", "--s", "0.3", "--gamma", "2"],
+        ["perturb", "--s", "0.3,-0.2", "--gamma", "2", "--variant", "II", "--kappa", "1,2,3"],
+        ["verify", "--suite", "heat", "--p", "0.1", "--tol", "nan"],
+        ["verify", "--suite", "heat", "--p", "0.1", "--tol", "inf"],
+        ["verify", "--suite", "heat", "--p", "0.1", "--tol", "0"],
+        ["verify", "--suite", "heat", "--p", "0.1", "--tol=-1e-8"],
+    ])
+    def test_usage_error_exit_2_no_output(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "error: argument" in captured.err or "is required" in captured.err
+
 
 class TestArtifacts:
     def test_bethe_certificates(self, tmp_path):

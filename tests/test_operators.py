@@ -12,8 +12,7 @@ from ellipcmr.operators import (CouplingSet, apply_deformed_ecs, apply_ecs,
                                 apply_generalized_ecs, apply_ruijsenaars_D,
                                 fit_nonstationary_E, ground_state_field,
                                 half_period_shifts, heun_residual,
-                                lame_residual, nonstationary_residual,
-                                theta_power_field)
+                                lame_residual, nonstationary_residual)
 from ellipcmr.theta import heat_constant_c0, theta1_power, wp1
 
 
@@ -80,7 +79,7 @@ class TestApplyEcs:
     def test_fd_fallback_consistency(self, dom):
         # no analytic derivatives: 4th-order FD with the Richardson check
         g = 1.3
-        analytic = theta_power_field(g, dom)
+        analytic = ground_state_field(2, g, dom)
         fd_field = SmoothField(value=analytic.value, fd_step=5e-3, fd_check=True)
         x = np.array([0.9, 0.1])
         a = apply_ecs(analytic, x, g, dom)
@@ -97,7 +96,7 @@ class TestApplyEcs:
 class TestNonstationary:
     def test_theta_power_solves_kappa_2g(self, dom):
         g = 1.7
-        f = theta_power_field(g, dom)
+        f = ground_state_field(2, g, dom)
         E = fit_nonstationary_E(f, 2 * g, [0.45 * dom.ell, 0.05 * dom.ell], g, dom)
         assert abs(E - g * g * heat_constant_c0(dom)) <= 1e-10
         pts = [(dom.ell * (0.1 + 0.08 * j), dom.ell * 0.01 * j) for j in range(10)]
@@ -118,7 +117,7 @@ class TestNonstationary:
         # psi -> C(tau) psi shifts E by (i pi kappa / 2 ell^2) dC/dtau / C
         g = 1.7
         kappa = 2 * g
-        f = theta_power_field(g, dom)
+        f = ground_state_field(2, g, dom)
         E = fit_nonstationary_E(f, kappa, [0.45 * dom.ell, 0.05 * dom.ell], g, dom)
         C = 1.0 + dom.tau ** 2
         dC = 2.0 * dom.tau
@@ -135,7 +134,7 @@ class TestNonstationary:
         # e^{i q (x1+x2)} psi stays a solution with E shifted by q^2 (zero-momentum psi)
         g = 1.4
         kappa = 2 * g
-        f = theta_power_field(g, dom)
+        f = ground_state_field(2, g, dom)
         E = fit_nonstationary_E(f, kappa, [0.45 * dom.ell, 0.05 * dom.ell], g, dom)
         q = 0.37
 
@@ -175,7 +174,7 @@ class TestLame:
 class TestHeun:
     def test_reduces_to_lame(self, dom):
         g = 1.6
-        f = theta_power_field(g, dom)
+        f = ground_state_field(2, g, dom)
         psi = SmoothField(value=lambda x: f(np.array([x[0], 0.0])),
                           d1=lambda x, i: f.d1(np.array([x[0], 0.0]), 0),
                           d2=lambda x, i: f.d2(np.array([x[0], 0.0]), 0))
