@@ -26,7 +26,7 @@ for (N, M) in ((2, 2), (2, 1), (2, 0), (3, 1)):
     print(f"   (N,M)=({N},{M}): R = {vals[0]:.8g}   spread over configs {spread:.1e}")
 
 # (N,0) ties to the ground-state factor solving the kappa = N g equation
-psi0 = ground_state_field(2, g, dom)
+psi0 = ground_state_field(g, dom)
 E = fit_nonstationary_E(psi0, 2 * g, [0.9, 0.1], g, dom)
 print(f"\npsi0 generalized eigenvalue (N=2, kappa=2g): {E:.8g} = g^2 c0 = "
       f"{g * g * heat_constant_c0(dom):.8g}")

@@ -23,8 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .domain import EllipticDomain
-from .errors import (BranchError, ConvergenceError, DomainError,
-                     EllipcmrError, PoleError)
+from .errors import BranchError, ConvergenceError, DomainError, EllipcmrError, PoleError
 from .fields import SmoothField
 from .theta import pair_values, theta1, theta1_jet, theta1_logderiv, wp1
 

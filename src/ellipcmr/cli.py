@@ -160,7 +160,7 @@ def _suite_calogero(dom, g):
 
 
 def _suite_nonstationary_theta(dom, g):
-    f = ground_state_field(2, g, dom)
+    f = ground_state_field(g, dom)
     E = fit_nonstationary_E(f, 2 * g, [0.45 * dom.ell, 0.05 * dom.ell], g, dom)
     pts = [(dom.ell * (0.1 + 0.08 * j), dom.ell * (0.02 + 0.004 * j)) for j in range(10)]
     return max(abs(nonstationary_residual(f, 2 * g, E, [a, b], g, dom))
@@ -272,19 +272,18 @@ def cmd_transform(args) -> int:
 
 def _positive(cast):
     """Option type: a cast value in (0, inf); nan is rejected too."""
-
     def parse(text: str):
         v = cast(text)
         if not 0 < v < math.inf:
             raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
         return v
 
+    parse.__name__ = cast.__name__                # argparse names the type in its errors
     return parse
 
 
 def _pair(cast):
     """Option type: 'a,b' as a tuple of two cast values."""
-
     def parse(text: str) -> tuple:
         parts = text.split(",")
         if len(parts) != 2:
@@ -301,14 +300,16 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_domain(p, required=True):
-        p.add_argument("--ell", type=float, default=math.pi)
-        # perturb solves in the p-series ring and reads no domain
-        nome = p.add_mutually_exclusive_group(required=required)
-        nome.add_argument("--p", type=float)
-        nome.add_argument("--delta", type=float)
+    def add_output(p):
         p.add_argument("--output", default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
+
+    def add_domain(p):
+        p.add_argument("--ell", type=float, default=math.pi)
+        nome = p.add_mutually_exclusive_group(required=True)
+        nome.add_argument("--p", type=float)
+        nome.add_argument("--delta", type=float)
+        add_output(p)
 
     pe = sub.add_parser("eval", help="grid evaluation of the elliptic kernels")
     add_domain(pe)
@@ -337,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.set_defaults(func=cmd_bethe)
 
     pp = sub.add_parser("perturb", help="solve the nome-series recursion")
-    add_domain(pp, required=False)
+    add_output(pp)
     pp.add_argument("--s", type=_pair(float), required=True, help="s1,s2")
     pp.add_argument("--gamma", type=float, required=True)
     pp.add_argument("--K", type=int, default=6)

@@ -204,30 +204,33 @@ def apply_ruijsenaars_D(f, z: Sequence[complex], par: RuijsenaarsParams,
     return total
 
 
-def ground_state_field(n: int, g: float, dom: EllipticDomain) -> SmoothField:
-    """psi0(x) = prod_{i<j} vt1(x_i - x_j)^g as an N-coordinate field."""
+def ground_state_field(g: float, dom: EllipticDomain) -> SmoothField:
+    """psi0(x) = prod_{i<j} vt1(x_i - x_j)^g as an N-coordinate field, N = len(x)."""
     memo = {}
 
-    def at(x):
-        # value and derivatives at one x share psi0 and the pair sums: keep the last x
+    def at(x, sums=True):
+        # keep psi0 of the last x, and its pair sums once a derivative asks for them
         x = np.asarray(x, dtype=complex)
-        key = x.tobytes()
-        if key not in memo:
-            li = g * pair_values(theta1_logderiv, x, dom=dom, parity=-1).sum(axis=1)
-            lii = -g * pair_values(wp1, x, dom=dom, parity=1).sum(axis=1)
+        if memo.get("x") != x.tobytes():
             memo.clear()
-            memo[key] = ground_state_psi0(x, g, dom), li, lii
-        return memo[key]
+            memo["x"] = x.tobytes()
+        if sums and "li" not in memo:
+            memo["li"] = g * pair_values(theta1_logderiv, x, dom=dom, parity=-1).sum(axis=1)
+            memo["lii"] = -g * pair_values(wp1, x, dom=dom, parity=1).sum(axis=1)
+        if "psi0" not in memo:
+            memo["psi0"] = ground_state_psi0(x, g, dom)
+        return memo
 
     def val(x):
-        return at(x)[0]
+        return at(x, sums=False)["psi0"]
 
     def d1(x, i):
-        return at(x)[1][i] * val(x)
+        m = at(x)
+        return m["li"][i] * m["psi0"]
 
     def d2(x, i):
-        psi0, li, lii = at(x)
-        return (li[i] * li[i] + lii[i]) * psi0
+        m = at(x)
+        return (m["li"][i] * m["li"][i] + m["lii"][i]) * m["psi0"]
 
     def dtau(x):
         return g * pair_values(theta1_tau_logderiv, x, dom=dom).sum() * val(x)

@@ -238,8 +238,7 @@ def solve_variant_II(s, gamma, kappa, K: int, n_cap: int = 16,
              & (np.abs(n * (n + delta) - k * complex(kappa)) < _RES_GUARD))
     if small.any():
         row, col = np.argwhere(small)[0]
-        raise ResonanceError(
-            f"small divisor at (n,k)=({n[col]},{row + 1}) for kappa={kappa}")
+        raise ResonanceError(f"small divisor at (n,k)=({n[col]},{row + 1}) for kappa={kappa}")
     return _solve(s, gamma, kappa, K, n_cap, "II", exact)
 
 

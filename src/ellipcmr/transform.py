@@ -212,8 +212,7 @@ def _check_table(lam: Partition2, table: PSeriesTable, g: float):
     s_want = (lam.lam1 + g / 2.0, lam.lam2 - g / 2.0)
     if (abs(complex(table.s[0]) - s_want[0]) > 1e-12
             or abs(complex(table.s[1]) - s_want[1]) > 1e-12):
-        raise DomainError(
-            f"table solved at s={table.s}, but lam={lam} needs s={s_want}")
+        raise DomainError(f"table solved at s={table.s}, but lam={lam} needs s={s_want}")
 
 
 def _assembly_weights(lam: Partition2, table: PSeriesTable, p: float, K: int):

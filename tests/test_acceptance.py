@@ -185,7 +185,7 @@ class TestCriterion5:
         # (N,0): psi0 solves the kappa = N g equation
         for n in (2, 3):
             g = 1.3
-            psi0 = ground_state_field(n, g, dom)
+            psi0 = ground_state_field(g, dom)
             xref = np.array([0.9, 0.25, -0.4])[:n]
             E = fit_nonstationary_E(psi0, n * g, xref, g, dom)
             for j in range(1, 6):

@@ -157,6 +157,28 @@ class TestTypedErrors:
         assert "error: argument" in captured.err or "is required" in captured.err
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--fn", "wp1", "--p", "0.1", "--grid", "abc"], "invalid int value: 'abc'"),
+        (["verify", "--suite", "heat", "--p", "0.1", "--tol", "x"], "invalid float value: 'x'"),
+        (["perturb", "--s", "a,b", "--gamma", "2"], "invalid float pair value: 'a,b'"),
+        (["transform", "--lambda", "1,x", "--p", "0.05"], "invalid int pair value: '1,x'"),
+    ])
+    def test_usage_error_names_the_option_type(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == "" and message in captured.err
+
+    @pytest.mark.parametrize("option", [["--p", "0.1"], ["--delta", "0.5"], ["--ell", "2"]])
+    def test_perturb_takes_no_domain(self, option, capsys):
+        # perturb solves in the nome-series ring: a nome or period would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["perturb", "--s", "0.3,-0.2", "--gamma", "2"] + option)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+
 class TestArtifacts:
     def test_bethe_certificates(self, tmp_path):
         out_path = tmp_path / "bethe.json"

@@ -5,7 +5,7 @@ import pytest
 
 from ellipcmr.bethe import hermite_psi_field, solve_bethe
 from ellipcmr.domain import EllipticDomain, RuijsenaarsParams
-from ellipcmr.errors import ConvergenceError, PoleError
+from ellipcmr.errors import BranchError, ConvergenceError, PoleError
 from ellipcmr.fields import SmoothField, plane_wave
 from ellipcmr.kernels import KernelSpec, kernel_identity_residual, kernel_K
 from ellipcmr.operators import (CouplingSet, apply_deformed_ecs, apply_ecs,
@@ -64,7 +64,7 @@ class TestApplyEcs:
     def test_trig_ground_state_eigenvalue(self, dom_trig):
         # p = 0, g = 2: psi0 is the exact ground state, E = (pi/ell)^2 eps0
         g = 2.0
-        psi0 = ground_state_field(2, g, dom_trig)
+        psi0 = ground_state_field(g, dom_trig)
         x = np.array([1.1, 0.2])
         eps0 = 0.5 * ((g / 2) ** 2 + (g / 2) ** 2)
         E = (math.pi / dom_trig.ell) ** 2 * eps0
@@ -79,7 +79,7 @@ class TestApplyEcs:
     def test_fd_fallback_consistency(self, dom):
         # no analytic derivatives: 4th-order FD with the Richardson check
         g = 1.3
-        analytic = ground_state_field(2, g, dom)
+        analytic = ground_state_field(g, dom)
         fd_field = SmoothField(value=analytic.value, fd_step=5e-3, fd_check=True)
         x = np.array([0.9, 0.1])
         a = apply_ecs(analytic, x, g, dom)
@@ -96,7 +96,7 @@ class TestApplyEcs:
 class TestNonstationary:
     def test_theta_power_solves_kappa_2g(self, dom):
         g = 1.7
-        f = ground_state_field(2, g, dom)
+        f = ground_state_field(g, dom)
         E = fit_nonstationary_E(f, 2 * g, [0.45 * dom.ell, 0.05 * dom.ell], g, dom)
         assert abs(E - g * g * heat_constant_c0(dom)) <= 1e-10
         pts = [(dom.ell * (0.1 + 0.08 * j), dom.ell * 0.01 * j) for j in range(10)]
@@ -106,18 +106,44 @@ class TestNonstationary:
     def test_ground_state_solves_kappa_ng(self, dom):
         for n in (2, 3):
             g = 1.3
-            psi0 = ground_state_field(n, g, dom)
+            psi0 = ground_state_field(g, dom)
             xref = np.array([0.9, 0.25, -0.4])[:n]
             E = fit_nonstationary_E(psi0, n * g, xref, g, dom)
             pts = [xref + 0.11 * j for j in range(1, 6)]
             worst = max(relative_ns_residual(psi0, n * g, E, x, g, dom) for x in pts)
             assert worst <= 1e-8
 
+    def test_ground_state_field_builds_pair_sums_once_per_point(self, dom, monkeypatch):
+        import ellipcmr.operators as operators
+        kernels = []
+        counted = operators.pair_values
+        monkeypatch.setattr(operators, "pair_values",
+                            lambda fn, *a, **kw: kernels.append(fn) or counted(fn, *a, **kw))
+        f = ground_state_field(1.3, dom)
+        x = np.array([1.2, 0.9, 0.25, -0.4])
+        f(x)
+        assert kernels == []                    # a value alone needs no pair sums
+        apply_ecs(f, x + 0.01, 1.3, dom)
+        # the field's zeta1 and wp1 sums once for all four coordinates, then the potential
+        assert kernels == [operators.theta1_logderiv, wp1, wp1]
+
+    def test_ground_state_field_at_coincident_points(self, dom):
+        x = np.array([0.3, 0.3, 0.9])
+        assert ground_state_field(2.0, dom)(x) == 0
+        with pytest.raises(BranchError):
+            ground_state_field(1.3, dom)(x)
+        for g in (2.0, 1.3):
+            f = ground_state_field(g, dom)
+            with pytest.raises(PoleError):
+                f.d1(x, 0)
+            with pytest.raises(PoleError):
+                f.d2(x, 1)
+
     def test_gauge_symmetry(self, dom):
         # psi -> C(tau) psi shifts E by (i pi kappa / 2 ell^2) dC/dtau / C
         g = 1.7
         kappa = 2 * g
-        f = ground_state_field(2, g, dom)
+        f = ground_state_field(g, dom)
         E = fit_nonstationary_E(f, kappa, [0.45 * dom.ell, 0.05 * dom.ell], g, dom)
         C = 1.0 + dom.tau ** 2
         dC = 2.0 * dom.tau
@@ -134,7 +160,7 @@ class TestNonstationary:
         # e^{i q (x1+x2)} psi stays a solution with E shifted by q^2 (zero-momentum psi)
         g = 1.4
         kappa = 2 * g
-        f = ground_state_field(2, g, dom)
+        f = ground_state_field(g, dom)
         E = fit_nonstationary_E(f, kappa, [0.45 * dom.ell, 0.05 * dom.ell], g, dom)
         q = 0.37
 
@@ -174,7 +200,7 @@ class TestLame:
 class TestHeun:
     def test_reduces_to_lame(self, dom):
         g = 1.6
-        f = ground_state_field(2, g, dom)
+        f = ground_state_field(g, dom)
         psi = SmoothField(value=lambda x: f(np.array([x[0], 0.0])),
                           d1=lambda x, i: f.d1(np.array([x[0], 0.0]), 0),
                           d2=lambda x, i: f.d2(np.array([x[0], 0.0]), 0))
