@@ -33,8 +33,6 @@ __all__ = [
     "energy_from_roots", "saddle_G_value", "saddle_G_gradient",
 ]
 
-# imaginary spread of the trigonometric seed roots, (ell/pi) ln(2+sqrt 3) per step
-_SEED_SPREAD = math.log(2.0 + math.sqrt(3.0)) / math.pi
 # Newton tolerance at the intermediate nomes of the continuation; tol applies at dom.p
 _PATH_TOL = 1e-6
 _MAX_ITER = 50         # Newton iterations per corrector
@@ -69,8 +67,8 @@ def _with_origin(fn, t, dom, parity):
 
 
 def _at_x_and_roots(fn, x, roots, dom):
-    """(fn(x), fn(x - t_j)) from one call."""
-    v = pair_values(fn, x, np.append(0.0, roots), dom=dom)
+    """(fn(x), fn(x - t_j)) from one call; a tuple-valued fn comes stacked on a first axis."""
+    v = np.asarray(pair_values(fn, x, np.append(0.0, roots), dom=dom))
     return v[..., 0], v[..., 1:]
 
 
@@ -137,13 +135,13 @@ def bethe_jacobian(t, dom: EllipticDomain):
 
 
 def default_seed(n: int, dom: EllipticDomain):
-    """Trigonometric-degeneration seed: real part ell, spread imaginary parts.
+    """The exact p = 0 roots t_j = ell + i (2 ell/pi) artanh(x_j), x_j the zeros of P_n.
 
-    For n = 2 these are the exact p = 0 roots; for larger n they sit close
-    enough for Newton at a small starting nome.
+    At p = 0 the Bethe system is Stieltjes' electrostatic problem for the zeros
+    of the Legendre polynomial P_n; the imaginary parts fall in decreasing order.
     """
-    return np.array([dom.ell * (1.0 + 1j * _SEED_SPREAD * (n + 1 - 2 * j))
-                     for j in range(1, n + 1)], dtype=complex)
+    x = np.polynomial.legendre.leggauss(n)[0][::-1]
+    return dom.ell + 1j * (2.0 * dom.ell / math.pi) * np.arctanh(x)
 
 
 def _newton(t0, dom, tol):
@@ -194,8 +192,8 @@ def solve_bethe(n: int, dom: EllipticDomain, seed: Optional[Sequence[complex]] =
                 tol: float = 1e-12) -> BetheState:
     """Solve the Bethe system and certify the resulting eigenfunction.
 
-    Without a seed, the system is first solved at a small nome (where the
-    trigonometric seed is accurate) and the nome is continued geometrically to
+    Without a seed, the system is first solved at a small nome (the
+    trigonometric seed is exact at p = 0) and the nome is continued geometrically to
     dom.p by predictor-corrector steps: a secant predictor in log p, then Newton
     to the path tolerance at intermediate nomes and to tol at dom.p; a failed
     correction is retried from the previous roots.  The final roots get up to
@@ -215,7 +213,7 @@ def solve_bethe(n: int, dom: EllipticDomain, seed: Optional[Sequence[complex]] =
         return _certify(t, dom, res)
 
     # seed roots only fit inside |Im x| < 2 delta at a small enough nome
-    p_fit = 0.5 * math.exp(-2.0 * math.pi * _SEED_SPREAD) ** (n - 1)
+    p_fit = 0.5 * (2.0 + math.sqrt(3.0)) ** (-2.0 * (n - 1))
     p_start = min(dom.p if dom.p > 0 else p_fit, p_fit)
     steps = [p_start]
     while steps[-1] < dom.p:
@@ -261,10 +259,9 @@ def _log_derivs(x, roots, xi, dom):
     psi''/psi = (psi'/psi)^2 - sum_j wp1(x - t_j) + n wp1(x).
     """
     n = len(roots)
-    zeta_x, zeta_r = _at_x_and_roots(theta1_logderiv, x, roots, dom)
-    wp_x, wp_r = _at_x_and_roots(wp1, x, roots, dom)
+    (_, zeta_x, d_x), (_, zeta_r, d_r) = _at_x_and_roots(theta1_jet, x, roots, dom)
     ld = xi + zeta_r.sum(axis=-1) - n * zeta_x
-    return ld, ld * ld - wp_r.sum(axis=-1) + n * wp_x, wp_x
+    return ld, ld * ld + d_r.sum(axis=-1) - n * d_x, -d_x     # wp1 = -(ln vt1)''
 
 
 def hermite_psi_field(roots, xi: complex, dom: EllipticDomain,

@@ -46,7 +46,7 @@ def _write(text: str, args) -> None:
 
 
 def _dump(obj, args) -> None:
-    _write(json.dumps(obj, sort_keys=True, indent=2), args)
+    _write(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False), args)
 
 
 def _dump_csv(rows, header, args) -> None:
@@ -300,19 +300,16 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_output(p):
-        p.add_argument("--output", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
     def add_domain(p):
         p.add_argument("--ell", type=float, default=math.pi)
         nome = p.add_mutually_exclusive_group(required=True)
         nome.add_argument("--p", type=float)
         nome.add_argument("--delta", type=float)
-        add_output(p)
+        p.add_argument("--output", default=None)
 
     pe = sub.add_parser("eval", help="grid evaluation of the elliptic kernels")
     add_domain(pe)
+    pe.add_argument("--format", choices=("json", "csv"), default="json")
     pe.add_argument("--fn", choices=_EVAL_FNS, required=True)
     pe.add_argument("--grid", type=_positive(int), default=32)
     pe.add_argument("--x-min", type=float, default=0.0)
@@ -338,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.set_defaults(func=cmd_bethe)
 
     pp = sub.add_parser("perturb", help="solve the nome-series recursion")
-    add_output(pp)
+    pp.add_argument("--output", default=None)
     pp.add_argument("--s", type=_pair(float), required=True, help="s1,s2")
     pp.add_argument("--gamma", type=float, required=True)
     pp.add_argument("--K", type=int, default=6)
@@ -359,11 +356,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# real options that must be finite; --delta inf is valid (p = 0), and perturb's
+# --s, --gamma and --kappa are checked by the solver
+_FINITE = ("ell", "g", "q", "t", "x_min", "x_max", "x_imag")
+
+
+def _check_finite(args) -> None:
+    for name in _FINITE:
+        v = getattr(args, name, None)
+        if v is not None and not math.isfinite(v):
+            raise DomainError(f"--{name.replace('_', '-')} must be finite, got {v}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "x_max", None) is None and args.command == "eval":
         args.x_max = args.ell
     try:
+        _check_finite(args)
         return args.func(args)
     except EllipcmrError as exc:
         sys.stderr.write(f"error [{exc.code}]: {exc}\n")

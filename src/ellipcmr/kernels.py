@@ -19,7 +19,7 @@ import numpy as np
 from .domain import EllipticDomain
 from .errors import DomainError
 from .gamma import ground_state_psi0
-from .theta import pair_values, theta1_logderiv, theta1_power, theta1_tau_logderiv, wp1
+from .theta import pair_values, theta1_jet, theta1_power, theta1_tau_logderiv
 
 __all__ = ["KernelSpec", "kernel_K", "kernel_identity_residual"]
 
@@ -64,21 +64,20 @@ def kernel_identity_residual(spec: KernelSpec, x, y, dom: EllipticDomain) -> com
         raise DomainError("coordinate counts must match the KernelSpec")
     g = spec.g
     kw = dict(dom=dom)
-    # x-y cross matrices; the y-x ones follow from parity (zeta1 odd, wp1 even)
-    zeta_xy = pair_values(theta1_logderiv, x, y, **kw)
-    wp_xy = pair_values(wp1, x, y, **kw)
+    # x-y cross matrices of zeta1 and d = (ln vt1)'' = -wp1; the y-x ones follow
+    # from parity (zeta1 odd, d even)
+    _, zeta_xy, d_xy = pair_values(theta1_jet, x, y, **kw)
 
-    def h_part(u, zeta_uv, wp_uv):
+    def h_part(u, zeta_uv, d_uv):
         """H(u) K / K for the family u against the opposite family v."""
-        wp_uu = pair_values(wp1, u, parity=1, **kw)
-        li = g * (pair_values(theta1_logderiv, u, parity=-1, **kw).sum(axis=1)
-                  - zeta_uv.sum(axis=1))
-        lii = g * (-wp_uu.sum(axis=1) + wp_uv.sum(axis=1))
-        return -0.5 * np.sum(li * li + lii) + g * (g - 1.0) * 0.5 * wp_uu.sum()
+        _, zeta_uu, d_uu = pair_values(theta1_jet, u, parity=(-1, -1, 1), **kw)
+        li = g * (zeta_uu.sum(axis=1) - zeta_uv.sum(axis=1))
+        lii = g * (d_uu.sum(axis=1) - d_uv.sum(axis=1))
+        return -0.5 * np.sum(li * li + lii) - g * (g - 1.0) * 0.5 * d_uu.sum()
 
     # d_tau ln K = g * (signed sum of per-pair tau log-derivatives)
     dtau_log = g * (pair_values(theta1_tau_logderiv, x, **kw).sum()
                     + pair_values(theta1_tau_logderiv, y, **kw).sum()
                     - pair_values(theta1_tau_logderiv, x, y, **kw).sum())
     tau_term = (1j * math.pi * spec.kappa / (2.0 * dom.ell ** 2)) * dtau_log
-    return tau_term + h_part(x, zeta_xy, wp_xy) - h_part(y, -zeta_xy.T, wp_xy.T)
+    return tau_term + h_part(x, zeta_xy, d_xy) - h_part(y, -zeta_xy.T, d_xy.T)

@@ -22,7 +22,7 @@ from .domain import EllipticDomain, RuijsenaarsParams
 from .errors import DomainError, PoleError
 from .fields import SmoothField
 from .gamma import ground_state_psi0
-from .theta import pair_values, theta1_logderiv, theta1_tau_logderiv, theta_q, wp1
+from .theta import pair_values, theta1_jet, theta1_tau_logderiv, theta_q, wp1
 
 __all__ = [
     "CouplingSet", "half_period_shifts", "apply_ecs", "nonstationary_residual",
@@ -215,8 +215,9 @@ def ground_state_field(g: float, dom: EllipticDomain) -> SmoothField:
             memo.clear()
             memo["x"] = x.tobytes()
         if sums and "li" not in memo:
-            memo["li"] = g * pair_values(theta1_logderiv, x, dom=dom, parity=-1).sum(axis=1)
-            memo["lii"] = -g * pair_values(wp1, x, dom=dom, parity=1).sum(axis=1)
+            _, Z, D = pair_values(theta1_jet, x, dom=dom, parity=(-1, -1, 1))
+            memo["li"] = g * Z.sum(axis=1)        # zeta1 sums
+            memo["lii"] = g * D.sum(axis=1)       # -wp1 sums, (ln vt1)'' = -wp1
         if "psi0" not in memo:
             memo["psi0"] = ground_state_psi0(x, g, dom)
         return memo

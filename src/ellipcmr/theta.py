@@ -84,32 +84,29 @@ def theta1(x, dom: EllipticDomain):
     return _scalar_or_array(out)
 
 
-def theta1_logderiv(x, dom: EllipticDomain):
-    """zeta1(x) = vt1'(x)/vt1(x), term-wise analytic.
+def _ladder(z, p: float, head):
+    """(head prod_n (1-w)(1-v), s1, s2) over the certified nome ladder, w = p^n z, v = p^n/z:
 
-    zeta1(x) = (pi/2 ell) cot(pi x/2 ell)
-               - (i pi/ell) sum_n [ p^n z/(1-p^n z) - (p^n/z)/(1-p^n/z) ].
+    s1 = sum_n [ w/(1-w) - v/(1-v) ],   s2 = sum_n [ w/(1-w)^2 + v/(1-v)^2 ].
     """
-    x = np.asarray(x, dtype=complex)
-    c = math.pi / dom.ell
-    z = np.exp(1j * c * x)
-    s = np.sin(0.5 * c * x)
-    if np.any(np.abs(s) < 1e-300):
-        raise PoleError("zeta1 pole: x on the period lattice")
-    out = (0.5 * c) * np.cos(0.5 * c * x) / s
-    for _, pn in _nome_ladder(dom.p, z):
+    s1 = np.zeros_like(z)
+    s2 = np.zeros_like(z)
+    for _, pn in _nome_ladder(p, z):
         w, v = pn * z, pn / z
-        out = out - (1j * c) * (w / (1.0 - w) - v / (1.0 - v))
-    return _scalar_or_array(out)
+        a, b = 1.0 - w, 1.0 - v
+        head = head * a * b
+        wa, vb = w / a, v / b
+        s1 += wa - vb
+        s2 += wa / a + vb / b
+    return head, s1, s2
 
 
 def theta1_jet(x, dom: EllipticDomain):
     """(vt1, zeta1, (ln vt1)'') at x from one pass over the nome ladder.
 
-    The three series share z, 1 - p^n z and 1 - p^n/z; vt1 is formed exactly as
-    theta1 forms it, zeta1 is the series of theta1_logderiv, and
-    (ln vt1)'' = -(pi/2 ell)^2 / sin^2(pi x/2 ell)
-                 + (pi/ell)^2 sum_n [ p^n z/(1-p^n z)^2 + (p^n/z)/(1-p^n/z)^2 ],
+    vt1 is formed exactly as theta1 forms it, and with s1, s2 of _ladder at z,
+    zeta1(x)      = (pi/2 ell) cot(pi x/2 ell) - (i pi/ell) s1,
+    (ln vt1)''(x) = -(pi/2 ell)^2 / sin^2(pi x/2 ell) + (pi/ell)^2 s2,
     which equals -wp1(x) but stays independent of wp1's cosine series.
     """
     x = np.asarray(x, dtype=complex)
@@ -119,19 +116,15 @@ def theta1_jet(x, dom: EllipticDomain):
     s = np.sin(arg)
     if np.any(np.abs(s) < 1e-300):
         raise PoleError("x on the period lattice")
-    vt = 2.0 * s
-    s1 = np.zeros_like(z)     # sum_n [ w/(1-w) - v/(1-v) ],      w = p^n z, v = p^n/z
-    s2 = np.zeros_like(z)     # sum_n [ w/(1-w)^2 + v/(1-v)^2 ]
-    for _, pn in _nome_ladder(dom.p, z):
-        w, v = pn * z, pn / z
-        a, b = 1.0 - w, 1.0 - v
-        vt = vt * a * b
-        wa, vb = w / a, v / b
-        s1 += wa - vb
-        s2 += wa / a + vb / b
+    vt, s1, s2 = _ladder(z, dom.p, 2.0 * s)
     zeta = (0.5 * c) * np.cos(arg) / s - (1j * c) * s1
     dlog2 = c * c * s2 - (0.5 * c) ** 2 / s ** 2
     return _scalar_or_array(vt), _scalar_or_array(zeta), _scalar_or_array(dlog2)
+
+
+def theta1_logderiv(x, dom: EllipticDomain):
+    """zeta1(x) = vt1'(x)/vt1(x), the second output of theta1_jet."""
+    return theta1_jet(x, dom)[1]
 
 
 def theta1_dlog2(x, dom: EllipticDomain):
@@ -139,24 +132,12 @@ def theta1_dlog2(x, dom: EllipticDomain):
     return theta1_jet(x, dom)[2]
 
 
-def _wdlog_theta(w, p: float):
-    """w d/dw log theta(w; p), term-wise."""
+def _wdlog_jet(w, p: float):
+    """(w d/dw log theta(w; p), (w d/dw)^2 log theta(w; p)) from one pass over the ladder."""
     w = np.asarray(w, dtype=complex)
-    out = -w / (1.0 - w)
-    for _, pn in _nome_ladder(p, w):
-        u, v = pn * w, pn / w
-        out = out - u / (1.0 - u) + v / (1.0 - v)
-    return out
-
-
-def _w2dlog_theta(w, p: float):
-    """(w d/dw)^2 log theta(w; p), term-wise."""
-    w = np.asarray(w, dtype=complex)
-    out = -w / (1.0 - w) ** 2
-    for _, pn in _nome_ladder(p, w):
-        u, v = pn * w, pn / w
-        out = out - u / (1.0 - u) ** 2 - v / (1.0 - v) ** 2
-    return out
+    _, s1, s2 = _ladder(w, p, 1.0)
+    a = 1.0 - w
+    return -w / a - s1, -w / a ** 2 - s2
 
 
 def _tau_dlog_theta(w, p: float):

@@ -39,7 +39,7 @@ from .domain import EllipticDomain
 from .errors import ConvergenceError, DomainError, SeamError, WindowError
 from .kernels import KernelSpec, kernel_K
 from .pseries import PSeriesTable
-from .theta import _tau_dlog_theta, _w2dlog_theta, _wdlog_theta, log_theta_q
+from .theta import _tau_dlog_theta, _wdlog_jet, log_theta_q
 
 __all__ = [
     "Partition2", "ContourConfig", "ContourResult", "n2_single_contour_P",
@@ -187,10 +187,8 @@ def _f_moments(mu_pairs, z, g: float, p: float, r1: float, r2: float,
     if derivs:
         # al = z_i dlog of the xi1-leg, be of the xi2-leg; al2, be2 second order
         for i, k1, k2 in ((0, "D1", "D11"), (1, "D2", "D22")):
-            al = -g * _wdlog_theta(z[i] / xi1, p)
-            al2 = -g * _w2dlog_theta(z[i] / xi1, p)
-            be = -g * _wdlog_theta(z[i] / xi2, p)
-            be2 = -g * _w2dlog_theta(z[i] / xi2, p)
+            al, al2 = (-g * d for d in _wdlog_jet(z[i] / xi1, p))
+            be, be2 = (-g * d for d in _wdlog_jet(z[i] / xi2, p))
             colb = conv(w2 * be)
             colb2 = conv(w2 * (be ** 2 + be2))
             out[k1] = np.mean(w1 * (al * col + colb), axis=-1)
@@ -256,7 +254,7 @@ def eigen_residuals_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
     (pi/ell)^2 times the truncated eigenvalue series of the table.  The
     contour moments are computed once and shared across the requested orders.
     """
-    from .theta import theta1_logderiv, wp1
+    from .theta import theta1_jet
 
     _check_table(lam, table, g)
     Ks = list(Ks) if Ks is not None else [table.K]
@@ -270,8 +268,8 @@ def eigen_residuals_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
     mom = _f_moments(pairs, z, g, p, r1, r2, cfg.nodes, derivs=True)
 
     u = x[0] - x[1]
-    zl = theta1_logderiv(u, dom)
-    wp = wp1(u, dom)
+    _, zl, dl = theta1_jet(u, dom)
+    wp = -dl                                   # wp1 = -(ln vt1)''
     ipl = 1j * math.pi / dom.ell
     out = []
     for K in Ks:
@@ -312,7 +310,7 @@ def single_contour_psi_field(lam_diff: int, lam2: int, g: float, dom: EllipticDo
     the kappa = g equation directly.
     """
     from .fields import SmoothField
-    from .theta import theta1_logderiv, theta1_power, theta1_tau_logderiv, wp1
+    from .theta import theta1_jet, theta1_logderiv, theta1_power, theta1_tau_logderiv
 
     p = dom.p
     r = cfg.single_radius(p)
@@ -332,8 +330,9 @@ def single_contour_psi_field(lam_diff: int, lam2: int, g: float, dom: EllipticDo
         P = pref * np.mean(base)
         d = {}
         for i in range(2):
-            al = lam2 - g * _wdlog_theta(z[i] / xi, p)    # z_i-Euler weight
-            al2 = -g * _w2dlog_theta(z[i] / xi, p)
+            e1, e2 = _wdlog_jet(z[i] / xi, p)
+            al = lam2 - g * e1                    # z_i-Euler weight
+            al2 = -g * e2
             d[("e1", i)] = pref * np.mean(base * al)
             d[("e2", i)] = pref * np.mean(base * (al * al + al2))
         tau_w = -g * (_tau_dlog_theta(z[0] / xi, p) + _tau_dlog_theta(z[1] / xi, p))
@@ -356,8 +355,9 @@ def single_contour_psi_field(lam_diff: int, lam2: int, g: float, dom: EllipticDo
         P, d = moments(x)
         u = x[0] - x[1]
         psi0 = theta1_power(u, g, dom)
-        li = sigma[i] * g * theta1_logderiv(u, dom)
-        lii = -g * wp1(u, dom)
+        _, zl, dl = theta1_jet(u, dom)
+        li = sigma[i] * g * zl
+        lii = g * dl                              # -g wp1
         ipl = 1j * math.pi / dom.ell
         return complex(psi0 * ((li * li + lii) * P
                                + 2.0 * li * ipl * d[("e1", i)]

@@ -33,6 +33,26 @@ def lattice_sum_wp1(x, dom, n_max=40):
     return total
 
 
+def theta_factors(w, p, terms=40):
+    """(y, s) for the factors 1 - y of theta(w; p), y in {w, p^n w, p^n/w}, n <= terms.
+
+    With w d/dw y = s y (s = +1, +1, -1), a factor contributes -s y/(1-y) to
+    w d/dw log theta and -y/(1-y)^2 to (w d/dw)^2 log theta.
+    """
+    pn = [p ** n for n in range(1, terms + 1)]
+    return [(w, 1.0)] + [(a * w, 1.0) for a in pn] + [(a / w, -1.0) for a in pn]
+
+
+def theta_euler(w, p):
+    """w d/dw log theta(w; p) as the plain sum over theta_factors."""
+    return sum(-s * y / (1.0 - y) for y, s in theta_factors(w, p))
+
+
+def theta_euler2(w, p):
+    """(w d/dw)^2 log theta(w; p) as the plain sum over theta_factors."""
+    return sum(-y / (1.0 - y) ** 2 for y, _ in theta_factors(w, p))
+
+
 def periodized_sinh_sum(x, dom, n_max=60):
     """sum_n (pi/2 delta)^2 / sinh^2(pi (x - 2 n ell)/2 delta)."""
     c = np.pi / (2 * dom.delta)

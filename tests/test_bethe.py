@@ -62,6 +62,13 @@ class TestSolver:
         st = solve_bethe(2, dom_trig)
         assert st.bethe_residual <= 1e-10 and st.ode_residual <= 1e-8
 
+    @pytest.mark.parametrize("ell", [math.pi, 2.0])
+    def test_seed_solves_the_trigonometric_system(self, ell):
+        # Legendre zeros mapped by artanh: the exact p = 0 roots for every n
+        dom = EllipticDomain.from_nome(ell, 0.0)
+        for n in range(2, 21):
+            assert np.max(np.abs(bethe_residuals(default_seed(n, dom), dom))) <= 1e-13, n
+
     def test_saddle_gradient_at_solution(self, dom_small_p):
         st = solve_bethe(2, dom_small_p)
         grad = saddle_G_gradient(st.roots, st.xi, dom_small_p)

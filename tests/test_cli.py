@@ -115,6 +115,17 @@ class TestTypedErrors:
         ["perturb", "--s", "0.3,-0.2", "--gamma", "inf", "--K", "3"],
         ["perturb", "--s", "0.3,-0.2", "--gamma", "2", "--K", "3", "--variant", "II",
          "--kappa", "nan,1"],
+        # non-finite real options; --delta inf is valid (p = 0)
+        ["eval", "--fn", "W", "--p", "0.1", "--grid", "2", "--g", "nan"],
+        ["eval", "--fn", "gamma", "--p", "0.1", "--grid", "2", "--q", "inf"],
+        ["eval", "--fn", "gamma", "--p", "0.1", "--grid", "2", "--t", "nan"],
+        ["eval", "--fn", "theta1", "--p", "0.1", "--grid", "2", "--x-min", "nan"],
+        ["eval", "--fn", "theta1", "--p", "0.1", "--grid", "2", "--x-max=-inf"],
+        ["eval", "--fn", "theta1", "--p", "0.1", "--grid", "2", "--x-imag", "inf"],
+        ["eval", "--fn", "theta1", "--p", "0", "--grid", "2", "--ell", "inf"],
+        ["verify", "--suite", "kernel-identity", "--p", "0.1", "--g", "nan"],
+        ["bethe", "--n", "2", "--delta", "inf", "--ell", "inf"],
+        ["transform", "--lambda", "1,0", "--p", "0.05", "--g", "inf"],
     ])
     def test_domain_error_exit_2_no_output(self, argv, capsys):
         code, out = run_cli(argv)
@@ -168,6 +179,20 @@ class TestTypedErrors:
             main(argv)
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == "" and message in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "heat", "--p", "0.1", "--format", "csv"],
+        ["bethe", "--n", "2", "--p", "0.05", "--format", "csv"],
+        ["perturb", "--s", "0.3,-0.2", "--gamma", "2", "--format", "json"],
+        ["transform", "--lambda", "1,0", "--p", "0.05", "--format", "csv"],
+    ])
+    def test_format_is_eval_only(self, argv, capsys):
+        # only eval writes csv; elsewhere --format would be accepted and ignored
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --format" in captured.err
 
     @pytest.mark.parametrize("option", [["--p", "0.1"], ["--delta", "0.5"], ["--ell", "2"]])
     def test_perturb_takes_no_domain(self, option, capsys):

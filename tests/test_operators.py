@@ -124,8 +124,9 @@ class TestNonstationary:
         f(x)
         assert kernels == []                    # a value alone needs no pair sums
         apply_ecs(f, x + 0.01, 1.3, dom)
-        # the field's zeta1 and wp1 sums once for all four coordinates, then the potential
-        assert kernels == [operators.theta1_logderiv, wp1, wp1]
+        # the field's zeta1 and (ln vt1)'' sums from one jet for all four coordinates,
+        # then the potential
+        assert kernels == [operators.theta1_jet, wp1]
 
     def test_ground_state_field_at_coincident_points(self, dom):
         x = np.array([0.3, 0.3, 0.9])

@@ -62,6 +62,26 @@ def test_bethe_n4_at_default_ell(capsys):
     run_cli(["bethe", "--n", "4", "--p", "0.05"], capsys)
 
 
+@pytest.mark.parametrize("n", range(9, 15))
+def test_bethe_certifies_at_larger_n(n):
+    # RuntimeWarnings are errors in the suite: the evenly spread seed once
+    # overflowed here at p = 0 and stalled for every nome at n = 11
+    for ell in (math.pi, 2.0):
+        for p in (0.0, 0.05, 0.12, 0.19, 0.25):
+            st = solve_bethe(n, EllipticDomain.from_nome(ell, p))
+            assert st.bethe_residual <= 1e-10 and st.xi_residual <= 1e-10, (ell, p)
+            assert st.ode_residual <= 1e-8 and st.energy_spread <= 1e-8, (ell, p)
+
+
+def test_bethe_n11_runs_clean_with_warnings_as_errors():
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "ellipcmr", "bethe",
+                           "--n", "11", "--ell", repr(math.pi), "--p", "0.12"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["pass"] is True
+
+
 def old_wronskian(state, dom):
     """|W(psi(x), psi(-x))| / |psi(x) psi(-x)| at x0 from the field values."""
     f = hermite_psi_field(state.roots, state.xi, dom)

@@ -5,12 +5,13 @@ import pytest
 
 from ellipcmr.domain import EllipticDomain
 from ellipcmr.errors import BranchError, PoleError
-from ellipcmr.theta import (heat_constant_c0, heat_residual, eta1_over_omega1,
+from ellipcmr.theta import (_wdlog_jet, heat_constant_c0, heat_residual, eta1_over_omega1,
                             log_theta_q, theta1, theta1_dlog2, theta1_dtau,
                             theta1_jet, theta1_logderiv, theta1_power, theta1_tau_logderiv,
                             theta_q, wp1, wp1_fourier_coeffs)
 
-from oracles import fd_derivative, lattice_sum_wp1, periodized_sinh_sum
+from oracles import (fd_derivative, lattice_sum_wp1, periodized_sinh_sum, theta_euler,
+                     theta_euler2)
 
 
 class TestThetaQ:
@@ -94,7 +95,7 @@ class TestLogDerivatives:
 
 
 class TestTheta1Jet:
-    """The one-pass (vt1, zeta1, (ln vt1)'') against the three separate kernels."""
+    """The one-pass (vt1, zeta1, (ln vt1)'') against theta1, the factor sums and wp1."""
 
     @staticmethod
     def edge_points(dom, rng):
@@ -111,11 +112,23 @@ class TestTheta1Jet:
         x = self.edge_points(dom, np.random.default_rng([31, int(1000 * p)]))
         vt, zeta, dlog2 = theta1_jet(x, dom)
         assert np.array_equal(vt, theta1(x, dom))        # bit-identical
-        ref_z = theta1_logderiv(x, dom)
+        # vt1 = i z^{-1/2} theta(z; p), so zeta1 = (i pi/ell)(-1/2 + z d/dz log theta)
+        z = np.exp(1j * math.pi * x / ell)
+        ref_z = 1j * (math.pi / ell) * (-0.5 + theta_euler(z, p))
         assert np.all(np.abs(zeta - ref_z) <= 1e-12 * np.abs(ref_z))
+        assert np.array_equal(theta1_logderiv(x, dom), zeta)
         ref_w = wp1(x, dom)
         assert np.all(np.abs(-dlog2 - ref_w) <= 1e-12 * np.abs(ref_w))
         assert np.array_equal(theta1_dlog2(x, dom), dlog2)
+
+    @pytest.mark.parametrize("ell,p", [(1.3, 0.01), (2.0, 0.19), (3.7, 0.4), (2.0, 0.0)])
+    def test_w_form_matches_the_factor_sums(self, ell, p):
+        dom = EllipticDomain.from_nome(ell, p)
+        w = np.exp(1j * math.pi * self.edge_points(dom, np.random.default_rng([37, int(1000 * p)]))
+                   / ell)
+        e1, e2 = _wdlog_jet(w, p)
+        for got, want in ((e1, theta_euler(w, p)), (e2, theta_euler2(w, p))):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     def test_scalar_input(self, dom):
         x = 0.37 * dom.ell + 0.2j

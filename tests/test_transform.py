@@ -14,7 +14,7 @@ from ellipcmr.transform import (ContourConfig, Partition2, _f_moments,
                                 eigen_residuals_P_lambda, kernel_transform,
                                 n2_single_contour_P, single_contour_psi_field)
 
-from oracles import schur_2
+from oracles import schur_2, theta_euler, theta_euler2, theta_factors
 
 Z = np.exp(1j * np.array([0.4, 1.9]))
 
@@ -121,16 +121,6 @@ class TestDoubleContour:
             ContourConfig(nodes=32)
 
 
-def theta_factors(w, p, terms=40):
-    """(y, s) for the factors 1 - y of theta(w; p), y in {w, p^n w, p^n/w}, n <= terms.
-
-    With w d/dw y = s y (s = +1, +1, -1), a factor contributes -s y/(1-y) to
-    w d/dw log theta and -y/(1-y)^2 to (w d/dw)^2 log theta.
-    """
-    pn = [p ** n for n in range(1, terms + 1)]
-    return [(w, 1.0)] + [(a * w, 1.0) for a in pn] + [(a / w, -1.0) for a in pn]
-
-
 def dense_log_theta(w, p):
     return sum(np.log(1.0 - y) for y, _ in theta_factors(w, p))
 
@@ -149,15 +139,9 @@ def dense_cross_matrix(z, g, p, r1, r2, count):
 def dense_moments(pairs, z, g, p, r1, r2, count):
     """F and z-Euler moments as the plain count x count double sum."""
 
-    def euler(w):
-        return sum(-s * y / (1.0 - y) for y, s in theta_factors(w, p))
-
-    def euler2(w):
-        return sum(-y / (1.0 - y) ** 2 for y, _ in theta_factors(w, p))
-
     xi1, xi2, M = dense_cross_matrix(z, g, p, r1, r2, count)
-    e1 = [-g * (euler(zi / xi1) + euler(zi / xi2)) for zi in z]
-    e2 = [-g * (euler2(zi / xi1) + euler2(zi / xi2)) for zi in z]
+    e1 = [-g * (theta_euler(zi / xi1, p) + theta_euler(zi / xi2, p)) for zi in z]
+    e2 = [-g * (theta_euler2(zi / xi1, p) + theta_euler2(zi / xi2, p)) for zi in z]
     out = {"F": [], "D1": [], "D11": [], "D2": [], "D22": []}
     for m1, m2 in pairs:
         W = xi1 ** m1 * xi2 ** m2 * M
