@@ -216,8 +216,8 @@ def ground_state_field(g: float, dom: EllipticDomain) -> SmoothField:
             memo["x"] = x.tobytes()
         if sums and "li" not in memo:
             _, Z, D = pair_values(theta1_jet, x, dom=dom, parity=(-1, -1, 1))
-            memo["li"] = g * Z.sum(axis=1)        # zeta1 sums
-            memo["lii"] = g * D.sum(axis=1)       # -wp1 sums, (ln vt1)'' = -wp1
+            memo["li"] = g * Z.sum(axis=1)      # Z = zeta1, D = (ln vt1)'' = -wp1
+            memo["lii"] = g * D.sum(axis=1)
         if "psi0" not in memo:
             memo["psi0"] = ground_state_psi0(x, g, dom)
         return memo

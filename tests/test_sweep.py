@@ -64,8 +64,8 @@ def test_bethe_n4_at_default_ell(capsys):
 
 @pytest.mark.parametrize("n", range(9, 15))
 def test_bethe_certifies_at_larger_n(n):
-    # RuntimeWarnings are errors in the suite: the evenly spread seed once
-    # overflowed here at p = 0 and stalled for every nome at n = 11
+    # RuntimeWarnings are errors in the suite, so an overflow anywhere on the
+    # continuation path fails here too; p = 0 solves the seed's own system
     for ell in (math.pi, 2.0):
         for p in (0.0, 0.05, 0.12, 0.19, 0.25):
             st = solve_bethe(n, EllipticDomain.from_nome(ell, p))
