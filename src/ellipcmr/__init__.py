@@ -36,6 +36,6 @@ from .pseries import (LaurentPSeries, PSeriesTable, apply_L_series,
                       eigenvalue_from_gauge, solve_variant_I, solve_variant_II)
 from .transform import (ContourConfig, ContourResult, Partition2,
                         assemble_P_lambda, contour_F_lambda,
-                        eigen_residual_P_lambda, eigen_residuals_P_lambda,
-                        kernel_transform, n2_single_contour_P,
+                        eigen_residuals_P_lambda, kernel_transform,
+                        n2_single_contour_P,
                         single_contour_psi_field)

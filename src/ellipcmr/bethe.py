@@ -212,15 +212,11 @@ def solve_bethe(n: int, dom: EllipticDomain, seed: Optional[Sequence[complex]] =
         t, res = _polish(*_newton(np.asarray(seed, dtype=complex), dom, tol), dom)
         return _certify(t, dom, res)
 
-    # seed roots only fit inside |Im x| < 2 delta at a small enough nome
-    p_fit = 0.5 * (2.0 + math.sqrt(3.0)) ** (-2.0 * (n - 1))
-    p_start = min(dom.p if dom.p > 0 else p_fit, p_fit)
-    steps = [p_start]
+    # the seed fits inside the strip at a nome below 0.5 exp(-2 pi max |Im t| / ell)
+    t = default_seed(n, dom)
+    steps = [min(dom.p, 0.5 * math.exp(-2.0 * math.pi * np.max(np.abs(t.imag)) / dom.ell))]
     while steps[-1] < dom.p:
         steps.append(min(steps[-1] * _HOMOTOPY_STEP, dom.p))
-    if dom.p == 0.0:
-        steps = [0.0]
-    t = default_seed(n, EllipticDomain.from_nome(dom.ell, steps[0]))
     path_tol = max(tol, _PATH_TOL)
     for k, pk in enumerate(steps):
         last = k == len(steps) - 1

@@ -29,6 +29,9 @@ class EllipticDomain:
     def __post_init__(self):
         if not (self.ell > 0):
             raise DomainError(f"ell must be positive, got {self.ell}")
+        c = math.pi / self.ell
+        if not (math.isfinite(self.ell * self.ell) and math.isfinite(c * c)):
+            raise DomainError(f"ell={self.ell}: ell^2 or (pi/ell)^2 leaves the float range")
         if not (self.delta > 0):
             raise DomainError(f"delta must be positive, got {self.delta}")
         if not (0.0 <= self.p < 1.0):

@@ -19,7 +19,8 @@ import numpy as np
 from .domain import EllipticDomain
 from .errors import DomainError
 from .gamma import ground_state_psi0
-from .theta import pair_values, theta1_jet, theta1_power, theta1_tau_logderiv
+from .theta import (_scalar_or_array, pair_values, theta1_jet, theta1_power,
+                    theta1_tau_logderiv)
 
 __all__ = ["KernelSpec", "kernel_K", "kernel_identity_residual"]
 
@@ -41,15 +42,21 @@ class KernelSpec:
         return (self.N - self.M) * self.g
 
 
-def kernel_K(spec: KernelSpec, x, y, dom: EllipticDomain) -> complex:
-    """Evaluate the theta-quotient kernel; fractional g needs the branch domain."""
+def kernel_K(spec: KernelSpec, x, y, dom: EllipticDomain):
+    """Evaluate the theta-quotient kernel; fractional g needs the branch domain.
+
+    x has shape (N, ...) and y shape (M, ...); their trailing grid axes
+    broadcast, so a whole grid takes one call.  One point gives a complex scalar.
+    """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if len(x) != spec.N or len(y) != spec.M:
         raise DomainError("coordinate counts must match the KernelSpec")
     g = spec.g
-    out = ground_state_psi0(x, g, dom) * ground_state_psi0(y, g, dom)
-    return complex(out / np.prod(pair_values(theta1_power, x, y, g=g, dom=dom)))
+    # x_i - y_j on the last two axes, after the broadcast grid axes
+    cross = np.moveaxis(x, 0, -1)[..., :, None] - np.moveaxis(y, 0, -1)[..., None, :]
+    den = np.prod(theta1_power(cross, g, dom), axis=(-2, -1))
+    return _scalar_or_array(ground_state_psi0(x, g, dom) * ground_state_psi0(y, g, dom) / den)
 
 
 def kernel_identity_residual(spec: KernelSpec, x, y, dom: EllipticDomain) -> complex:

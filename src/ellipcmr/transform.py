@@ -43,8 +43,8 @@ from .theta import _tau_dlog_theta, _wdlog_jet, log_theta_q
 
 __all__ = [
     "Partition2", "ContourConfig", "ContourResult", "n2_single_contour_P",
-    "contour_F_lambda", "assemble_P_lambda", "eigen_residual_P_lambda",
-    "eigen_residuals_P_lambda", "single_contour_psi_field", "kernel_transform",
+    "contour_F_lambda", "assemble_P_lambda", "eigen_residuals_P_lambda",
+    "single_contour_psi_field", "kernel_transform",
 ]
 
 # relative mismatch allowed between the endpoint values of a closed line contour
@@ -292,14 +292,6 @@ def eigen_residuals_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
     return np.array(out)
 
 
-def eigen_residual_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
-                            dom: EllipticDomain, cfg: ContourConfig = ContourConfig(),
-                            K: Optional[int] = None) -> float:
-    """Single-order convenience wrapper around eigen_residuals_P_lambda."""
-    K = table.K if K is None else K
-    return float(eigen_residuals_P_lambda(lam, table, x, g, dom, cfg, [K])[0])
-
-
 def single_contour_psi_field(lam_diff: int, lam2: int, g: float, dom: EllipticDomain,
                              cfg: ContourConfig = ContourConfig()):
     """psi(x) = psi0(x) P_lam(z(x)) as a SmoothField with analytic derivatives.
@@ -380,34 +372,32 @@ def kernel_transform(spec: KernelSpec, source: Callable, x, dom: EllipticDomain,
     eps_j = delta (j + 1) / (4 (M + 1)) (or (j + 1)/4 at p = 0); closure
     requires the integrand to be 2 ell periodic in every y_j, which is checked
     at the seam (mismatch raises SeamError; e.g. non-integer plane-wave labels).
-    Trapezoid product rule; a node-doubling delta is attached.
+    Trapezoid product rule on the (M, n, ..., n) grid, held in memory and
+    evaluated in one call; source gets that array and reads y_j as y[j].  A
+    node-doubling delta is attached.
     """
     x = np.asarray(x, dtype=complex)
-    epsilons = [0.25 * dom.delta * (j + 1) / (spec.M + 1) if not math.isinf(dom.delta)
-                else 0.25 * (j + 1) for j in range(spec.M)]
+    M = spec.M
+    epsilons = (0.25 * dom.delta * np.arange(1, M + 1) / (M + 1) if not math.isinf(dom.delta)
+                else 0.25 * np.arange(1, M + 1))
+    base = -1j * epsilons
 
     def integrand(y):
         return kernel_K(spec, x, y, dom) * source(y)
 
+    # seam check at all 2M resolved endpoints in one call: y_j moved to -ell and +ell
+    shift = dom.ell * np.eye(M)
+    a, b = integrand(base[:, None, None] + np.stack([-shift, shift], axis=1))
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
+    bad = np.abs(a - b) > _SEAM_TOL * scale
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise SeamError(
+            f"contour not closed in y_{j}: seam mismatch {abs(a[j] - b[j]) / scale[j]:.2e}")
+
     def run(count):
         s_grid = -dom.ell + 2.0 * dom.ell * np.arange(count) / count
-        # seam check per axis at the resolved endpoints
-        base = np.array([-1j * e for e in epsilons], dtype=complex)
-        for j in range(spec.M):
-            lo = base.copy()
-            hi = base.copy()
-            lo[j] += -dom.ell
-            hi[j] += dom.ell
-            a, b = integrand(lo), integrand(hi)
-            scale = max(abs(a), abs(b), 1e-300)
-            if abs(a - b) > _SEAM_TOL * scale:
-                raise SeamError(
-                    f"contour not closed in y_{j}: seam mismatch {abs(a - b) / scale:.2e}")
-        if spec.M == 0:
-            return integrand(np.array([], dtype=complex))
-        grids = np.meshgrid(*[s_grid - 1j * e for e in epsilons], indexing="ij")
-        pts = np.stack([gr.ravel() for gr in grids], axis=-1)
-        vals = np.array([integrand(y) for y in pts])
-        return complex(np.mean(vals) * (2.0 * dom.ell) ** spec.M)
+        y = np.array(np.meshgrid(*(s_grid + e for e in base), indexing="ij"), dtype=complex)
+        return complex(np.mean(integrand(y)) * (2.0 * dom.ell) ** M)
 
     return _node_doubled(run, nodes)

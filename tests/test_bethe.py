@@ -235,11 +235,10 @@ def fully_converged_path(n, dom):
     nome by 1.5 per step), no predictor: each step is a seeded solve_bethe call
     started from the previous roots.
     """
-    p_fit = 0.5 * (2.0 + math.sqrt(3.0)) ** (-2.0 * (n - 1))
-    steps = [min(dom.p, p_fit)]
+    t = default_seed(n, dom)
+    steps = [min(dom.p, 0.5 * math.exp(-2.0 * math.pi * np.max(np.abs(t.imag)) / dom.ell))]
     while steps[-1] < dom.p:
         steps.append(min(steps[-1] * 1.5, dom.p))
-    t = default_seed(n, EllipticDomain.from_nome(dom.ell, steps[0]))
     for pk in steps:
         state = solve_bethe(n, EllipticDomain.from_nome(dom.ell, pk), seed=t)
         t = state.roots

@@ -126,6 +126,13 @@ class TestTypedErrors:
         ["verify", "--suite", "kernel-identity", "--p", "0.1", "--g", "nan"],
         ["bethe", "--n", "2", "--delta", "inf", "--ell", "inf"],
         ["transform", "--lambda", "1,0", "--p", "0.05", "--g", "inf"],
+        # finite ell whose ell^2 or (pi/ell)^2 leaves the float range
+        ["verify", "--suite", "heat", "--ell", "1e-300", "--p", "0.1"],
+        ["verify", "--suite", "kernel-identity", "--ell", "1e300", "--p", "0.1"],
+        # exp(pi |x_imag|/ell) overflows; values leave the float range on the grid
+        ["eval", "--fn", "theta1", "--p", "0", "--x-imag", "1e308", "--grid", "2"],
+        ["eval", "--fn", "gamma", "--p", "0.1", "--x-imag", "300", "--grid", "2"],
+        ["eval", "--fn", "theta", "--p", "0.1", "--x-imag", "250", "--grid", "2"],
     ])
     def test_domain_error_exit_2_no_output(self, argv, capsys):
         code, out = run_cli(argv)

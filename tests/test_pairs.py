@@ -1,20 +1,23 @@
-"""The vectorised pair sums against per-pair loops written out here.
+"""The vectorised pair sums and grid kernels against loops written out here.
 
 Every n-body quantity sums a kernel over pair differences; the library takes
-each kernel once on all differences (theta.pair_values).  The loops below are
-the plain double sums, one scalar kernel call per pair.
+each kernel once on all differences (theta.pair_values), and each grid of
+points in one call.  The loops below are the plain double sums, one scalar
+kernel call per pair, and one kernel call per grid point.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from ellipcmr.bethe import bethe_jacobian, bethe_residuals, saddle_G_gradient
-from ellipcmr.domain import EllipticDomain
+from ellipcmr.domain import EllipticDomain, RuijsenaarsParams
 from ellipcmr.errors import PoleError
-from ellipcmr.gamma import ground_state_psi0
-from ellipcmr.kernels import KernelSpec, kernel_identity_residual
+from ellipcmr.gamma import elliptic_gamma, ground_state_psi0, weight_W
+from ellipcmr.kernels import KernelSpec, kernel_identity_residual, kernel_K
+from ellipcmr.transform import kernel_transform
 from ellipcmr.theta import (pair_values, theta1, theta1_logderiv, theta1_power,
                             theta1_tau_logderiv, wp1)
 
@@ -180,6 +183,60 @@ class TestAgainstLoops:
             tm[i] -= h
             col = (bethe_residuals(tp, DOM) - bethe_residuals(tm, DOM)) / (2 * h)
             assert np.max(np.abs(col - J[:, i])) <= 1e-6 * max(1.0, np.max(np.abs(J)))
+
+
+def line_axes(spec, count, dom):
+    """The kernel_transform contour: count nodes on [-ell, ell) - i eps_j per axis y_j."""
+    s = -dom.ell + 2.0 * dom.ell * np.arange(count) / count
+    return [s - 0.25j * dom.delta * (j + 1) / (spec.M + 1) for j in range(spec.M)]
+
+
+def loop_integrand(spec, source, x, count, dom):
+    """K(x, y) source(y) on the tensor grid, one kernel_K call per point, in grid order."""
+    vals = [kernel_K(spec, x, np.array(y), dom) * source(np.array(y))
+            for y in itertools.product(*line_axes(spec, count, dom))]
+    return np.reshape(vals, (count,) * spec.M)
+
+
+class TestGridKernels:
+    @pytest.mark.parametrize("N, M", [(2, 2), (3, 2)])
+    def test_kernel_transform_against_the_point_loop(self, N, M):
+        spec = KernelSpec(N, M, 2.0)
+        x = DOM.ell * np.array([0.4, 0.05, -0.25])[:N]
+        k = math.pi / DOM.ell              # integer labels close the contour
+
+        def source(y):
+            return np.exp(1j * k * (y[0] - 2.0 * y[1]))
+
+        coarse, fine = (loop_integrand(spec, source, x, c, DOM) for c in (16, 32))
+        y = np.array(np.meshgrid(*line_axes(spec, 32, DOM), indexing="ij"))
+        grid = kernel_K(spec, x, y, DOM) * source(y)
+        assert np.all(np.abs(grid - fine) <= 1e-14 * np.abs(fine))
+        vol = (2.0 * DOM.ell) ** M
+        a, b = vol * np.mean(coarse), vol * np.mean(fine)
+        got = kernel_transform(spec, source, x, DOM, nodes=16)
+        tol = 1e-13 * vol * np.mean(np.abs(fine))
+        assert abs(got.value - b) <= tol
+        assert abs(got.node_delta - abs(b - a)) <= tol
+
+    def test_elliptic_gamma_per_entry(self):
+        par = RuijsenaarsParams(p=0.1, q=0.3, t=0.5)
+        rng = np.random.default_rng(610)
+        z = rng.uniform(0.6, 1.6, (3, 4)) * np.exp(1j * rng.uniform(0.2, 6.0, (3, 4)))
+        got = elliptic_gamma(z, par)
+        want = np.vectorize(lambda v: elliptic_gamma(v, par))(z)
+        assert got.shape == z.shape
+        assert np.all(np.abs(got - want) <= REL * np.abs(want))
+
+    def test_weight_W_per_entry(self):
+        rng = np.random.default_rng(611)
+        z = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (3, 2, 5)))
+        got = weight_W(z, 1.3, DOM.p)
+        assert got.shape == (2, 5)
+        for a, b in itertools.product(range(2), range(5)):
+            want = weight_W(z[:, a, b], 1.3, DOM.p)
+            assert isinstance(want, float)
+            assert abs(got[a, b] - want) <= REL * want
 
 
 def scan_first_offender(t, dom):
