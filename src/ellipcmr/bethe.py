@@ -167,7 +167,9 @@ def _newton(t0, dom, tol):
             break
         t, r, J = nxt
     res = float(np.max(np.abs(r)))
-    if res >= tol:
+    # the residuals, and so their rounding floor, scale like pi/ell: below ell = 1 a
+    # stall is measured against tol / ell, which keeps every ell >= 1 on tol itself
+    if res >= tol * max(1.0, 1.0 / dom.ell):
         raise ConvergenceError(f"Bethe Newton stalled at residual {res:.3e}")
     return t, r, J
 

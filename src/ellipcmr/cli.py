@@ -223,14 +223,20 @@ def cmd_bethe(args) -> int:
 # ---------------------------------------------------------------- perturb
 
 def cmd_perturb(args) -> int:
-    if args.variant == "I":
-        table = solve_variant_I(args.s, args.gamma, args.K, n_cap=args.n_cap)
-    else:
-        kappa = complex(*args.kappa)
-        table = solve_variant_II(args.s, args.gamma, kappa, args.K, n_cap=args.n_cap)
-    res = apply_L_series(table)
-    scale = max(abs(complex(v)) for v in table.a.values())
-    rel = res.max_abs() / scale
+    # a value that leaves the float range is reported as a DomainError, not as a warning
+    with np.errstate(all="ignore"):
+        if args.variant == "I":
+            table = solve_variant_I(args.s, args.gamma, args.K, n_cap=args.n_cap)
+        else:
+            kappa = complex(*args.kappa)
+            table = solve_variant_II(args.s, args.gamma, kappa, args.K, n_cap=args.n_cap)
+        if not np.all(np.isfinite([*table.a.values(), *table.eps])):
+            raise DomainError("the nome series leaves the float range for these s and gamma")
+        res = apply_L_series(table)
+        scale = max(abs(complex(v)) for v in table.a.values())
+        rel = res.max_abs() / scale
+    if not math.isfinite(rel):
+        raise DomainError("the L residual of the nome series leaves the float range")
     out = table.to_dict()
     out["l_residual_relative"] = _fmt(rel)
     out["pass"] = bool(rel <= 1e-10)

@@ -21,14 +21,17 @@ the constant part C = 1 + sum a_{0,k} p^k.
 Entries are exact finite rational expressions in (s, gamma, kappa): there is
 no upward coupling inside a fixed k, so filling k levels in ascending n order
 closes.  Level k is filled up to n = n_cap + 2(K - k) + k so every reported
-entry (n <= n_cap + k) is exact; an exact Fraction mode is available for
-rational inputs as an external cross-check.
+entry (n <= n_cap + k) is exact.  Exact mode, the external cross-check for
+rational s and gamma at kappa = 0, keeps each row as int numerators over one
+denominator, sums the sources from the rows above in ints, then makes one
+Fraction per entry.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -116,55 +119,74 @@ def _fill_window(K: int, n_cap: int, k):
     return -k, n_cap + 2 * (K - k) + k
 
 
+def _exact_sources(rows, dens, eps, gamma, k, lo, hi):
+    """Row k's sources from the rows above (a_{n,r} = rows[r, n + 2K] / dens[r]), summed in ints."""
+    terms = []
+    for d in range(1, k + 1):       # row k - d: Eps_d a_n + gamma sum_{m|d} m (a_{n-m} + a_{n+m})
+        above, e = rows[k - d], eps[d] if d < k else Fraction(0)    # Eps_k a_{n,0}: same-row loop
+        nu = sum(m * (above[lo - m:hi - m] + above[lo + m:hi + m])
+                 for m in range(1, d + 1) if d % m == 0)
+        terms.append((e.numerator * gamma.denominator * above[lo:hi]
+                      + gamma.numerator * e.denominator * nu,
+                      e.denominator * gamma.denominator * dens[k - d]))
+    den = math.lcm(*(dk for _, dk in terms))
+    num = sum((den // dk * x for x, dk in terms), np.zeros(hi - lo, dtype=object))
+    return [Fraction(x, den) for x in num]
+
+
 def _solve(s, gamma, kappa, K, n_cap, variant, exact):
-    if K < 0 or n_cap < 0:
-        raise DomainError(f"need K >= 0 and n_cap >= 0, got K={K}, n_cap={n_cap}")
-    if not all(cmath.isfinite(complex(v)) for v in (*s, gamma, kappa)):
-        raise DomainError("s, gamma and kappa must be finite")
+    if not all(isinstance(v, numbers.Integral) and v >= 0 for v in (K, n_cap)):
+        raise DomainError(f"need integers K >= 0 and n_cap >= 0, got K={K!r}, n_cap={n_cap!r}")
     s1, s2 = s
-    delta = s1 - s2
     if exact:
-        s1, s2, delta = Fraction(s1), Fraction(s2), Fraction(s1) - Fraction(s2)
-        gamma = Fraction(gamma)
+        try:
+            s1, s2, gamma = Fraction(s1), Fraction(s2), Fraction(gamma)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"exact mode needs rational s, gamma; got {s!r}, {gamma!r}") from None
         if kappa != 0:
             raise DomainError("exact mode supports kappa = 0 only")
         kappa = Fraction(0)
         zero, one = Fraction(0), Fraction(1)
     else:
+        if not all(cmath.isfinite(complex(v)) for v in (s1, s2, gamma, kappa)):
+            raise DomainError("s, gamma and kappa must be finite")
         zero, one = 0.0 + 0.0j, 1.0 + 0.0j
-        gamma = complex(gamma)
-        kappa = complex(kappa)
+        gamma, kappa = complex(gamma), complex(kappa)
+    delta = s1 - s2
 
     if variant == "II" and kappa == 0:
         raise DomainError("Variant II needs kappa != 0")
 
-    # Row k holds a_{n,k} at column n + 2K over its fill window; the zero
-    # columns on either side keep every shift n -+ m (m <= K) inside the array.
+    # Row k holds a_{n,k} (exact: its int numerator over dens[k]) at column n + 2K over its fill
+    # window; the zero columns on either side keep every shift n -+ m (m <= K) inside the array.
     off = 2 * K
-    rows = np.full((K + 1, n_cap + 5 * K + 1), zero, dtype=object if exact else complex)
-    a = {}
+    rows = np.zeros((K + 1, n_cap + 5 * K + 1), dtype=object if exact else complex)
+    a, dens = {}, []
     eps = [(s1 * s1 + s2 * s2) / 2]
     running_scale = 1.0
 
     for k in range(K + 1):
         n_lo, n_hi = _fill_window(K, n_cap, k)
         lo, hi = n_lo + off, n_hi + off + 1
-        # sources from the rows above, for the whole row at once
-        pre = np.full(hi - lo, zero, dtype=rows.dtype)
-        for kp in range(1, k):
-            if eps[kp] != 0:
-                pre += eps[kp] * rows[k - kp, lo:hi]
-        nu_sum = np.full(hi - lo, zero, dtype=rows.dtype)
-        for d in range(1, k + 1):         # d = nu m: row k - d, every m | d
-            above = rows[k - d]
-            for m in range(1, d + 1):
-                if d % m == 0:
-                    nu_sum += m * (above[lo - m:hi - m] + above[lo + m:hi + m])
-        pre = (pre + gamma * nu_sum).tolist()
+        if exact:
+            pre = _exact_sources(rows, dens, eps, gamma, k, lo, hi)
+        else:
+            # sources from the rows above, for the whole row at once
+            pre = np.full(hi - lo, zero, dtype=rows.dtype)
+            for kp in range(1, k):
+                if eps[kp] != 0:
+                    pre += eps[kp] * rows[k - kp, lo:hi]
+            nu_sum = np.full(hi - lo, zero, dtype=rows.dtype)
+            for d in range(1, k + 1):         # d = nu m: row k - d, every m | d
+                above = rows[k - d]
+                for m in range(1, d + 1):
+                    if d % m == 0:
+                        nu_sum += m * (above[lo - m:hi - m] + above[lo + m:hi + m])
+            pre = (pre + gamma * nu_sum).tolist()
 
         # same row: conv = sum_m m a_{n-m,k} from two running sums (acc += a_n,
-        # conv += acc), Kahan-compensated so the rounding of a long row does not
-        # pile up in its later entries (exactly zero corrections in exact mode)
+        # conv += acc), Kahan-compensated in float mode so the rounding of a long
+        # row does not pile up in its later entries
         vals = []
         acc = conv = acc_c = conv_c = zero
         for j, n in enumerate(range(n_lo, n_hi + 1)):
@@ -185,6 +207,8 @@ def _solve(s, gamma, kappa, K, n_cap, variant, exact):
                     eps.append(zero)
                     v = rhs / div
                 elif (exact and div == 0) or (not exact and abs(div) < _RES_GUARD):
+                    if variant == "II" and k >= 1:
+                        raise ResonanceError(f"small divisor at (n,k)=({n},{k}) for kappa={kappa}")
                     src = abs(rhs) if not exact else (0.0 if rhs == 0 else 1.0)
                     if src > 1e-9 * max(1.0, running_scale) * max(1.0, abs(complex(gamma))):
                         raise ResonanceError(
@@ -196,13 +220,18 @@ def _solve(s, gamma, kappa, K, n_cap, variant, exact):
                 if not exact:
                     running_scale = max(running_scale, abs(v))
             vals.append(v)
+            if exact:
+                conv += (acc := acc + v)
+                continue
             y = v - acc_c
             t = acc + y
             acc_c, acc = (t - acc) - y, t
             y = acc - conv_c
             t = conv + y
             conv_c, conv = (t - conv) - y, t
-        rows[k, lo:hi] = vals
+        if exact:
+            dens.append(math.lcm(*(v.denominator for v in vals)))
+        rows[k, lo:hi] = [v.numerator * (dens[k] // v.denominator) for v in vals] if exact else vals
         if k == 0:
             a0 = vals                # a_{n,0} at index n
         a.update(zip(((n, k) for n in range(n_lo, n_hi + 1)), vals))
@@ -227,18 +256,10 @@ def solve_variant_II(s, gamma, kappa, K: int, n_cap: int = 16,
                      exact: bool = False) -> PSeriesTable:
     """Gauge Eps_k = 0 (k >= 1) at kappa != 0; n = 0 rows determine a_{0,k}.
 
-    kappa must keep every divisor n(n + s_1 - s_2) - k kappa away from zero
-    (an imaginary part suffices); violations raise ResonanceError.
+    kappa must keep every filled divisor n(n + s_1 - s_2) - k kappa (k >= 1)
+    away from zero (an imaginary part suffices); the first violation raises
+    ResonanceError, whatever its source.
     """
-    delta = complex(s[0]) - complex(s[1])
-    k = np.arange(1, K + 1)[:, None]
-    n = np.arange(-K, n_cap + 2 * K)           # the union of the fill windows of rows 1..K
-    n_lo, n_hi = _fill_window(K, n_cap, k)
-    small = ((n >= n_lo) & (n <= n_hi) & (n != 0)
-             & (np.abs(n * (n + delta) - k * complex(kappa)) < _RES_GUARD))
-    if small.any():
-        row, col = np.argwhere(small)[0]
-        raise ResonanceError(f"small divisor at (n,k)=({n[col]},{row + 1}) for kappa={kappa}")
     return _solve(s, gamma, kappa, K, n_cap, "II", exact)
 
 

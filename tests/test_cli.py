@@ -133,6 +133,9 @@ class TestTypedErrors:
         ["eval", "--fn", "theta1", "--p", "0", "--x-imag", "1e308", "--grid", "2"],
         ["eval", "--fn", "gamma", "--p", "0.1", "--x-imag", "300", "--grid", "2"],
         ["eval", "--fn", "theta", "--p", "0.1", "--x-imag", "250", "--grid", "2"],
+        # the nome series leaves the float range: the nu-sum, or Eps_0 = (s1^2 + s2^2)/2
+        ["perturb", "--s=0.3,0", "--gamma=1e300", "--K", "4"],
+        ["perturb", "--s=1e300,0", "--gamma=1", "--K", "2"],
     ])
     def test_domain_error_exit_2_no_output(self, argv, capsys):
         code, out = run_cli(argv)
@@ -212,6 +215,20 @@ class TestTypedErrors:
 
 
 class TestArtifacts:
+    def test_bethe_small_ell_converges(self):
+        # the Bethe residuals scale like pi/ell: at ell = 1e-4 their rounding floor
+        # (about 1e-11) lies above the default Newton tolerance 1e-12
+        code, out = run_cli(["bethe", "--n", "3", "--ell", "1e-4", "--p", "0.1"])
+        certs = json.loads(out)["certificates"]
+        assert certs["bethe_residual"]["value"] <= 1e-10
+        assert certs["bethe_residual"]["pass"] and certs["xi_residual"]["pass"]
+        # ode_residual and energy_spread are absolute, on energies of size (pi/ell)^2
+        # ~ 1e9: they sit at the rounding floor, above their absolute tol 1e-8
+        scale = (math.pi / 1e-4) ** 2
+        assert certs["ode_residual"]["value"] <= 1e-12 * scale
+        assert certs["energy_spread"]["value"] <= 1e-12 * scale
+        assert code == 1
+
     def test_bethe_certificates(self, tmp_path):
         out_path = tmp_path / "bethe.json"
         code, _ = run_cli(["bethe", "--n", "2", "--p", "0.05", "--output", str(out_path)])

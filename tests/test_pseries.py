@@ -133,9 +133,13 @@ class TestDenseRecursion:
         rng = np.random.default_rng(20240807)
         cases = [((Fraction(2), Fraction(-1)), Fraction(2), 6, 16)]
         for K in (0, 1, 6, 12):
-            for n_cap in (0, 16):
+            for n_cap in (0, 16, 24):
                 s = (Fraction(int(rng.integers(-48, 80)), 32), Fraction(int(rng.integers(-48, 48)), 32))
                 cases.append((s, Fraction(int(rng.integers(8, 96)), 32), K, n_cap))
+        # non-dyadic inputs: denominators 3 and 7 in s and gamma
+        for K, n_cap in ((6, 16), (12, 24)):
+            s = (Fraction(int(rng.integers(-9, 15)), 7), Fraction(int(rng.integers(-6, 6)), 3))
+            cases.append((s, Fraction(int(rng.integers(1, 21)), 21), K, n_cap))
         for s, gamma, K, n_cap in cases:
             t = solve_variant_I(s, gamma, K, n_cap=n_cap, exact=True)
             a, eps = reference_solve(s, gamma, 0, K, n_cap, "I", exact=True)
@@ -154,6 +158,16 @@ class TestDenseRecursion:
             where = resonance_at(lambda: solve_variant_I(s, gamma, K, n_cap=n_cap))
             assert where is not None
             assert where == resonance_at(lambda: reference_solve(s, gamma, 0.0, K, n_cap, "I"))
+
+
+    def test_exact_resonance_raised_at_the_same_entry(self):
+        # integer s1 - s2 away from a physical point: a nonzero source meets a zero divisor
+        for s, gamma, K, n_cap in [((Fraction(1), Fraction(0)), Fraction(2), 3, 16),
+                                   ((Fraction(5, 3), Fraction(-4, 3)), Fraction(3, 7), 6, 8)]:
+            where = resonance_at(lambda: solve_variant_I(s, gamma, K, n_cap=n_cap, exact=True))
+            assert where is not None
+            assert where == resonance_at(lambda: reference_solve(s, gamma, 0, K, n_cap, "I",
+                                                                 exact=True))
 
 
 class TestVariantIIPrecheck:
@@ -390,6 +404,20 @@ class TestExactMode:
         t = solve_variant_I((Fraction(2), Fraction(-1)), Fraction(2), K=6, exact=True)
         assert t.eps == (Fraction(5, 2), Fraction(1), Fraction(17, 4), Fraction(-13, 8),
                          Fraction(373, 64), Fraction(93, 128), Fraction(-611, 512))
+
+    @pytest.mark.parametrize("s, gamma", [((1, 0), 1 + 1j), ((1, 0), "x"), ((0.5j, 0), 2),
+                                          ((1, 0), float("nan")), ((float("inf"), 0), 2)])
+    def test_non_rational_input_rejected(self, s, gamma):
+        with pytest.raises(DomainError, match="rational"):
+            solve_variant_I(s, gamma, 2, exact=True)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("K, n_cap", [(2.5, 4), (2, 4.0), (-1, 4), (2, None)])
+    def test_non_integer_orders_rejected(self, exact, K, n_cap):
+        with pytest.raises(DomainError, match="integers"):
+            solve_variant_I((Fraction(1, 3), 0), Fraction(2), K, n_cap=n_cap, exact=exact)
+        with pytest.raises(DomainError, match="integers"):
+            solve_variant_II((0.3, -0.2), 2.0, 0.5j, K, n_cap=n_cap)
 
     def test_exact_strings_exported(self):
         t = solve_variant_I((Fraction(3, 10), Fraction(-1, 5)), Fraction(2), K=3, exact=True)
