@@ -159,7 +159,6 @@ class TestDenseRecursion:
             assert where is not None
             assert where == resonance_at(lambda: reference_solve(s, gamma, 0.0, K, n_cap, "I"))
 
-
     def test_exact_resonance_raised_at_the_same_entry(self):
         # integer s1 - s2 away from a physical point: a nonzero source meets a zero divisor
         for s, gamma, K, n_cap in [((Fraction(1), Fraction(0)), Fraction(2), 3, 16),
@@ -411,13 +410,14 @@ class TestExactMode:
         with pytest.raises(DomainError, match="rational"):
             solve_variant_I(s, gamma, 2, exact=True)
 
-    @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("K, n_cap", [(2.5, 4), (2, 4.0), (-1, 4), (2, None)])
-    def test_non_integer_orders_rejected(self, exact, K, n_cap):
-        with pytest.raises(DomainError, match="integers"):
-            solve_variant_I((Fraction(1, 3), 0), Fraction(2), K, n_cap=n_cap, exact=exact)
-        with pytest.raises(DomainError, match="integers"):
-            solve_variant_II((0.3, -0.2), 2.0, 0.5j, K, n_cap=n_cap)
+    def test_non_integer_orders_rejected(self, K, n_cap):
+        for call in (lambda: solve_variant_I(S, GAMMA, K, n_cap=n_cap),
+                     lambda: solve_variant_I((Fraction(1, 3), 0), Fraction(2), K, n_cap=n_cap,
+                                             exact=True),
+                     lambda: solve_variant_II(S, GAMMA, 0.5j, K, n_cap=n_cap)):
+            with pytest.raises(DomainError, match="integers"):
+                call()
 
     def test_exact_strings_exported(self):
         t = solve_variant_I((Fraction(3, 10), Fraction(-1, 5)), Fraction(2), K=3, exact=True)
