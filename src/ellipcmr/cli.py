@@ -1,8 +1,10 @@
 """Command-line front end: evaluation grids, solvers, verification suites.
 
-Output is deterministic: fixed node counts and summation orders, numbers
-printed with 17 significant digits, JSON keys sorted.  Exit code 0 means every
-requested certificate passed its tolerance.
+Each subcommand returns its payload and `main` writes it.  Output is
+deterministic: fixed node counts and summation orders, JSON keys sorted and
+numbers in their shortest round-trip form, CSV numbers with 17 significant
+digits.  A value outside the float range is a DomainError: exit 2 and nothing
+written.  Exit code 0 means every requested certificate passed its tolerance.
 """
 
 from __future__ import annotations
@@ -32,28 +34,6 @@ DEFAULT_TOL = 1e-8
 QUAD_TOL = 1e-10
 
 
-def _fmt(x: float) -> float:
-    # %.17g round-trips doubles exactly; keep as float for json
-    return float(f"{x:.17g}")
-
-
-def _write(text: str, args) -> None:
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
-
-
-def _dump(obj, args) -> None:
-    _write(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False), args)
-
-
-def _dump_csv(rows, header, args) -> None:
-    lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in rows]
-    _write("\n".join(lines), args)
-
-
 def _domain(args) -> EllipticDomain:
     if args.p is not None:
         return EllipticDomain.from_nome(args.ell, args.p)
@@ -62,39 +42,30 @@ def _domain(args) -> EllipticDomain:
 
 # ---------------------------------------------------------------- eval
 
-_EVAL_FNS = ("theta1", "zeta1", "wp1", "theta", "gamma", "W")
+# each takes (x, z = exp(i pi x/ell), dom, args)
+_EVAL_FNS = {
+    "theta1": lambda x, z, dom, args: theta1(x, dom),
+    "zeta1": lambda x, z, dom, args: theta1_logderiv(x, dom),
+    "wp1": lambda x, z, dom, args: wp1(x, dom),
+    "theta": lambda x, z, dom, args: theta_q(z, dom.p),
+    "gamma": lambda x, z, dom, args: elliptic_gamma(
+        z, RuijsenaarsParams(p=dom.p, q=args.q, t=args.t)),
+    # two-point torus slice (z, 1)
+    "W": lambda x, z, dom, args: weight_W(np.stack([z, np.ones_like(z)]), args.g, dom.p) + 0j,
+}
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> dict | tuple:
     dom = _domain(args)
     if math.pi * abs(args.x_imag) / dom.ell > math.log(sys.float_info.max):
         raise DomainError(f"--x-imag {args.x_imag}: exp(pi |x_imag|/ell) overflows")
     n = args.grid
-    # a value that leaves the float range is reported as a DomainError, not as a warning
-    with np.errstate(all="ignore"):
-        x = args.x_min + (np.arange(n) + 0.5) * (args.x_max - args.x_min) / n + 1j * args.x_imag
-        z = np.exp(1j * math.pi * x / dom.ell)
-        if args.fn == "theta1":
-            f = theta1(x, dom)
-        elif args.fn == "zeta1":
-            f = theta1_logderiv(x, dom)
-        elif args.fn == "wp1":
-            f = wp1(x, dom)
-        elif args.fn == "theta":
-            f = theta_q(z, dom.p)
-        elif args.fn == "gamma":
-            f = elliptic_gamma(z, RuijsenaarsParams(p=dom.p, q=args.q, t=args.t))
-        else:  # W, two-point torus slice (z, 1)
-            f = weight_W(np.stack([z, np.ones_like(z)]), args.g, dom.p) + 0j
-    if not np.all(np.isfinite(f)):
-        raise DomainError(f"{args.fn} leaves the float range on this grid")
+    x = args.x_min + (np.arange(n) + 0.5) * (args.x_max - args.x_min) / n + 1j * args.x_imag
+    f = _EVAL_FNS[args.fn](x, np.exp(1j * math.pi * x / dom.ell), dom, args)
     rows = np.column_stack([x.real, x.imag, f.real, f.imag]).tolist()
     if args.format == "csv":
-        _dump_csv(rows, ("x_re", "x_im", "f_re", "f_im"), args)
-    else:
-        _dump({"schema": SCHEMA, "fn": args.fn, "ell": _fmt(dom.ell), "p": _fmt(dom.p),
-               "rows": [[_fmt(v) for v in row] for row in rows]}, args)
-    return 0
+        return ("x_re", "x_im", "f_re", "f_im"), rows
+    return {"schema": SCHEMA, "fn": args.fn, "ell": dom.ell, "p": dom.p, "rows": rows}
 
 
 # ---------------------------------------------------------------- verify
@@ -168,34 +139,25 @@ def _suite_nonstationary_theta(dom, g):
                / abs(f(np.array([a, b]))) for a, b in pts)
 
 
-_SUITES = ("heat", "quasi-periodicity", "kernel-identity", "duality",
-           "calogero-trick", "nonstationary-theta-power")
+_SUITES = {
+    "heat": lambda dom, args: _suite_heat(dom),
+    "quasi-periodicity": lambda dom, args: _suite_qper(dom),
+    "kernel-identity": lambda dom, args: _suite_kernel_identity(dom, args.N, args.M, args.g),
+    "duality": lambda dom, args: _suite_duality(dom, args.g),
+    "calogero-trick": lambda dom, args: _suite_calogero(dom, args.g),
+    "nonstationary-theta-power": lambda dom, args: _suite_nonstationary_theta(dom, args.g),
+}
 
 
-def cmd_verify(args) -> int:
-    dom = _domain(args)
-    tol = args.tol
-    if args.suite == "heat":
-        resid = _suite_heat(dom)
-    elif args.suite == "quasi-periodicity":
-        resid = _suite_qper(dom)
-    elif args.suite == "kernel-identity":
-        resid = _suite_kernel_identity(dom, args.N, args.M, args.g)
-    elif args.suite == "duality":
-        resid = _suite_duality(dom, args.g)
-    elif args.suite == "calogero-trick":
-        resid = _suite_calogero(dom, args.g)
-    else:
-        resid = _suite_nonstationary_theta(dom, args.g)
-    ok = resid <= tol
-    _dump({"schema": SCHEMA, "suite": args.suite, "max_residual": _fmt(float(resid)),
-           "tol": _fmt(tol), "pass": bool(ok)}, args)
-    return 0 if ok else 1
+def cmd_verify(args) -> dict:
+    resid = float(_SUITES[args.suite](_domain(args), args))
+    return {"schema": SCHEMA, "suite": args.suite, "max_residual": resid, "tol": args.tol,
+            "pass": resid <= args.tol}
 
 
 # ---------------------------------------------------------------- bethe
 
-def cmd_bethe(args) -> int:
+def cmd_bethe(args) -> dict:
     dom = _domain(args)
     state = solve_bethe(args.n, dom)
     certs = {
@@ -204,44 +166,34 @@ def cmd_bethe(args) -> int:
         "xi_residual": (state.xi_residual, 1e-10),
         "energy_spread": (state.energy_spread, DEFAULT_TOL),
     }
-    ok = all(v <= lim for v, lim in certs.values())
-    _dump({
-        "schema": SCHEMA, "n": state.n, "ell": _fmt(dom.ell), "p": _fmt(dom.p),
-        "roots": [[_fmt(t.real), _fmt(t.imag)] for t in state.roots],
-        "xi": [_fmt(state.xi.real), _fmt(state.xi.imag)],
-        "energy": [_fmt(state.energy.real), _fmt(state.energy.imag)],
-        "energy_constant": [_fmt(state.energy_constant.real), _fmt(state.energy_constant.imag)],
-        "wronskian": _fmt(state.wronskian),
+    return {
+        "schema": SCHEMA, "n": state.n, "ell": dom.ell, "p": dom.p,
+        "roots": [[t.real, t.imag] for t in state.roots],
+        "xi": [state.xi.real, state.xi.imag],
+        "energy": [state.energy.real, state.energy.imag],
+        "energy_constant": [state.energy_constant.real, state.energy_constant.imag],
+        "wronskian": state.wronskian,
         "degenerate": bool(state.degenerate),
-        "certificates": {k: {"value": _fmt(float(v)), "tol": _fmt(lim), "pass": bool(v <= lim)}
+        "certificates": {k: {"value": float(v), "tol": lim, "pass": bool(v <= lim)}
                          for k, (v, lim) in certs.items()},
-        "pass": bool(ok),
-    }, args)
-    return 0 if ok else 1
+        "pass": all(v <= lim for v, lim in certs.values()),
+    }
 
 
 # ---------------------------------------------------------------- perturb
 
-def cmd_perturb(args) -> int:
-    # a value that leaves the float range is reported as a DomainError, not as a warning
-    with np.errstate(all="ignore"):
-        if args.variant == "I":
-            table = solve_variant_I(args.s, args.gamma, args.K, n_cap=args.n_cap)
-        else:
-            kappa = complex(*args.kappa)
-            table = solve_variant_II(args.s, args.gamma, kappa, args.K, n_cap=args.n_cap)
-        if not np.all(np.isfinite([*table.a.values(), *table.eps])):
-            raise DomainError("the nome series leaves the float range for these s and gamma")
-        res = apply_L_series(table)
-        scale = max(abs(complex(v)) for v in table.a.values())
-        rel = res.max_abs() / scale
-    if not math.isfinite(rel):
-        raise DomainError("the L residual of the nome series leaves the float range")
-    out = table.to_dict()
-    out["l_residual_relative"] = _fmt(rel)
-    out["pass"] = bool(rel <= 1e-10)
-    _dump(out, args)
-    return 0 if out["pass"] else 1
+def cmd_perturb(args) -> dict:
+    if args.variant == "I":
+        table = solve_variant_I(args.s, args.gamma, args.K, n_cap=args.n_cap)
+    else:
+        kappa = complex(*args.kappa)
+        table = solve_variant_II(args.s, args.gamma, kappa, args.K, n_cap=args.n_cap)
+    # apply_L_series sums in Python complex arithmetic, where an inf ends in OverflowError
+    if not np.all(np.isfinite([*table.a.values(), *table.eps])):
+        raise DomainError("the nome series leaves the float range for these s and gamma")
+    scale = max(abs(complex(v)) for v in table.a.values())
+    rel = apply_L_series(table).max_abs() / scale
+    return {**table.to_dict(), "l_residual_relative": rel, "pass": bool(rel <= 1e-10)}
 
 
 # ---------------------------------------------------------------- transform
@@ -257,22 +209,21 @@ def _one_transform(lam_pair, args, dom):
     r = assemble_P_lambda(lam, table, z, g, dom.p, cfg)
     return {
         "lambda": [lam.lam1, lam.lam2],
-        "z": [[_fmt(v.real), _fmt(v.imag)] for v in z],
-        "p": _fmt(dom.p), "g": _fmt(g),
-        "value_re": _fmt(r.value.real), "value_im": _fmt(r.value.imag),
-        "node_delta": _fmt(r.node_delta),
+        "z": [[v.real, v.imag] for v in z],
+        "p": dom.p, "g": g,
+        "value_re": r.value.real, "value_im": r.value.imag,
+        "node_delta": r.node_delta,
     }
 
 
-def cmd_transform(args) -> int:
+def cmd_transform(args) -> dict:
     dom = _domain(args)
     results = [_one_transform(lp, args, dom) for lp in args.lam]
-    ok = all(r["node_delta"] <= QUAD_TOL for r in results)
-    payload = {"schema": SCHEMA, "results": results, "pass": bool(ok)}
+    payload = {"schema": SCHEMA, "results": results,
+               "pass": all(r["node_delta"] <= QUAD_TOL for r in results)}
     if len(results) == 1:
         payload.update(results[0])
-    _dump(payload, args)
-    return 0 if ok else 1
+    return payload
 
 
 # ---------------------------------------------------------------- parser
@@ -375,16 +326,39 @@ def _check_finite(args) -> None:
             raise DomainError(f"--{name.replace('_', '-')} must be finite, got {v}")
 
 
+def _render(payload) -> str:
+    """A dict as strict JSON, or (header, rows) as CSV; a non-finite value is a DomainError."""
+    if isinstance(payload, dict):
+        try:
+            return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError:
+            raise DomainError("a result leaves the float range") from None
+    header, rows = payload
+    if not np.all(np.isfinite(rows)):
+        raise DomainError("a result leaves the float range")
+    return "\n".join([",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in rows])
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "x_max", None) is None and args.command == "eval":
         args.x_max = args.ell
     try:
         _check_finite(args)
-        return args.func(args)
+        # a value that leaves the float range is reported as a DomainError, not as a warning
+        with np.errstate(all="ignore"):
+            payload = args.func(args)
+        text = _render(payload)
     except EllipcmrError as exc:
         sys.stderr.write(f"error [{exc.code}]: {exc}\n")
         return 2
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        sys.stdout.write(text + "\n")
+    # eval has no certificates and always exits 0
+    return 0 if isinstance(payload, tuple) or payload.get("pass", True) else 1
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ _REL_EPS = 1e-12
 class EllipticDomain:
     """Half-periods (ell, i*delta) with derived nome p and ratio tau.
 
-    delta may be math.inf, in which case p == 0 exactly (trigonometric case).
+    delta may be math.inf, in which case p == 0 exactly (trigonometric case);
+    p == 0 only then.
     """
 
     ell: float
@@ -36,6 +37,8 @@ class EllipticDomain:
             raise DomainError(f"delta must be positive, got {self.delta}")
         if not (0.0 <= self.p < 1.0):
             raise DomainError(f"nome p must lie in [0, 1), got {self.p}")
+        if self.p == 0.0 and not math.isinf(self.delta):
+            raise DomainError(f"p = 0 needs delta = inf, got delta={self.delta}")
         p_check = 0.0 if math.isinf(self.delta) else math.exp(-2.0 * math.pi * self.delta / self.ell)
         if abs(p_check - self.p) > _REL_EPS * max(1.0, abs(self.p)):
             raise DomainError(f"stored p={self.p} inconsistent with exp(-2 pi delta/ell)={p_check}")
@@ -47,8 +50,11 @@ class EllipticDomain:
 
     @classmethod
     def from_half_periods(cls, ell: float, delta: float) -> "EllipticDomain":
-        p = 0.0 if math.isinf(delta) else math.exp(-2.0 * math.pi * delta / ell)
-        return cls(ell=float(ell), delta=float(delta), p=p)
+        if not (ell > 0 and delta > 0):
+            raise DomainError(f"ell and delta must be positive, got ell={ell}, delta={delta}")
+        p = math.exp(-2.0 * math.pi * delta / ell)
+        # a nome that underflows to 0 is the trigonometric case, delta = inf
+        return cls(ell=float(ell), delta=float(delta) if p > 0.0 else math.inf, p=p)
 
     @classmethod
     def from_nome(cls, ell: float, p: float) -> "EllipticDomain":

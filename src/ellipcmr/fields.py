@@ -45,9 +45,9 @@ class SmoothField:
     value      : x (ndarray) -> complex
     d1, d2     : optional analytic partials, called as d(x, i)
     dtau       : optional analytic tau-derivative at fixed x
-    fd_step    : step for the finite-difference fallback
-    fd_check   : when True, the fallback verifies that halving the step moves
-                 the result by at most fd_consistency (Richardson consistency)
+    fd_step    : step for the finite-difference fallback; the fallback checks
+                 that halving the step moves the result by at most
+                 10 fd_consistency (Richardson consistency)
     """
 
     value: Callable[[Vec], complex]
@@ -55,7 +55,6 @@ class SmoothField:
     d2: Optional[Callable[[Vec, int], complex]] = None
     dtau: Optional[Callable[[Vec], complex]] = None
     fd_step: float = 1e-2
-    fd_check: bool = False
     fd_consistency: float = 1e-6
 
     def __call__(self, x) -> complex:
@@ -75,15 +74,11 @@ class SmoothField:
 
     def _fd(self, stencil, x, i: int) -> complex:
         a = stencil(self.value, x, i, self.fd_step)
-        if self.fd_check:
-            b = stencil(self.value, x, i, self.fd_step / 2)
-            scale = max(1.0, abs(b))
-            if abs(a - b) > 10 * self.fd_consistency * scale:
-                raise ConvergenceError(
-                    f"finite-difference inconsistency at coordinate {i}: "
-                    f"|delta| = {abs(a - b):.3e}")
-            return b
-        return a
+        b = stencil(self.value, x, i, self.fd_step / 2)
+        if abs(a - b) > 10 * self.fd_consistency * max(1.0, abs(b)):
+            raise ConvergenceError(
+                f"finite-difference inconsistency at coordinate {i}: |delta| = {abs(a - b):.3e}")
+        return b
 
     def tau_derivative(self, x) -> complex:
         if self.dtau is None:

@@ -209,11 +209,14 @@ def _solve(s, gamma, kappa, K, n_cap, variant, exact):
                 elif (exact and div == 0) or (not exact and abs(div) < _RES_GUARD):
                     if variant == "II" and k >= 1:
                         raise ResonanceError(f"small divisor at (n,k)=({n},{k}) for kappa={kappa}")
-                    src = abs(rhs) if not exact else (0.0 if rhs == 0 else 1.0)
-                    if src > 1e-9 * max(1.0, running_scale) * max(1.0, abs(complex(gamma))):
+                    # exact: any nonzero source is unresolvable, whatever the size of gamma
+                    src = abs(rhs)
+                    bound = (0 if exact else
+                             1e-9 * max(1.0, running_scale) * max(1.0, abs(complex(gamma))))
+                    if src > bound:
                         raise ResonanceError(
                             f"unresolvable resonance at (n,k)=({n},{k}): divisor "
-                            f"{complex(div):.2e} with source {src:.2e}")
+                            f"{complex(div):.2e} with source {float(src):.2e}")
                     v = zero     # resolvable: source vanishes identically
                 else:
                     v = rhs / div

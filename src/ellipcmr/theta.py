@@ -21,7 +21,7 @@ from operator import mul
 import numpy as np
 
 from .domain import DEFAULT_POLICY, EllipticDomain
-from .errors import BranchError, PoleError
+from .errors import BranchError, DomainError, PoleError
 
 __all__ = [
     "theta_q", "log_theta_q", "theta1", "theta1_logderiv", "theta1_dlog2", "theta1_jet",
@@ -292,7 +292,7 @@ def wp1_fourier_coeffs(dom: EllipticDomain, m_max: int = 32,
                        k_max: int | None = None) -> WpFourierCoeffs:
     """Expansion coefficients of wp1 used by the nome-series solver."""
     if m_max < 1:
-        raise ValueError("m_max must be >= 1")
+        raise DomainError(f"m_max must be >= 1, got {m_max}")
     if k_max is None:
         k_max = max(m_max, DEFAULT_POLICY.n_terms(dom.p, 1.0) if dom.p > 0 else m_max)
     return WpFourierCoeffs(dom, m_max, k_max)

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ellipcmr.cli import main
@@ -136,6 +137,12 @@ class TestTypedErrors:
         # the nome series leaves the float range: the nu-sum, or Eps_0 = (s1^2 + s2^2)/2
         ["perturb", "--s=0.3,0", "--gamma=1e300", "--K", "4"],
         ["perturb", "--s=1e300,0", "--gamma=1", "--K", "2"],
+        # a payload value leaves the float range
+        ["verify", "--suite", "duality", "--p", "0.1", "--g", "1e-320"],
+        ["verify", "--suite", "nonstationary-theta-power", "--p", "0.1", "--g", "1e300"],
+        ["transform", "--lambda", "1,0", "--p", "1e-300", "--g", "1"],
+        # exp(-2 pi delta/ell) divides by ell
+        ["eval", "--fn", "theta", "--grid", "2", "--ell", "0", "--delta", "0.5"],
     ])
     def test_domain_error_exit_2_no_output(self, argv, capsys):
         code, out = run_cli(argv)
@@ -212,6 +219,83 @@ class TestTypedErrors:
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == ""
         assert "unrecognized arguments" in captured.err
+
+
+# option -> (valid values, boundary and invalid values) for the argv sweep; sizes stay
+# small (grid <= 8, n <= 3, K <= 4, 64 nodes) so that the sweep runs in about a second
+SWEEP_SEED = 20241018
+REAL = (["0.3", "1", "1.7"], ["0", "-0.5", "1e-320", "1e300", "nan", "inf", "-inf"])
+SWEEP_DOMAIN = {
+    "--ell": (["3.141592653589793", "2", "1.3"],
+              ["0", "-1", "1e-4", "1e4", "1e-300", "1e300", "nan", "inf"]),
+    "--p": (["0.05", "0.1", "0.2"],
+            ["0", "1e-300", "0.9", "0.999", "0.999999", "1", "-0.1", "nan", "inf"]),
+    "--delta": (["0.5", "2"], ["inf", "0", "-1", "1e-300", "nan"]),
+}
+SWEEP_OPTIONS = {
+    "eval": {"--fn": (["theta1", "zeta1", "wp1", "theta", "gamma", "W"], []),
+             "--grid": (["1", "4", "8"], ["0", "-1"]), "--format": (["json", "csv"], []),
+             "--x-min": (["0", "0.3"], REAL[1]), "--x-imag": (["0", "0.2"], REAL[1] + ["250"]),
+             "--g": REAL, "--q": (["0.1", "0.5"], REAL[1]), "--t": (["0.3", "1"], REAL[1])},
+    "verify": {"--suite": (["heat", "quasi-periodicity", "kernel-identity", "duality",
+                            "calogero-trick", "nonstationary-theta-power"], []),
+               "--tol": (["1e-8", "1e-6"], ["1e-300", "1e300", "0", "nan"]), "--g": REAL,
+               "--N": (["1", "2"], ["0", "-1", "3", "5"]), "--M": (["1", "2"], ["0", "-1", "3", "5"])},
+    "bethe": {"--n": (["1", "2", "3"], ["0", "-1"])},
+    "perturb": {"--s": (["0.3,-0.2", "2,-1"], ["1,0", "0,0", "1e300,0", "nan,0", "0,inf"]),
+                "--gamma": REAL, "--K": (["0", "2", "4"], ["-1"]), "--n-cap": (["0", "3"], ["-1"]),
+                "--variant": (["I", "II"], []),
+                "--kappa": (["0,0.5", "1,0.5"], ["0,0", "1,0", "nan,1", "0,1e300"])},
+    "transform": {"--lambda": (["1,0", "2,1", "0,0"], ["0,1", "-1,0"]), "--g": REAL,
+                  "--K": (["0", "2", "4"], ["-1"]), "--n-cap": (["0", "3"], ["-1"]),
+                  "--nodes": (["64"], ["100", "0", "-64"])},
+}
+
+
+def sweep_argvs(rounds):
+    """rounds argvs per subcommand; each option leaves its valid values one time in five."""
+    rng = np.random.default_rng(SWEEP_SEED)
+
+    def draw(valid, other):
+        return str(rng.choice(other if other and rng.random() < 0.2 else valid))
+
+    argvs = []
+    for _ in range(rounds):
+        for command, options in SWEEP_OPTIONS.items():
+            argv = [command] + [f"{opt}={draw(*pools)}" for opt, pools in options.items()]
+            if command != "perturb":                  # perturb takes no domain
+                if rng.random() < 0.5:
+                    argv.append(f"--ell={draw(*SWEEP_DOMAIN['--ell'])}")
+                nome = "--p" if rng.random() < 0.8 else "--delta"
+                argv.append(f"{nome}={draw(*SWEEP_DOMAIN[nome])}")
+            argvs.append(argv)
+    return argvs
+
+
+class TestArgvSweep:
+    @pytest.mark.filterwarnings("error")
+    def test_every_argv_is_accepted_or_rejected_cleanly(self, capsys):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        codes = set()
+        for argv in sweep_argvs(40):
+            try:
+                code = main(argv)
+            except SystemExit as exc:           # argparse usage error
+                code = exc.code
+            out, err = capsys.readouterr()
+            codes.add(code)
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                assert out == "" and (err.startswith("error [") or "error: " in err), argv
+            elif argv[0] == "eval" and "--format=csv" in argv:
+                header, *rows = out.splitlines()
+                assert header == "x_re,x_im,f_re,f_im", argv
+                assert all(math.isfinite(float(v)) for r in rows for v in r.split(",")), argv
+            else:
+                json.loads(out, parse_constant=reject)
+        assert codes == {0, 1, 2}
 
 
 class TestArtifacts:

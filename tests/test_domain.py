@@ -26,6 +26,20 @@ def test_trigonometric_domain():
 def test_inconsistent_p_rejected():
     with pytest.raises(DomainError):
         EllipticDomain(ell=2.0, delta=0.7, p=0.5)
+    with pytest.raises(DomainError):               # p = 0 holds only at delta = inf
+        EllipticDomain(ell=1e-4, delta=2.0, p=0.0)
+
+
+@pytest.mark.parametrize("ell, delta", [(0.0, 0.5), (-1e-300, 0.5)])
+def test_half_periods_must_be_positive(ell, delta):
+    # checked before exp(-2 pi delta/ell), which divides by ell and can overflow
+    with pytest.raises(DomainError):
+        EllipticDomain.from_half_periods(ell, delta)
+
+
+def test_underflowing_nome_is_the_trigonometric_case():
+    # exp(-2 pi delta/ell) underflows to 0, so delta becomes inf as at p = 0
+    assert EllipticDomain.from_half_periods(1e-4, 2.0) == EllipticDomain.from_nome(1e-4, 0.0)
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5])

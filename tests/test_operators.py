@@ -80,7 +80,7 @@ class TestApplyEcs:
         # no analytic derivatives: 4th-order FD with the Richardson check
         g = 1.3
         analytic = ground_state_field(g, dom)
-        fd_field = SmoothField(value=analytic.value, fd_step=5e-3, fd_check=True)
+        fd_field = SmoothField(value=analytic.value, fd_step=5e-3)
         x = np.array([0.9, 0.1])
         a = apply_ecs(analytic, x, g, dom)
         b = apply_ecs(fd_field, x, g, dom)
@@ -88,7 +88,7 @@ class TestApplyEcs:
 
     def test_fd_inconsistency_detected(self, dom):
         rough = SmoothField(value=lambda x: abs(x[0].real - 0.4) ** 1.5,
-                            fd_step=1e-2, fd_check=True, fd_consistency=1e-10)
+                            fd_step=1e-2, fd_consistency=1e-10)
         with pytest.raises(ConvergenceError):
             rough.second(np.array([0.4 + 1e-8, 0.1]), 0)
 

@@ -73,8 +73,9 @@ def reference_solve(s, gamma, kappa, K, n_cap, variant, exact=False):
                 eps[k] = zero
                 a[(0, k)] = rhs / div
             elif (exact and div == 0) or (not exact and abs(div) < 1e-10):
-                src = abs(rhs) if not exact else (0.0 if rhs == 0 else 1.0)
-                if src > 1e-9 * max(1.0, running_scale) * max(1.0, abs(complex(gamma))):
+                bound = (0 if exact else
+                         1e-9 * max(1.0, running_scale) * max(1.0, abs(complex(gamma))))
+                if abs(rhs) > bound:
                     raise ResonanceError(f"unresolvable resonance at (n,k)=({n},{k})")
                 a[(n, k)] = zero
             else:
@@ -160,8 +161,10 @@ class TestDenseRecursion:
             assert where == resonance_at(lambda: reference_solve(s, gamma, 0.0, K, n_cap, "I"))
 
     def test_exact_resonance_raised_at_the_same_entry(self):
-        # integer s1 - s2 away from a physical point: a nonzero source meets a zero divisor
+        # integer s1 - s2 away from a physical point: a nonzero source meets a zero divisor;
+        # at gamma = 10^10 too, where a float threshold scaled by |gamma| let it through
         for s, gamma, K, n_cap in [((Fraction(1), Fraction(0)), Fraction(2), 3, 16),
+                                   ((Fraction(1), Fraction(0)), Fraction(10**10), 3, 4),
                                    ((Fraction(5, 3), Fraction(-4, 3)), Fraction(3, 7), 6, 8)]:
             where = resonance_at(lambda: solve_variant_I(s, gamma, K, n_cap=n_cap, exact=True))
             assert where is not None

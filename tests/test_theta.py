@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ellipcmr.domain import EllipticDomain
-from ellipcmr.errors import BranchError, PoleError
+from ellipcmr.errors import BranchError, DomainError, PoleError
 from ellipcmr.theta import (_wdlog_jet, heat_constant_c0, heat_residual, eta1_over_omega1,
                             log_theta_q, theta1, theta1_dlog2, theta1_dtau,
                             theta1_jet, theta1_logderiv, theta1_power, theta1_tau_logderiv,
@@ -206,6 +206,11 @@ class TestWpFourier:
         fc = wp1_fourier_coeffs(dom_small_p, m_max=40)
         x = 0.3 * dom_small_p.ell
         assert abs(fc.reconstruct(x) - wp1(x, dom_small_p)) <= 1e-10
+
+    @pytest.mark.parametrize("m_max", [0, -3])
+    def test_order_below_one_rejected(self, dom_small_p, m_max):
+        with pytest.raises(DomainError, match="m_max"):
+            wp1_fourier_coeffs(dom_small_p, m_max=m_max)
 
     def test_plus_minus_symmetry(self, dom_small_p):
         # coefficients of z^m and z^-m agree at every order p^{m nu}, nu >= 1
