@@ -215,8 +215,9 @@ def _solve(s, gamma, kappa, K, n_cap, variant, exact):
                              1e-9 * max(1.0, running_scale) * max(1.0, abs(complex(gamma))))
                     if src > bound:
                         raise ResonanceError(
-                            f"unresolvable resonance at (n,k)=({n},{k}): divisor "
-                            f"{complex(div):.2e} with source {float(src):.2e}")
+                            f"unresolvable resonance at (n,k)=({n},{k}): "
+                            + ("zero divisor with a nonzero exact source" if exact else
+                               f"divisor {complex(div):.2e} with source {src:.2e}"))
                     v = zero     # resolvable: source vanishes identically
                 else:
                     v = rhs / div

@@ -162,9 +162,11 @@ class TestDenseRecursion:
 
     def test_exact_resonance_raised_at_the_same_entry(self):
         # integer s1 - s2 away from a physical point: a nonzero source meets a zero divisor;
-        # at gamma = 10^10 too, where a float threshold scaled by |gamma| let it through
+        # at gamma = 10^10 too, where a float threshold scaled by |gamma| let it through,
+        # and at 10^400, whose source has no float
         for s, gamma, K, n_cap in [((Fraction(1), Fraction(0)), Fraction(2), 3, 16),
                                    ((Fraction(1), Fraction(0)), Fraction(10**10), 3, 4),
+                                   ((Fraction(1), Fraction(0)), Fraction(10**400), 3, 4),
                                    ((Fraction(5, 3), Fraction(-4, 3)), Fraction(3, 7), 6, 8)]:
             where = resonance_at(lambda: solve_variant_I(s, gamma, K, n_cap=n_cap, exact=True))
             assert where is not None

@@ -11,6 +11,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -73,7 +74,17 @@ def test_bethe_certifies_at_larger_n(n):
             assert st.ode_residual <= 1e-8 and st.energy_spread <= 1e-8, (ell, p)
 
 
+def solve_bethe_warnings_as_errors(n, dom):
+    # cli.main ignores numpy floating-point warnings while a subcommand runs, so
+    # the library solve is repeated here with every RuntimeWarning an error
+    with warnings.catch_warnings(), np.errstate(divide="warn", over="warn", invalid="warn"):
+        warnings.simplefilter("error")
+        return solve_bethe(n, dom)
+
+
 def test_bethe_n11_runs_clean_with_warnings_as_errors():
+    st = solve_bethe_warnings_as_errors(11, EllipticDomain.from_nome(math.pi, 0.12))
+    assert st.bethe_residual <= 1e-10 and st.ode_residual <= 1e-8
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "ellipcmr", "bethe",
                            "--n", "11", "--ell", repr(math.pi), "--p", "0.12"],
                           capture_output=True, text=True)
@@ -116,6 +127,8 @@ def test_bethe_json_stays_strict_when_psi_overflows(capsys):
 def test_bethe_n12_runs_clean_with_warnings_as_errors():
     # Newton's trial roots leave the strip by many periods; the Bethe system is
     # evaluated at their images in |Im t| <= delta, so no product overflows
+    st = solve_bethe_warnings_as_errors(12, EllipticDomain.from_nome(math.pi, 0.19))
+    assert abs(st.energy - (-421.36950987654)) <= 1e-9
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "ellipcmr", "bethe",
                            "--n", "12", "--p", "0.19"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
