@@ -25,7 +25,7 @@ import numpy as np
 from .domain import EllipticDomain
 from .errors import BranchError, ConvergenceError, DomainError, EllipcmrError, PoleError
 from .fields import SmoothField
-from .theta import pair_values, theta1, theta1_jet, theta1_logderiv, wp1
+from .theta import pair_values, theta1, theta1_jet, theta1_logderiv
 
 __all__ = [
     "BetheState", "bethe_residuals", "bethe_jacobian", "solve_bethe",
@@ -312,24 +312,24 @@ def energy_from_roots(roots, xi: complex, dom: EllipticDomain):
     """E from the operator quotient, certified x-independent over 10 points.
 
     E(x) = (-psi'' + n(n+1) wp1(x) psi)/psi = -psi''/psi + n(n+1) wp1(x), taken at
-    all points from one call per kernel; returns (E, spread, constant)
-    where constant = E + (2n-1) sum_j wp1(t_j) is the root-independent shift
-    in the closed-form energy report.
+    all points from one call per kernel; returns (E, spread).
     """
     roots = np.asarray(roots, dtype=complex)
     n = len(roots)
     _, second, wp_x = _log_derivs(_energy_grid(roots, dom), roots, xi, dom)
     vals = -second + n * (n + 1.0) * wp_x    # g = -n, so g(g-1) = n(n+1)
     E = vals[0]
-    spread = float(np.max(np.abs(vals - E)))
-    const = E + (2.0 * n - 1.0) * wp1(roots, dom).sum()
-    return E, spread, const
+    return E, float(np.max(np.abs(vals - E)))
 
 
 def _certify(t, dom, bethe_res) -> BetheState:
     n = len(t)
-    xi = theta1_logderiv(t, dom).sum()
-    E, spread, const = energy_from_roots(t, xi, dom)
+    # xi = sum_j zeta1(t_j) and the sum of wp1(t_j) = -(ln vt1)''(t_j) from one jet
+    _, zeta_t, dlog2_t = theta1_jet(t, dom)
+    xi = zeta_t.sum()
+    E, spread = energy_from_roots(t, xi, dom)
+    # the root-independent shift in the closed-form energy report
+    const = E - (2.0 * n - 1.0) * dlog2_t.sum()
 
     # one _log_derivs call on the five ODE points and x0, -x0:
     # (-psi'' + n(n+1) wp1 psi - E psi) / psi = -psi''/psi + n(n+1) wp1 - E

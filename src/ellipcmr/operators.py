@@ -5,9 +5,8 @@ All Hamiltonians are taken with hbar = m = 1: the N-body operator is
     H_N(x; g) = -1/2 sum_i d^2/dx_i^2 + g(g-1) sum_{i<j} wp1(x_i - x_j),
 
 its non-stationary deformation adds (i pi kappa / 2 ell^2) d/dtau, and the
-deformed/generalized variants follow the same unit convention.  Derivatives of
-the supplied fields are analytic whenever the field carries them; finite
-differences are a checked fallback.
+deformed/generalized variants follow the same unit convention.  Every field
+carries analytic derivatives; finite differences appear only as test oracles.
 """
 
 from __future__ import annotations
@@ -92,15 +91,15 @@ def fit_nonstationary_E(psi: SmoothField, kappa: complex, x_ref, c,
 
 def lame_residual(psi: SmoothField, E: complex, x: complex, g: float,
                   dom: EllipticDomain) -> complex:
-    """Residual of (-d^2/dx^2 + g(g-1) wp1(x) - E) psi."""
-    xv = np.asarray([x], dtype=complex)
-    pot = g * (g - 1.0) * wp1(x, dom)
-    return -psi.second(xv, 0) + (pot - E) * psi(xv)
+    """Residual of (-d^2/dx^2 + g(g-1) wp1(x) - E) psi: the BC_1 equation with g0 = g."""
+    return heun_residual(psi, E, x, CouplingSet(g0=g), dom)
 
 
 def heun_residual(psi: SmoothField, E: complex, x: complex, c: CouplingSet,
                   dom: EllipticDomain) -> complex:
-    """Residual of the BC_1 equation with potential sum_nu g_nu(g_nu-1) wp1(x+omega_nu)."""
+    """BC_1 residual with potential sum_nu g_nu(g_nu-1) wp1(x+omega_nu); g2, g3 need p > 0."""
+    if (c.g2 or c.g3) and dom.p == 0.0:
+        raise DomainError("couplings g2, g3 shift by i delta, which is infinite at p = 0")
     xv = np.asarray([x], dtype=complex)
     pot = 0.0 + 0.0j
     for gnu, om in zip(c.gnu, half_period_shifts(dom)):
@@ -149,7 +148,8 @@ def apply_generalized_ecs(psi: SmoothField, x, xt, y, yt, g: float,
     H = H_{N1,M1}(x, xt) + H_{N2,M2}(y, yt) + V(x, y; g) - g V(xt, yt; 1/g)
         - (1/g) V(x, yt; g) - (1/g) V(xt, y; g),
     with V(u, v; c) = c(c-1) sum wp1(u_i - v_j + i delta).  psi is a field of
-    all N1+M1+N2+M2 coordinates in the order (x, xt, y, yt).
+    all N1+M1+N2+M2 coordinates in the order (x, xt, y, yt).  The cross terms
+    shift by i delta, so two nonempty sides (x, xt) and (y, yt) need p > 0.
     """
     x, xt = np.asarray(x, dtype=complex), np.asarray(xt, dtype=complex)
     y, yt = np.asarray(y, dtype=complex), np.asarray(yt, dtype=complex)
@@ -158,6 +158,8 @@ def apply_generalized_ecs(psi: SmoothField, x, xt, y, yt, g: float,
     offs = np.concatenate([[0], np.cumsum(sizes)])
     if (len(xt) > 0 or len(yt) > 0) and g == 0.0:
         raise DomainError("generalized operator needs g != 0 when tilde families are present")
+    if sizes[0] + sizes[1] and sizes[2] + sizes[3] and dom.p == 0.0:
+        raise DomainError("cross families shift by i delta, which is infinite at p = 0")
 
     idx = [list(range(offs[k], offs[k + 1])) for k in range(4)]
     kin1, pot1 = _deformed_block(psi, full, idx[0], idx[1], g, dom)
@@ -185,6 +187,8 @@ def apply_ruijsenaars_D(f, z: Sequence[complex], par: RuijsenaarsParams,
     z = np.asarray(z, dtype=complex)
     if sign not in (+1, -1):
         raise DomainError("sign must be +1 or -1")
+    if sign < 0 and (par.q == 0.0 or par.t == 0.0):
+        raise DomainError("sign = -1 needs q != 0 and t != 0")
     q = par.q if sign > 0 else 1.0 / par.q
     t = par.t if sign > 0 else 1.0 / par.t
     total = 0.0 + 0.0j

@@ -37,7 +37,9 @@ import numpy as np
 
 from .domain import EllipticDomain
 from .errors import ConvergenceError, DomainError, SeamError, WindowError
+from .fields import SmoothField
 from .kernels import KernelSpec, kernel_K
+from .operators import ground_state_field
 from .pseries import PSeriesTable
 from .theta import _tau_dlog_theta, _wdlog_jet, log_theta_q
 
@@ -296,70 +298,54 @@ def single_contour_psi_field(lam_diff: int, lam2: int, g: float, dom: EllipticDo
                              cfg: ContourConfig = ContourConfig()):
     """psi(x) = psi0(x) P_lam(z(x)) as a SmoothField with analytic derivatives.
 
-    psi0 = vt1(x1-x2)^g; x-derivatives of P are Euler moments differentiated
-    under the integral and the tau-derivative follows from the p-dependence of
-    the contour theta factors, so operators.nonstationary_residual can certify
-    the kappa = g equation directly.
+    psi0 = vt1(x1-x2)^g is operators.ground_state_field, and psi follows by the
+    product rule; x-derivatives of P are Euler moments differentiated under the
+    integral and the tau-derivative follows from the p-dependence of the
+    contour theta factors, so operators.nonstationary_residual can certify the
+    kappa = g equation directly.
     """
-    from .fields import SmoothField
-    from .theta import theta1_jet, theta1_logderiv, theta1_power, theta1_tau_logderiv
-
+    psi0 = ground_state_field(g, dom)
     p = dom.p
-    r = cfg.single_radius(p)
-    xi = _nodes(r, cfg.nodes)
-    sigma = (1.0, -1.0)
+    xi = _nodes(cfg.single_radius(p), cfg.nodes)
+    ipl = 1j * math.pi / dom.ell
 
     memo = {}
 
     def moments(x):
-        # value and derivatives at one x share these moments: keep the last x
+        # P, d^k P/dx_i^k as m[k, i] and dP/dtau share one set of moments: keep the last x
         x = np.asarray(x, dtype=complex)
         key = x.tobytes()
         if key in memo:
             return memo[key]
         z = np.exp(1j * math.pi * x / dom.ell)
         pref, base = _single_integrand(lam_diff, lam2, z, xi, g, p)
-        P = pref * np.mean(base)
-        d = {}
+        m = {"P": pref * np.mean(base)}
         for i in range(2):
             e1, e2 = _wdlog_jet(z[i] / xi, p)
             al = lam2 - g * e1                    # z_i-Euler weight
-            al2 = -g * e2
-            d[("e1", i)] = pref * np.mean(base * al)
-            d[("e2", i)] = pref * np.mean(base * (al * al + al2))
+            m[1, i] = ipl * pref * np.mean(base * al)
+            m[2, i] = ipl ** 2 * pref * np.mean(base * (al * al - g * e2))
         tau_w = -g * (_tau_dlog_theta(z[0] / xi, p) + _tau_dlog_theta(z[1] / xi, p))
-        d["tau"] = pref * np.mean(base * tau_w)
+        m["tau"] = pref * np.mean(base * tau_w)
         memo.clear()
-        memo[key] = P, d
-        return P, d
+        memo[key] = m
+        return m
 
     def val(x):
-        P, _ = moments(x)
-        return complex(theta1_power(x[0] - x[1], g, dom) * P)
+        return complex(psi0(x) * moments(x)["P"])
 
     def d1(x, i):
-        P, d = moments(x)
-        psi0 = theta1_power(x[0] - x[1], g, dom)
-        li = sigma[i] * g * theta1_logderiv(x[0] - x[1], dom)
-        return complex(psi0 * (li * P + (1j * math.pi / dom.ell) * d[("e1", i)]))
+        m = moments(x)
+        return complex(psi0.d1(x, i) * m["P"] + psi0(x) * m[1, i])
 
     def d2(x, i):
-        P, d = moments(x)
-        u = x[0] - x[1]
-        psi0 = theta1_power(u, g, dom)
-        _, zl, dl = theta1_jet(u, dom)
-        li = sigma[i] * g * zl
-        lii = g * dl                              # -g wp1
-        ipl = 1j * math.pi / dom.ell
-        return complex(psi0 * ((li * li + lii) * P
-                               + 2.0 * li * ipl * d[("e1", i)]
-                               + ipl ** 2 * d[("e2", i)]))
+        m = moments(x)
+        return complex(psi0.d2(x, i) * m["P"] + 2.0 * psi0.d1(x, i) * m[1, i]
+                       + psi0(x) * m[2, i])
 
     def dtau(x):
-        P, d = moments(x)
-        u = x[0] - x[1]
-        psi0 = theta1_power(u, g, dom)
-        return complex(psi0 * (g * theta1_tau_logderiv(u, dom) * P + d["tau"]))
+        m = moments(x)
+        return complex(psi0.dtau(x) * m["P"] + psi0(x) * m["tau"])
 
     return SmoothField(value=val, d1=d1, d2=d2, dtau=dtau)
 

@@ -165,7 +165,8 @@ class TestEnergy:
             t2 = t2 - r / J
         assert abs(bethe_residuals([t1, t2], dom)[0]) <= 1e-10
         xi2 = theta1_logderiv(t1, dom) + theta1_logderiv(t2, dom)
-        _, _, const2 = energy_from_roots([t1, t2], xi2, dom)
+        E2, _ = energy_from_roots([t1, t2], xi2, dom)
+        const2 = E2 + 3.0 * wp1(np.array([t1, t2]), dom).sum()     # (2n - 1) = 3
         assert abs(complex(t1) - complex(st.roots[0])) > 0.1   # genuinely distinct
         assert abs(const2 - st.energy_constant) <= 1e-8
 

@@ -5,7 +5,7 @@ import pytest
 
 from ellipcmr.bethe import hermite_psi_field, solve_bethe
 from ellipcmr.domain import EllipticDomain, RuijsenaarsParams
-from ellipcmr.errors import BranchError, ConvergenceError, PoleError
+from ellipcmr.errors import BranchError, DomainError, PoleError
 from ellipcmr.fields import SmoothField, plane_wave
 from ellipcmr.kernels import KernelSpec, kernel_identity_residual, kernel_K
 from ellipcmr.operators import (CouplingSet, apply_deformed_ecs, apply_ecs,
@@ -14,6 +14,7 @@ from ellipcmr.operators import (CouplingSet, apply_deformed_ecs, apply_ecs,
                                 half_period_shifts, heun_residual,
                                 lame_residual, nonstationary_residual)
 from ellipcmr.theta import heat_constant_c0, theta1_power, wp1
+from oracles import fd_second_derivative
 
 
 def relative_ns_residual(field, kappa, E, x, g, dom):
@@ -77,20 +78,18 @@ class TestApplyEcs:
             apply_ecs(pw, np.array([0.4, 0.4]), 1.6, dom)
 
     def test_fd_fallback_consistency(self, dom):
-        # no analytic derivatives: 4th-order FD with the Richardson check
+        # the analytic second partials of psi0 against the finite-difference oracle
         g = 1.3
-        analytic = ground_state_field(g, dom)
-        fd_field = SmoothField(value=analytic.value, fd_step=5e-3)
-        x = np.array([0.9, 0.1])
-        a = apply_ecs(analytic, x, g, dom)
-        b = apply_ecs(fd_field, x, g, dom)
-        assert abs(a - b) <= 1e-7 * abs(a)
+        f = ground_state_field(g, dom)
+        x = np.array([0.9, 0.1, -0.5], dtype=complex)
+        for i in range(len(x)):
+            def along(u):
+                y = x.copy()
+                y[i] = u
+                return f(y)
 
-    def test_fd_inconsistency_detected(self, dom):
-        rough = SmoothField(value=lambda x: abs(x[0].real - 0.4) ** 1.5,
-                            fd_step=1e-2, fd_consistency=1e-10)
-        with pytest.raises(ConvergenceError):
-            rough.second(np.array([0.4 + 1e-8, 0.1]), 0)
+            a = f.second(x, i)
+            assert abs(a - fd_second_derivative(along, x[i])) <= 1e-7 * abs(a)
 
 
 class TestNonstationary:
@@ -236,11 +235,31 @@ class TestHeun:
         def phi(u):
             return np.sin(u) ** g0 * np.cos(u) ** g1
 
-        psi = SmoothField(value=lambda x: complex(phi(x[0] / 2)), fd_step=1e-3)
+        def dlog(u):      # d/dx ln phi(x/2) and its x-derivative, u = x/2
+            return (0.5 * (g0 / np.tan(u) - g1 * np.tan(u)),
+                    -0.25 * (g0 / np.sin(u) ** 2 + g1 / np.cos(u) ** 2))
+
+        def d2(x, i):
+            l1, l2 = dlog(x[0] / 2)
+            return (l1 * l1 + l2) * phi(x[0] / 2)
+
+        psi = SmoothField(value=lambda x: complex(phi(x[0] / 2)),
+                          d1=lambda x, i: dlog(x[0] / 2)[0] * phi(x[0] / 2), d2=d2)
         E_pt = (g0 + g1) ** 2
         x = 0.9
         r = heun_residual(psi, E_pt / 4.0, x, CouplingSet(g0=g0, g1=g1), dom)
         assert abs(r) / abs(psi(np.array([x]))) <= 1e-7
+
+    def test_shifted_couplings_rejected_at_p0(self):
+        # g2 and g3 shift by i delta, infinite at p = 0; g0 and g1 do not
+        dom = EllipticDomain.from_nome(math.pi, 0.0)
+        pw = plane_wave([0.3])
+        for c in (CouplingSet(g2=1.5), CouplingSet(g3=1.5)):
+            with pytest.raises(DomainError):
+                heun_residual(pw, 1.0, 0.4, c, dom)
+        r = heun_residual(pw, 1.0, 0.4, CouplingSet(g0=1.5, g1=0.7), dom)
+        assert abs(r - lame_residual(pw, 1.0, 0.4, 1.5, dom)
+                   - 0.7 * (0.7 - 1.0) * wp1(0.4 + math.pi, dom) * pw([0.4])) <= 1e-12
 
     def test_half_period_shifts(self, dom):
         om = half_period_shifts(dom)
@@ -301,6 +320,15 @@ class TestGeneralized:
         rhs = apply_ecs(psi, np.concatenate([xx, yy - 1j * dom.delta]), g, dom)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
+    def test_cross_families_rejected_at_p0(self, dom_trig):
+        # the cross terms shift by i delta, infinite at p = 0; one side alone stays valid
+        pw = plane_wave([0.1, 0.2, 0.3])
+        with pytest.raises(DomainError):
+            apply_generalized_ecs(pw, [0.1, 0.5], [], [0.2], [], 1.5,
+                                  EllipticDomain.from_nome(math.pi, 0.0))
+        a = apply_generalized_ecs(pw, [], [], [0.1, 0.5, 0.2], [], 1.5, dom_trig)
+        assert a == apply_ecs(pw, [0.1, 0.5, 0.2], 1.5, dom_trig)
+
     def test_empty_cross_term(self, dom):
         # V_{N1,N2} with N2 = 0 contributes nothing
         pw = plane_wave([0.3, -0.6])
@@ -354,6 +382,12 @@ class TestRuijsenaarsD:
         par = RuijsenaarsParams(p=0.0, q=0.31, t=0.47)
         with pytest.raises(PoleError):
             apply_ruijsenaars_D(lambda zz: 1.0, np.array([1.0 + 0j, 1.0 + 0j]), par)
+        # the inverse operator (1/q, 1/t) is undefined at the valid boundary q = 0 or t = 0
+        z = np.exp(1j * np.array([0.3, 1.7]))
+        for bad in (RuijsenaarsParams(p=0.0, q=0.0, t=0.47),
+                    RuijsenaarsParams(p=0.0, q=0.31, t=0.0)):
+            with pytest.raises(DomainError):
+                apply_ruijsenaars_D(lambda zz: 1.0, z, bad, sign=-1)
 
 
 class TestKernelIdentity:
