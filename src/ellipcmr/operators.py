@@ -58,7 +58,9 @@ def _gamma_of(c) -> float:
 
 
 def half_period_shifts(dom: EllipticDomain):
-    """(omega0, omega1, omega2, omega3) = (0, ell, i delta, -ell - i delta)."""
+    """(omega0, omega1, omega2, omega3) = (0, ell, i delta, -ell - i delta); needs p > 0."""
+    if dom.p == 0.0:
+        raise DomainError("half periods i delta and -ell - i delta are infinite at p = 0")
     return (0.0, dom.ell, 1j * dom.delta, -dom.ell - 1j * dom.delta)
 
 
@@ -102,7 +104,8 @@ def heun_residual(psi: SmoothField, E: complex, x: complex, c: CouplingSet,
         raise DomainError("couplings g2, g3 shift by i delta, which is infinite at p = 0")
     xv = np.asarray([x], dtype=complex)
     pot = 0.0 + 0.0j
-    for gnu, om in zip(c.gnu, half_period_shifts(dom)):
+    # zip stops after g0, g1 at p = 0, which shift by 0 and ell only
+    for gnu, om in zip(c.gnu, half_period_shifts(dom) if dom.p > 0.0 else (0.0, dom.ell)):
         if gnu != 0.0:
             pot += gnu * (gnu - 1.0) * wp1(x + om, dom)
     return -psi.second(xv, 0) + (pot - E) * psi(xv)

@@ -39,7 +39,7 @@ from .domain import EllipticDomain
 from .errors import ConvergenceError, DomainError, SeamError, WindowError
 from .fields import SmoothField
 from .kernels import KernelSpec, kernel_K
-from .operators import ground_state_field
+from .operators import apply_ecs, ground_state_field
 from .pseries import PSeriesTable
 from .theta import _tau_dlog_theta, _wdlog_jet, log_theta_q
 
@@ -126,7 +126,7 @@ def _node_doubled(value_at: Callable, nodes: int) -> ContourResult:
 
 def _single_integrand(lam_diff: int, lam2: int, z, xi, g: float, p: float):
     """Prefactor (z1 z2)^lam2 and integrand xi^lam_diff / prod_j theta(z_j/xi)^g."""
-    theta_part = np.exp(-g * (log_theta_q(z[0] / xi, p) + log_theta_q(z[1] / xi, p)))
+    theta_part = np.exp(-g * log_theta_q(z[:, None] / xi, p).sum(axis=0))
     _check_winding(theta_part, "single contour")
     return (z[0] * z[1]) ** lam2, xi ** lam_diff * theta_part
 
@@ -155,7 +155,7 @@ def n2_single_contour_P(lam_diff: int, lam2: int, z, g: float, p: float,
 
 def _f_moments(mu_pairs, z, g: float, p: float, r1: float, r2: float,
                count: int, derivs: bool = False):
-    """F_mu (and optional z-Euler moments) for a list of (mu1, mu2) pairs.
+    """F_mu (and optional z_i-Euler moments [1, i], [2, i]) for a list of (mu1, mu2) pairs.
 
     F = mean_a mean_b xi1^mu1 xi2^mu2 M_ab with M_ab = c_{a-b} u_a v_b, where
     u_a = prod_i theta(z_i/xi1a)^-g, v_b = prod_i theta(z_i/xi2b)^-g and
@@ -163,12 +163,13 @@ def _f_moments(mu_pairs, z, g: float, p: float, r1: float, r2: float,
     a - b only, so the cross factor is circulant and one row of theta values
     defines it.  Every contraction M @ y / count is then the circular
     convolution u * ifft(fft(c) fft(v y)) / count, taken for all pairs at
-    once along the last axis.
+    once along the last axis.  Each leg walks the nome ladder once: z_i/xi on axis 0.
     """
     xi1 = _nodes(r1, count)
     xi2 = _nodes(r2, count)
-    u = np.exp(-g * (log_theta_q(z[0] / xi1, p) + log_theta_q(z[1] / xi1, p)))
-    v = np.exp(-g * (log_theta_q(z[0] / xi2, p) + log_theta_q(z[1] / xi2, p)))
+    zx1, zx2 = z[:, None] / xi1, z[:, None] / xi2
+    u = np.exp(-g * log_theta_q(zx1, p).sum(axis=0))
+    v = np.exp(-g * log_theta_q(zx2, p).sum(axis=0))
     c = np.exp(g * log_theta_q(_nodes(r1 / r2, count), p))
     # the theta-power factor of the integrand along each contour: M[:, 0] and M[0, :]
     _check_winding(c * u * v[0], "F contour 1")
@@ -187,14 +188,15 @@ def _f_moments(mu_pairs, z, g: float, p: float, r1: float, r2: float,
     col = conv(w2)
     out = {"F": np.mean(w1 * col, axis=-1)}
     if derivs:
-        # al = z_i dlog of the xi1-leg, be of the xi2-leg; al2, be2 second order
-        for i, k1, k2 in ((0, "D1", "D11"), (1, "D2", "D22")):
-            al, al2 = (-g * d for d in _wdlog_jet(z[i] / xi1, p))
-            be, be2 = (-g * d for d in _wdlog_jet(z[i] / xi2, p))
-            colb = conv(w2 * be)
-            colb2 = conv(w2 * (be ** 2 + be2))
-            out[k1] = np.mean(w1 * (al * col + colb), axis=-1)
-            out[k2] = np.mean(w1 * ((al ** 2 + al2) * col + 2.0 * al * colb + colb2), axis=-1)
+        # al[i] = z_i dlog of the xi1-leg, be[i] of the xi2-leg; al2, be2 second order
+        al, al2 = (-g * d for d in _wdlog_jet(zx1, p))
+        be, be2 = (-g * d for d in _wdlog_jet(zx2, p))
+        for i in range(2):
+            colb = conv(w2 * be[i])
+            colb2 = conv(w2 * (be[i] ** 2 + be2[i]))
+            out[1, i] = np.mean(w1 * (al[i] * col + colb), axis=-1)
+            out[2, i] = np.mean(w1 * ((al[i] ** 2 + al2[i]) * col + 2.0 * al[i] * colb + colb2),
+                                axis=-1)
     return out
 
 
@@ -208,22 +210,27 @@ def contour_F_lambda(lam1: int, lam2: int, z, g: float, p: float,
         cfg.nodes)
 
 
-def _check_table(lam: Partition2, table: PSeriesTable, g: float):
+def _check_table(lam: Partition2, table: PSeriesTable, g: float, Ks) -> list:
+    """Ks as a list, once the table fits lam and g and each order is an integer in [0, table.K]."""
     s_want = (lam.lam1 + g / 2.0, lam.lam2 - g / 2.0)
     if (abs(complex(table.s[0]) - s_want[0]) > 1e-12
             or abs(complex(table.s[1]) - s_want[1]) > 1e-12):
         raise DomainError(f"table solved at s={table.s}, but lam={lam} needs s={s_want}")
+    Ks = list(Ks)
+    if not Ks or not all(isinstance(K, (int, np.integer)) and 0 <= K <= table.K for K in Ks):
+        raise DomainError(f"need one or more integer orders in [0, {table.K}], got {Ks}")
+    return Ks
 
 
-def _assembly_weights(lam: Partition2, table: PSeriesTable, p: float, K: int):
-    """Per-n weights sum_k a_{n,k} p^k and the (mu1, mu2) pair list."""
-    ns = range(-K, table.n_cap + 1)
-    pairs, weights = [], []
-    for n in ns:
-        w = sum(complex(table.coefficient(n, k)) * p ** k for k in range(K + 1))
-        pairs.append((lam.lam1 + n, lam.lam2 - n))
-        weights.append(w)
-    return pairs, np.array(weights)
+def _assembly_weights(lam: Partition2, table: PSeriesTable, p: float):
+    """(mu1, mu2) pairs for n = -table.K .. n_cap and the weights of every order:
+
+    column K is sum_{k <= K} a_{n,k} p^k, a running sum, exactly 0 for n < -K.
+    """
+    ns = range(-table.K, table.n_cap + 1)
+    terms = [[complex(table.coefficient(n, k)) * p ** k for k in range(table.K + 1)]
+             for n in ns]
+    return [(lam.lam1 + n, lam.lam2 - n) for n in ns], np.cumsum(terms, axis=1)
 
 
 def assemble_P_lambda(lam: Partition2, table: PSeriesTable, z, g: float, p: float,
@@ -234,16 +241,36 @@ def assemble_P_lambda(lam: Partition2, table: PSeriesTable, z, g: float, p: floa
     The table must be a Variant-I solve at s = (lam1 + g/2, lam2 - g/2); K
     defaults to the table's truncation order.
     """
-    _check_table(lam, table, g)
-    K = table.K if K is None else K
-    if K > table.K:
-        raise DomainError(f"K={K} exceeds table order {table.K}")
+    K, = _check_table(lam, table, g, [table.K if K is None else K])
     z = np.asarray(z, dtype=complex)
     r1, r2 = cfg.radii(p)
-    pairs, weights = _assembly_weights(lam, table, p, K)
+    pairs, weights = _assembly_weights(lam, table, p)
+    # order K starts at n = -K; contiguous weights round as a table solved at K does
+    pairs, weights = pairs[table.K - K:], np.ascontiguousarray(weights[table.K - K:, K])
     return _node_doubled(
         lambda count: _f_moments(pairs, z, g, p, r1, r2, count)["F"] @ weights,
         cfg.nodes)
+
+
+def _psi0_times(psi0: SmoothField, moments: Callable) -> SmoothField:
+    """psi0 P by the product rule; moments(x) holds P, d^k P/dx_i^k at [k, i] and dP/dtau."""
+    def val(x):
+        return complex(psi0(x) * moments(x)["P"])
+
+    def d1(x, i):
+        m = moments(x)
+        return complex(psi0.d1(x, i) * m["P"] + psi0(x) * m[1, i])
+
+    def d2(x, i):
+        m = moments(x)
+        return complex(psi0.d2(x, i) * m["P"] + 2.0 * psi0.d1(x, i) * m[1, i]
+                       + psi0(x) * m[2, i])
+
+    def dtau(x):
+        m = moments(x)
+        return complex(psi0.dtau(x) * m["P"] + psi0(x) * m["tau"])
+
+    return SmoothField(value=val, d1=d1, d2=d2, dtau=dtau)
 
 
 def eigen_residuals_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
@@ -251,46 +278,35 @@ def eigen_residuals_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
                              Ks: Optional[Sequence[int]] = None):
     """|H_2 psi - E psi| / |psi| for psi = psi0 P_lam at real x, per order K.
 
-    All derivatives are analytic: psi0 contributes zeta1/wp1 log-derivatives
-    and P contributes Euler moments differentiated under the integral; E is
-    (pi/ell)^2 times the truncated eigenvalue series of the table.  The
-    contour moments are computed once and shared across the requested orders.
+    H_2 is operators.apply_ecs on psi0 P (psi0 is operators.ground_state_field, P's
+    x-derivatives are Euler moments); E is (pi/ell)^2 times the truncated eigenvalue
+    series.  First x2 moves by whole periods 2 ell and x1, x2 are ordered, so that
+    x1 - x2 lies in [0, ell], where vt1 > 0: P is symmetric and 2 ell-periodic in x_i,
+    and vt1^g only gains a constant factor.  One contraction serves every order.
     """
-    from .theta import theta1_jet
-
-    _check_table(lam, table, g)
-    Ks = list(Ks) if Ks is not None else [table.K]
-    if max(Ks) > table.K:
-        raise DomainError(f"K={max(Ks)} exceeds table order {table.K}")
+    Ks = _check_table(lam, table, g, [table.K] if Ks is None else Ks)
     x = np.asarray(x, dtype=float)
+    x2 = x[1] + 2.0 * dom.ell * np.round((x[0] - x[1]) / (2.0 * dom.ell))
+    x = np.array(sorted((x[0], x2), reverse=True))
     p = dom.p
     z = np.exp(1j * math.pi * x / dom.ell)
     r1, r2 = cfg.radii(p)
-    pairs, _ = _assembly_weights(lam, table, p, table.K)
+    pairs, weights = _assembly_weights(lam, table, p)
     mom = _f_moments(pairs, z, g, p, r1, r2, cfg.nodes, derivs=True)
-
-    u = x[0] - x[1]
-    _, zl, dl = theta1_jet(u, dom)
-    wp = -dl                                   # wp1 = -(ln vt1)''
     ipl = 1j * math.pi / dom.ell
+    # column K of each contraction is the order-K moment
+    P = mom.pop("F") @ weights
+    dP = {key: ipl ** key[0] * (val @ weights) for key, val in mom.items()}
+    E = (math.pi / dom.ell) ** 2 * np.cumsum([complex(e) * p ** k
+                                              for k, e in enumerate(table.eps)])
+    psi0 = ground_state_field(g, dom)
     out = []
     for K in Ks:
-        # a_{n,k} = 0 for n < -k, so order K drops the first table.K - K pairs
-        _, weights = _assembly_weights(lam, table, p, K)
-        m = {key: val[table.K - K:] for key, val in mom.items()}
-        P = m["F"] @ weights
-        if abs(P) == 0.0:
+        if abs(P[K]) == 0.0:
             raise ConvergenceError("assembled P vanished at this point")
-        d = {key: (m[key] @ weights) / P for key in ("D1", "D11", "D2", "D22")}
-        h = 0.0 + 0.0j
-        for i, (first, second) in enumerate((("D1", "D11"), ("D2", "D22"))):
-            li = g * zl * (1.0 if i == 0 else -1.0)      # d_i ln psi0
-            psi_ii = (li * li - g * wp) + 2.0 * li * ipl * d[first] + ipl ** 2 * d[second]
-            h += -0.5 * psi_ii
-        h += g * (g - 1.0) * wp
-        E = (math.pi / dom.ell) ** 2 * sum(complex(table.eps[k]) * p ** k
-                                           for k in range(K + 1))
-        out.append(abs(h - E))
+        m = {"P": P[K], **{key: val[K] for key, val in dP.items()}}
+        psi = _psi0_times(psi0, lambda _: m)
+        out.append(abs(apply_ecs(psi, x, g, dom) / psi(x) - E[K]))
     return np.array(out)
 
 
@@ -319,35 +335,19 @@ def single_contour_psi_field(lam_diff: int, lam2: int, g: float, dom: EllipticDo
             return memo[key]
         z = np.exp(1j * math.pi * x / dom.ell)
         pref, base = _single_integrand(lam_diff, lam2, z, xi, g, p)
+        zx = z[:, None] / xi
         m = {"P": pref * np.mean(base)}
+        e1, e2 = _wdlog_jet(zx, p)
         for i in range(2):
-            e1, e2 = _wdlog_jet(z[i] / xi, p)
-            al = lam2 - g * e1                    # z_i-Euler weight
+            al = lam2 - g * e1[i]                 # z_i-Euler weight
             m[1, i] = ipl * pref * np.mean(base * al)
-            m[2, i] = ipl ** 2 * pref * np.mean(base * (al * al - g * e2))
-        tau_w = -g * (_tau_dlog_theta(z[0] / xi, p) + _tau_dlog_theta(z[1] / xi, p))
-        m["tau"] = pref * np.mean(base * tau_w)
+            m[2, i] = ipl ** 2 * pref * np.mean(base * (al * al - g * e2[i]))
+        m["tau"] = pref * np.mean(base * (-g * _tau_dlog_theta(zx, p).sum(axis=0)))
         memo.clear()
         memo[key] = m
         return m
 
-    def val(x):
-        return complex(psi0(x) * moments(x)["P"])
-
-    def d1(x, i):
-        m = moments(x)
-        return complex(psi0.d1(x, i) * m["P"] + psi0(x) * m[1, i])
-
-    def d2(x, i):
-        m = moments(x)
-        return complex(psi0.d2(x, i) * m["P"] + 2.0 * psi0.d1(x, i) * m[1, i]
-                       + psi0(x) * m[2, i])
-
-    def dtau(x):
-        m = moments(x)
-        return complex(psi0.dtau(x) * m["P"] + psi0(x) * m["tau"])
-
-    return SmoothField(value=val, d1=d1, d2=d2, dtau=dtau)
+    return _psi0_times(psi0, moments)
 
 
 def kernel_transform(spec: KernelSpec, source: Callable, x, dom: EllipticDomain,

@@ -265,6 +265,9 @@ class TestHeun:
         om = half_period_shifts(dom)
         assert om[0] == 0.0 and om[1] == dom.ell
         assert om[2] == 1j * dom.delta and om[3] == -dom.ell - 1j * dom.delta
+        # delta is infinite at p = 0: no nan+infj entries
+        with pytest.raises(DomainError):
+            half_period_shifts(EllipticDomain.from_nome(dom.ell, 0.0))
 
 
 class TestDeformed:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ellipcmr.errors import DomainError, SeamError, WindowError
+from ellipcmr.domain import EllipticDomain
+from ellipcmr.errors import DomainError, PoleError, SeamError, WindowError
 from ellipcmr.kernels import KernelSpec, kernel_identity_residual
 from ellipcmr.operators import fit_nonstationary_E, nonstationary_residual
 from ellipcmr.pseries import solve_variant_I
@@ -142,13 +143,13 @@ def dense_moments(pairs, z, g, p, r1, r2, count):
     xi1, xi2, M = dense_cross_matrix(z, g, p, r1, r2, count)
     e1 = [-g * (theta_euler(zi / xi1, p) + theta_euler(zi / xi2, p)) for zi in z]
     e2 = [-g * (theta_euler2(zi / xi1, p) + theta_euler2(zi / xi2, p)) for zi in z]
-    out = {"F": [], "D1": [], "D11": [], "D2": [], "D22": []}
+    out = {"F": [], (1, 0): [], (2, 0): [], (1, 1): [], (2, 1): []}
     for m1, m2 in pairs:
         W = xi1 ** m1 * xi2 ** m2 * M
         out["F"].append(np.mean(W))
-        for i, k1, k2 in ((0, "D1", "D11"), (1, "D2", "D22")):
-            out[k1].append(np.mean(W * e1[i]))
-            out[k2].append(np.mean(W * (e1[i] ** 2 + e2[i])))
+        for i in range(2):
+            out[1, i].append(np.mean(W * e1[i]))
+            out[2, i].append(np.mean(W * (e1[i] ** 2 + e2[i])))
     return {key: np.array(val) for key, val in out.items()}
 
 
@@ -159,7 +160,7 @@ class TestCirculantMoments:
         pairs = [(-2, 3), (-1, 2), (0, 1), (1, 0), (2, -1), (3, -2), (1, 1), (4, 0)]
         got = _f_moments(pairs, Z, g, p, r1, r2, count, derivs=True)
         want = dense_moments(pairs, Z, g, p, r1, r2, count)
-        for key in ("F", "D1", "D11", "D2", "D22"):
+        for key in want:
             err = np.max(np.abs(got[key] - want[key]))
             assert err <= 1e-12 * np.max(np.abs(want[key])), key
 
@@ -190,6 +191,46 @@ class TestAssembly:
         t = table_for(lam, 2.0, K=3)
         with pytest.raises(DomainError):
             assemble_P_lambda(lam, t, Z, 2.0, 0.05, K=5)
+
+    def test_orders_validated(self, dom_small_p):
+        # every order is an integer in [0, table.K], and Ks is not empty
+        lam = Partition2(1, 0)
+        t = table_for(lam, 2.0, K=3)
+        for K in (-1, 4, 1.0):
+            with pytest.raises(DomainError):
+                assemble_P_lambda(lam, t, Z, 2.0, 0.05, K=K)
+        for Ks in ([], [-1], [0, 4], [2.0]):
+            with pytest.raises(DomainError):
+                eigen_residuals_P_lambda(lam, t, np.array([0.7, 0.1]), 2.0, dom_small_p, Ks=Ks)
+
+    def test_order_K_of_a_larger_table_is_the_table_solved_at_K(self):
+        # a_{n,k} for k <= K does not depend on the table's order, so neither does P
+        g, p, lam = 2.0, 0.12, Partition2(3, 1)
+        big = table_for(lam, g, K=6)
+        for K in range(7):
+            assert (assemble_P_lambda(lam, big, Z, g, p, K=K)
+                    == assemble_P_lambda(lam, table_for(lam, g, K=K), Z, g, p))
+
+    def test_each_order_is_its_own_residual(self, dom_small_p):
+        g, lam = 1.5, Partition2(2, 0)
+        t = table_for(lam, g, K=6)
+        x = np.array([0.7, 0.1])
+        every = eigen_residuals_P_lambda(lam, t, x, g, dom_small_p, Ks=range(7))
+        for K in range(7):
+            assert eigen_residuals_P_lambda(lam, t, x, g, dom_small_p, Ks=[K])[0] == every[K]
+
+    def test_eigen_residual_invariant_under_swap_and_period(self):
+        # psi0 = vt1(x1 - x2)^g at g = 1.5 needs vt1 > 0; the residual is the same
+        # at x, at x swapped and at x2 + 2 ell, and x1 = x2 is the pole of psi0
+        g, lam = 1.5, Partition2(1, 0)
+        t = table_for(lam, g, K=4)
+        for p in (0.0, 0.02, 0.1, 0.17):
+            dom = EllipticDomain.from_nome(math.pi, p)
+            res = [eigen_residuals_P_lambda(lam, t, np.array(x), g, dom, Ks=range(5))
+                   for x in ([0.7, 0.1], [0.1, 0.7], [0.7, 0.1 + 2.0 * dom.ell])]
+            assert np.max(np.abs(np.array(res) - res[0])) <= 1e-12 * (math.pi / dom.ell) ** 2, p
+            with pytest.raises(PoleError):
+                eigen_residuals_P_lambda(lam, t, np.array([0.7, 0.7]), g, dom)
 
     def test_translation_property(self):
         # P_{lam + (1,1)} proportional to z1 z2 P_lam; the constant is
