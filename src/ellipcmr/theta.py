@@ -9,14 +9,17 @@ Everything is built from the truncated products
 so that vt1(x) = i z^{-1/2} theta(z; p).  Log-derivatives in x and in tau are
 differentiated term by term; finite differences appear only in test oracles.
 tau-derivatives use d/dtau = 2 pi i p d/dp, valid since p = e^{2 pi i tau}.
+log theta (log_theta_q) is the sum of the factors' principal logs, taken as one
+log per block of consecutive factors whose bounds asin|w| on |Arg(1 - w)| sum
+below pi.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, repeat
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -60,18 +63,46 @@ def theta_q(z, p: float):
     return _scalar_or_array(out)
 
 
-def log_theta_q(z, p: float):
-    """log theta(z; p) as a sum of principal logs of the product factors.
+def _arg_bound(w_abs: float) -> float:
+    """Bound on |Arg(1 - w)| over |w| <= w_abs: asin(w_abs) below 1, else pi."""
+    return math.asin(w_abs) if w_abs < 1.0 else math.pi
 
-    Smooth and single-valued on the annulus p < |z| < 1 (each factor then has
-    positive real part except possibly 1 - z, which stays in the unit disk).
-    This is the branch used for theta^g on quadrature contours.
+
+# a block of factors takes one log while their Arg bounds sum below this; the
+# margin under pi covers the rounding of |w| near 1, where asin has slope infinity
+_BLOCK_ARG = 3.0
+
+
+def log_theta_q(z, p: float):
+    """log theta(z; p), equal to the sum of the principal logs of the product factors.
+
+    The factors 1 - w (w = z, p^n z, p^n / z) are multiplied in blocks, and each
+    block takes one principal log.  |Arg(1 - w)| <= asin|w| for |w| < 1, so the
+    principal log of a block whose Arg bounds sum below pi is the sum of its
+    factors' principal logs.  |w| is bounded over the whole array (p^n max|z|,
+    p^n / min|z|), and a factor with |w| >= 1 counts as pi, so it gets its own log.
+    The result is therefore the summed-log branch: smooth and single-valued on the
+    annulus p < |z| < 1 (each factor then has positive real part except possibly
+    1 - z, which stays in the unit disk), the branch used for theta^g on
+    quadrature contours.  At p = 0 it is np.log(1 - z).
     """
     z = np.asarray(z, dtype=complex)
-    out = np.log(1.0 - z)
-    for _, pn in _nome_ladder(p, z):
-        out = out + np.log(1.0 - pn * z) + np.log(1.0 - pn / z)
-    return _scalar_or_array(out)
+    az = np.abs(z)
+    zmax, zmin = float(np.max(az, initial=0.0)), float(np.min(az, initial=np.inf))
+
+    def blocks():
+        block, bound = 1.0 - z, _arg_bound(zmax)
+        for _, pn in _nome_ladder(p, z):
+            for w_abs, factor in ((pn * zmax, 1.0 - pn * z), (pn / zmin, 1.0 - pn / z)):
+                b = _arg_bound(w_abs)
+                if bound + b < _BLOCK_ARG:
+                    block, bound = block * factor, bound + b
+                else:
+                    yield block
+                    block, bound = factor, b
+        yield block
+
+    return _scalar_or_array(reduce(add, map(np.log, blocks())))
 
 
 def theta1(x, dom: EllipticDomain):

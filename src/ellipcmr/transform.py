@@ -2,10 +2,13 @@
 
 Circle contours use the equispaced trapezoid rule, spectrally accurate for
 analytic periodic integrands; node counts are powers of two so a node-doubling
-delta certifies every reported value.  theta powers on contours are taken with
-the factor-wise principal logarithm of theta, single-valued on p < |w| < 1;
-all contours are chosen so every theta argument stays in that annulus, and the
-total winding of the assembled integrand is monitored.
+delta certifies every reported value.  The grids nest: a node-doubled value
+evaluates its integrand once on 2N nodes and takes the N-node rule from the
+even-index nodes, which are the N-node grid bit for bit; the winding checks
+run on both node sets.  theta powers on contours are taken with the factor-wise
+principal logarithm of theta, single-valued on p < |w| < 1; all contours are
+chosen so every theta argument stays in that annulus, and the total winding of
+the assembled integrand is monitored.
 
 The two-variable eigenfunction integral is
 
@@ -55,7 +58,11 @@ _SEAM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Partition2:
-    """Two-row partition (lam1 >= lam2); lam2 < 0 is reachable by translation."""
+    """Two-row partition, lam1 >= lam2 >= 0.
+
+    The contour formula gives no eigenfunction for lam2 < 0: every xi2^{lam2}
+    moment vanishes at p = 0.  Such lam are reached through (z1 z2)^k P_{lam + (k, k)}.
+    """
 
     lam1: int
     lam2: int
@@ -63,6 +70,8 @@ class Partition2:
     def __post_init__(self):
         if self.lam1 < self.lam2:
             raise DomainError("need lam1 >= lam2")
+        if self.lam2 < 0:
+            raise DomainError("need lam2 >= 0; reach lam2 < 0 as (z1 z2)^k P_{lam + (k, k)}")
 
 
 @dataclass(frozen=True)
@@ -117,17 +126,26 @@ def _check_winding(values, what: str):
         raise WindowError(f"{what}: theta-power factor winds by {total / (2 * math.pi):.2f} turns")
 
 
-def _node_doubled(value_at: Callable, nodes: int) -> ContourResult:
-    """value_at(2 nodes) certified by its distance from value_at(nodes)."""
-    a = value_at(nodes)
-    b = value_at(2 * nodes)
+def _node_doubled(value_at: Callable) -> ContourResult:
+    """value_at(1) on 2N nodes, certified by its distance from value_at(2) on N nodes.
+
+    The caller evaluates its integrand once on 2N nodes, and value_at(s) sums the
+    [::s] view: the even-index nodes are the N-node rule's nodes bit for bit,
+    since 2 pi (2k)/(2N) and 2 pi k/N round alike.
+    """
+    a = value_at(2)
+    b = value_at(1)
     return ContourResult(value=complex(b), node_delta=abs(b - a))
 
 
-def _single_integrand(lam_diff: int, lam2: int, z, xi, g: float, p: float):
-    """Prefactor (z1 z2)^lam2 and integrand xi^lam_diff / prod_j theta(z_j/xi)^g."""
+def _single_integrand(lam_diff: int, lam2: int, z, xi, g: float, p: float, strides=(1,)):
+    """Prefactor (z1 z2)^lam2 and integrand xi^lam_diff / prod_j theta(z_j/xi)^g.
+
+    The theta part's winding is checked on the [::s] view of the nodes for each s.
+    """
     theta_part = np.exp(-g * log_theta_q(z[:, None] / xi, p).sum(axis=0))
-    _check_winding(theta_part, "single contour")
+    for s in strides:
+        _check_winding(theta_part[::s], "single contour")
     return (z[0] * z[1]) ** lam2, xi ** lam_diff * theta_part
 
 
@@ -146,24 +164,33 @@ def n2_single_contour_P(lam_diff: int, lam2: int, z, g: float, p: float,
         if not (p < abs(zj) / r < 1.0):
             raise WindowError(f"|z|/R = {abs(zj) / r} outside (p, 1)")
 
-    def P(count):
-        pref, integrand = _single_integrand(lam_diff, lam2, z, _nodes(r, count), g, p)
-        return complex(pref * np.mean(integrand))
-
-    return _node_doubled(P, cfg.nodes)
+    pref, integrand = _single_integrand(lam_diff, lam2, z, _nodes(r, 2 * cfg.nodes), g, p,
+                                        strides=(2, 1))
+    return _node_doubled(lambda s: complex(pref * np.mean(integrand[::s])))
 
 
-def _f_moments(mu_pairs, z, g: float, p: float, r1: float, r2: float,
-               count: int, derivs: bool = False):
-    """F_mu (and optional z_i-Euler moments [1, i], [2, i]) for a list of (mu1, mu2) pairs.
+class _FLegs(NamedTuple):
+    """The theta factors of F on one node set: circle nodes xi1, xi2, the ratios
+    z_i/xi on axis 0 (zx1, zx2), the legs u, v and the circulant row c."""
 
-    F = mean_a mean_b xi1^mu1 xi2^mu2 M_ab with M_ab = c_{a-b} u_a v_b, where
-    u_a = prod_i theta(z_i/xi1a)^-g, v_b = prod_i theta(z_i/xi2b)^-g and
-    c_k = theta((r1/r2) w^k)^g, w = e^{2 pi i/count}: xi1a/xi2b depends on
-    a - b only, so the cross factor is circulant and one row of theta values
-    defines it.  Every contraction M @ y / count is then the circular
-    convolution u * ifft(fft(c) fft(v y)) / count, taken for all pairs at
-    once along the last axis.  Each leg walks the nome ladder once: z_i/xi on axis 0.
+    xi1: np.ndarray
+    xi2: np.ndarray
+    zx1: np.ndarray
+    zx2: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    c: np.ndarray
+
+    def every(self, s: int) -> "_FLegs":
+        """The factors on every s-th node: those of the count/s-node rule."""
+        return _FLegs(*(a[..., ::s] for a in self))
+
+
+def _f_legs(z, g: float, p: float, r1: float, r2: float, count: int) -> _FLegs:
+    """u_a = prod_i theta(z_i/xi1a)^-g, v_b = prod_i theta(z_i/xi2b)^-g and
+    c_k = theta((r1/r2) w^k)^g, w = e^{2 pi i/count}, on count nodes per circle.
+
+    Each leg walks the nome ladder once: z_i/xi on axis 0.
     """
     xi1 = _nodes(r1, count)
     xi2 = _nodes(r2, count)
@@ -171,6 +198,20 @@ def _f_moments(mu_pairs, z, g: float, p: float, r1: float, r2: float,
     u = np.exp(-g * log_theta_q(zx1, p).sum(axis=0))
     v = np.exp(-g * log_theta_q(zx2, p).sum(axis=0))
     c = np.exp(g * log_theta_q(_nodes(r1 / r2, count), p))
+    return _FLegs(xi1, xi2, zx1, zx2, u, v, c)
+
+
+def _f_moments(mu_pairs, legs: _FLegs, g: float, p: float, derivs: bool = False):
+    """F_mu (and optional z_i-Euler moments [1, i], [2, i]) for a list of (mu1, mu2) pairs.
+
+    F = mean_a mean_b xi1^mu1 xi2^mu2 M_ab with M_ab = c_{a-b} u_a v_b (see
+    _f_legs): xi1a/xi2b depends on a - b only, so the cross factor is circulant
+    and one row of theta values defines it.  Every contraction M @ y / count is
+    then the circular convolution u * ifft(fft(c) fft(v y)) / count, taken for
+    all pairs at once along the last axis.
+    """
+    xi1, xi2, zx1, zx2, u, v, c = legs
+    count = len(xi1)
     # the theta-power factor of the integrand along each contour: M[:, 0] and M[0, :]
     _check_winding(c * u * v[0], "F contour 1")
     _check_winding(np.roll(c[::-1], 1) * u[0] * v, "F contour 2")
@@ -205,9 +246,8 @@ def contour_F_lambda(lam1: int, lam2: int, z, g: float, p: float,
     """Double-contour F_lam with its node-doubling certificate."""
     z = np.asarray(z, dtype=complex)
     r1, r2 = cfg.radii(p)
-    return _node_doubled(
-        lambda count: _f_moments([(lam1, lam2)], z, g, p, r1, r2, count)["F"][0],
-        cfg.nodes)
+    legs = _f_legs(z, g, p, r1, r2, 2 * cfg.nodes)
+    return _node_doubled(lambda s: _f_moments([(lam1, lam2)], legs.every(s), g, p)["F"][0])
 
 
 def _check_table(lam: Partition2, table: PSeriesTable, g: float, Ks) -> list:
@@ -247,9 +287,8 @@ def assemble_P_lambda(lam: Partition2, table: PSeriesTable, z, g: float, p: floa
     pairs, weights = _assembly_weights(lam, table, p)
     # order K starts at n = -K; contiguous weights round as a table solved at K does
     pairs, weights = pairs[table.K - K:], np.ascontiguousarray(weights[table.K - K:, K])
-    return _node_doubled(
-        lambda count: _f_moments(pairs, z, g, p, r1, r2, count)["F"] @ weights,
-        cfg.nodes)
+    legs = _f_legs(z, g, p, r1, r2, 2 * cfg.nodes)
+    return _node_doubled(lambda s: _f_moments(pairs, legs.every(s), g, p)["F"] @ weights)
 
 
 def _psi0_times(psi0: SmoothField, moments: Callable) -> SmoothField:
@@ -292,7 +331,7 @@ def eigen_residuals_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
     z = np.exp(1j * math.pi * x / dom.ell)
     r1, r2 = cfg.radii(p)
     pairs, weights = _assembly_weights(lam, table, p)
-    mom = _f_moments(pairs, z, g, p, r1, r2, cfg.nodes, derivs=True)
+    mom = _f_moments(pairs, _f_legs(z, g, p, r1, r2, cfg.nodes), g, p, derivs=True)
     ipl = 1j * math.pi / dom.ell
     # column K of each contraction is the order-K moment
     P = mom.pop("F") @ weights
@@ -381,9 +420,11 @@ def kernel_transform(spec: KernelSpec, source: Callable, x, dom: EllipticDomain,
         raise SeamError(
             f"contour not closed in y_{j}: seam mismatch {abs(a[j] - b[j]) / scale[j]:.2e}")
 
-    def run(count):
-        s_grid = -dom.ell + 2.0 * dom.ell * np.arange(count) / count
-        y = np.array(np.meshgrid(*(s_grid + e for e in base), indexing="ij"), dtype=complex)
-        return complex(np.mean(integrand(y)) * (2.0 * dom.ell) ** M)
-
-    return _node_doubled(run, nodes)
+    count = 2 * nodes
+    s_grid = -dom.ell + 2.0 * dom.ell * np.arange(count) / count
+    y = np.array(np.meshgrid(*(s_grid + e for e in base), indexing="ij"), dtype=complex)
+    vals = integrand(y)
+    # a contiguous copy of the view sums in the order a fresh grid of its size does
+    return _node_doubled(
+        lambda s: complex(np.mean(np.ascontiguousarray(vals[(slice(None, None, s),) * M]))
+                          * (2.0 * dom.ell) ** M))

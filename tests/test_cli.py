@@ -143,6 +143,8 @@ class TestTypedErrors:
         ["transform", "--lambda", "1,0", "--p", "1e-300", "--g", "1"],
         # exp(-2 pi delta/ell) divides by ell
         ["eval", "--fn", "theta", "--grid", "2", "--ell", "0", "--delta", "0.5"],
+        # lam2 < 0: every xi2^{lam2} moment vanishes at p = 0, so P would be 0
+        ["transform", "--lambda", "2,-1", "--g", "1", "--p", "0", "--K", "4", "--nodes", "64"],
     ])
     def test_domain_error_exit_2_no_output(self, argv, capsys):
         code, out = run_cli(argv)
@@ -246,7 +248,7 @@ SWEEP_OPTIONS = {
                 "--gamma": REAL, "--K": (["0", "2", "4"], ["-1"]), "--n-cap": (["0", "3"], ["-1"]),
                 "--variant": (["I", "II"], []),
                 "--kappa": (["0,0.5", "1,0.5"], ["0,0", "1,0", "nan,1", "0,1e300"])},
-    "transform": {"--lambda": (["1,0", "2,1", "0,0"], ["0,1", "-1,0"]), "--g": REAL,
+    "transform": {"--lambda": (["1,0", "2,1", "0,0"], ["0,1", "-1,0", "2,-1"]), "--g": REAL,
                   "--K": (["0", "2", "4"], ["-1"]), "--n-cap": (["0", "3"], ["-1"]),
                   "--nodes": (["64"], ["100", "0", "-64"])},
 }

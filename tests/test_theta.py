@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ellipcmr import theta
 from ellipcmr.domain import EllipticDomain
 from ellipcmr.errors import BranchError, DomainError, PoleError
 from ellipcmr.theta import (_wdlog_jet, heat_constant_c0, heat_residual, eta1_over_omega1,
@@ -11,7 +12,7 @@ from ellipcmr.theta import (_wdlog_jet, heat_constant_c0, heat_residual, eta1_ov
                             theta_q, wp1, wp1_fourier_coeffs)
 
 from oracles import (fd_derivative, lattice_sum_wp1, periodized_sinh_sum, theta_euler,
-                     theta_euler2)
+                     theta_euler2, theta_factors)
 
 
 class TestThetaQ:
@@ -32,6 +33,79 @@ class TestThetaQ:
     def test_zero_argument_rejected(self):
         with pytest.raises(PoleError):
             theta_q(0.0, 0.1)
+
+
+def summed_principal_logs(z, p):
+    """sum over the factors 1 - y of theta(z; p) of log(1 - y), with the factor count.
+
+    The ladder runs until p^n max(|z|, 1/|z|) < 1e-18, past the library's truncation.
+    """
+    scale = float(np.max(np.maximum(np.abs(z), 1.0 / np.abs(z))))
+    terms = math.ceil(math.log(1e-18 / scale) / math.log(p)) if p > 0 else 1
+    factors = theta_factors(z, p, terms)
+    return sum(np.log(1.0 - y) for y, _ in factors), len(factors)
+
+
+def polar(rng, r):
+    return r * np.exp(1j * rng.uniform(-math.pi, math.pi, np.shape(r)))
+
+
+class TestLogThetaQ:
+    """One principal log per block of factors equals the per-factor summed logs."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.02, 0.12, 0.5, 0.9])
+    @pytest.mark.parametrize("where", ["annulus", "inside", "outside"])
+    def test_matches_summed_principal_logs(self, p, where):
+        rng = np.random.default_rng(1700)
+        lo = max(p, 0.05)
+        r = {"annulus": rng.uniform(lo, 1.0, 32),          # p < |z| < 1
+             "inside": rng.uniform(0.3 * lo, lo, 32),      # |z| < p: 1 - p/z leaves the disk
+             "outside": rng.uniform(1.0, 2.5, 32)}[where]  # |z| > 1: 1 - z leaves the disk
+        z = polar(rng, r)
+        want, n_factors = summed_principal_logs(z, p)
+        got = log_theta_q(z, p)
+        # a few ulp of an order-one log per factor of the oracle's own sum
+        assert np.max(np.abs(got - want)) <= 1e-15 * n_factors
+        t = theta_q(z, p)
+        assert np.max(np.abs(np.exp(got) - t) / np.abs(t)) <= 1e-13
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
+    def test_single_points_near_the_positive_axis(self, p):
+        # alone in its array, a point fixes every bound; near the positive axis a
+        # factor 1 - w with |w| > 1 has Arg near +-pi, and its neighbours push the
+        # sum of Args past pi unless that factor keeps a log of its own
+        for r in (0.35 * p, 0.7 * p, 1.8, 2.6):
+            for theta_ in (0.003, 0.03, 0.3, -0.003, -0.03, -0.3):
+                z = r * np.exp(1j * theta_)
+                want, n_factors = summed_principal_logs(np.array([z]), p)
+                got = log_theta_q(z, p)
+                assert isinstance(got, complex)
+                assert abs(got - want[0]) <= 1e-15 * n_factors, (r, theta_)
+
+    def test_near_the_inner_rim_takes_several_blocks(self, monkeypatch):
+        # at p = 0.9 and |z| just above p, the factors 1 - p^n/z have |w| near 1 and
+        # their Arg bounds add to more than pi within the first few rungs
+        rng = np.random.default_rng(1701)
+        z = polar(rng, np.full(64, 0.9 * 1.001))
+        logs = []
+        real_log = np.log
+
+        def counting_log(x):
+            logs.append(np.shape(x))
+            return real_log(x)
+
+        monkeypatch.setattr(theta.np, "log", counting_log)
+        got = log_theta_q(z, 0.9)
+        monkeypatch.undo()
+        assert len(logs) > 1
+        want, n_factors = summed_principal_logs(z, 0.9)
+        assert np.max(np.abs(got - want)) <= 1e-15 * n_factors
+
+    def test_p_zero_is_the_plain_log(self):
+        rng = np.random.default_rng(1702)
+        z = np.concatenate([polar(rng, rng.uniform(0.1, 2.0, 16)), [0.5, -3.0, 2.0 + 0j]])
+        assert log_theta_q(z, 0.0).tobytes() == np.log(1.0 - z).tobytes()
+        assert log_theta_q(0.3 + 0.4j, 0.0) == np.log(0.7 - 0.4j)
 
 
 class TestTheta1:

@@ -10,7 +10,7 @@ from ellipcmr.operators import fit_nonstationary_E, nonstationary_residual
 from ellipcmr.pseries import solve_variant_I
 from ellipcmr import transform
 from ellipcmr.theta import theta1_power
-from ellipcmr.transform import (ContourConfig, Partition2, _f_moments,
+from ellipcmr.transform import (ContourConfig, Partition2, _f_legs, _f_moments,
                                 assemble_P_lambda, contour_F_lambda,
                                 eigen_residuals_P_lambda, kernel_transform,
                                 n2_single_contour_P, single_contour_psi_field)
@@ -158,7 +158,7 @@ class TestCirculantMoments:
         g, p, count = 1.4, 0.1, 64
         r1, r2 = ContourConfig().radii(p)
         pairs = [(-2, 3), (-1, 2), (0, 1), (1, 0), (2, -1), (3, -2), (1, 1), (4, 0)]
-        got = _f_moments(pairs, Z, g, p, r1, r2, count, derivs=True)
+        got = _f_moments(pairs, _f_legs(Z, g, p, r1, r2, count), g, p, derivs=True)
         want = dense_moments(pairs, Z, g, p, r1, r2, count)
         for key in want:
             err = np.max(np.abs(got[key] - want[key]))
@@ -172,7 +172,7 @@ class TestCirculantMoments:
                             lambda values, what: seen.setdefault(what, np.asarray(values)))
         g, p, count = 1.4, 0.1, 64
         r1, r2 = ContourConfig().radii(p)
-        _f_moments([(0, 0)], Z, g, p, r1, r2, count)
+        _f_moments([(0, 0)], _f_legs(Z, g, p, r1, r2, count), g, p)
         M = dense_cross_matrix(Z, g, p, r1, r2, count)[2]
         for what, edge in (("F contour 1", M[:, 0]), ("F contour 2", M[0, :])):
             assert seen[what].shape == (count,)
@@ -322,3 +322,65 @@ class TestKernelTransform:
         k2 = 2 * math.pi / dom.ell
         r2 = kernel_transform(spec, lambda y: np.exp(1j * k2 * y[0]), x, dom, nodes=64)
         assert abs(r2.value) <= 1e-12
+
+
+def nested_cases():
+    """name -> value(nodes): each node-doubled public result, at a small fixed input."""
+    lam, g, p = Partition2(3, 1), 2.0, 0.12
+    table = table_for(lam, g, K=4)
+    dom = EllipticDomain.from_nome(2.0, 0.1)
+    x = dom.ell * np.array([0.3, -0.1])
+    k = math.pi / dom.ell                 # integer labels close the line contours
+    return {
+        "contour_F_lambda": lambda n: contour_F_lambda(3, 1, Z, 1.4, p, ContourConfig(nodes=n)),
+        "assemble_P_lambda": lambda n: assemble_P_lambda(lam, table, Z, g, p,
+                                                         ContourConfig(nodes=n)),
+        "n2_single_contour_P": lambda n: n2_single_contour_P(2, 1, Z, 1.3, 0.05,
+                                                             ContourConfig(nodes=n)),
+        # n // 8 nodes per axis of an M = 2 grid keeps its arrays as small as the circles'
+        "kernel_transform": lambda n: kernel_transform(
+            KernelSpec(2, 2, 2.0), lambda y: np.exp(1j * k * (y[0] - 2.0 * y[1])), x, dom,
+            nodes=n // 8),
+    }
+
+
+class TestNestedDoubling:
+    """One evaluation on 2N nodes gives both rules: the N-node one from its [::2] view.
+
+    Inputs stay small: numpy evaluates some expressions on arrays of 256 KiB and more
+    in place, which can round an elementwise product differently, so on large grids
+    the view and a fresh N-node evaluation agree to rounding only.
+    """
+
+    @pytest.mark.parametrize("name", list(nested_cases()))
+    def test_coarse_value_is_a_fresh_coarse_evaluation(self, name, monkeypatch):
+        value = nested_cases()[name]
+        coarse = []
+        real = transform._node_doubled
+
+        def spy(value_at):
+            coarse.append(value_at(2))
+            return real(value_at)
+
+        monkeypatch.setattr(transform, "_node_doubled", spy)
+        fresh = value(64).value       # its finer rule is the coarser rule of value(128)
+        r = value(128)
+        assert coarse[-1] == fresh
+        assert r.node_delta == abs(r.value - fresh)
+
+    def test_winding_checked_on_both_node_sets(self, monkeypatch):
+        seen = set()
+        real = transform._check_winding
+
+        def spy(values, what):
+            seen.add((what, np.size(values)))
+            real(values, what)
+
+        monkeypatch.setattr(transform, "_check_winding", spy)
+        f_checks = ("F contour 1", "F contour 2", "F z-legs on contour 1", "F z-legs on contour 2")
+        cases = nested_cases()
+        for name, whats in (("contour_F_lambda", f_checks), ("assemble_P_lambda", f_checks),
+                            ("n2_single_contour_P", ("single contour",))):
+            seen.clear()
+            cases[name](64)
+            assert seen == {(what, n) for what in whats for n in (64, 128)}, name
