@@ -33,9 +33,15 @@ print(f"\npsi0 generalized eigenvalue (N=2, kappa=2g): {E:.8g} = g^2 c0 = "
 
 # Deformed model: swapping families swaps g <-> 1/g
 psi = plane_wave([0.5, 0.2])
-psi_sw = SmoothField(value=lambda u: psi(u[::-1]),
-                     d1=lambda u, i: psi.d1(u[::-1], 1 - i),
-                     d2=lambda u, i: psi.d2(u[::-1], 1 - i))
+
+
+def swapped(u):
+    """The jet of psi(u2, u1): value at the swapped point, partials swapped back."""
+    j = psi.jet(u[::-1])
+    return j._replace(d1=j.d1[::-1], d2=j.d2[::-1])
+
+
+psi_sw = SmoothField(swapped)
 a = apply_deformed_ecs(psi, [0.4], [1.1], g, dom)
 b = apply_deformed_ecs(psi_sw, [1.1], [0.4], 1 / g, dom)
 print(f"\ndeformed duality H(g) + g H(1/g): {abs(a + g * b):.2e}")
@@ -45,9 +51,7 @@ k = np.array([0.4, -0.2, 0.9])
 psi3 = plane_wave(k)
 xx, yy = np.array([0.5, 1.4]), np.array([-0.3])
 sub = lambda u: np.concatenate([u[:2], [u[2] - 1j * dom.delta]])
-psi_sub = SmoothField(value=lambda u: psi3(sub(u)),
-                      d1=lambda u, i: psi3.d1(sub(u), i),
-                      d2=lambda u, i: psi3.d2(sub(u), i))
+psi_sub = SmoothField(lambda u: psi3.jet(sub(u)))
 lhs = apply_generalized_ecs(psi_sub, xx, [], yy, [], 1.5, dom)
 rhs = apply_ecs(psi3, np.concatenate([xx, yy - 1j * dom.delta]), 1.5, dom)
 print(f"Calogero-trick evaluation match: {abs(lhs - rhs):.2e}")

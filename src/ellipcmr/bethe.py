@@ -24,7 +24,7 @@ import numpy as np
 
 from .domain import EllipticDomain
 from .errors import BranchError, ConvergenceError, DomainError, EllipcmrError, PoleError
-from .fields import SmoothField
+from .fields import Jet, SmoothField
 from .theta import pair_values, theta1, theta1_jet, theta1_logderiv
 
 __all__ = [
@@ -239,45 +239,47 @@ def solve_bethe(n: int, dom: EllipticDomain, seed: Optional[Sequence[complex]] =
     return _certify(t, dom, res)
 
 
-def hermite_psi(x, roots, xi: complex, dom: EllipticDomain):
-    """psi(x) = e^{xi x} prod_j vt1(x - t_j) / vt1(x)^n."""
-    roots = np.asarray(roots, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    at_x, at_roots = _at_x_and_roots(theta1, x, roots, dom)
-    den = at_x ** len(roots)
+def _hermite_value(x, xi, at_x, at_roots):
+    """e^{xi x} prod_j vt1(x - t_j) / vt1(x)^n from vt1 at x and at x - t_j."""
+    den = at_x ** at_roots.shape[-1]
     if np.any(np.abs(den) < 1e-300):
         raise PoleError("x on the period lattice")
     return np.exp(xi * x) * np.prod(at_roots, axis=-1) / den
 
 
-def _log_derivs(x, roots, xi, dom):
-    """psi'/psi, psi''/psi and wp1(x) at the points x:
+def hermite_psi(x, roots, xi: complex, dom: EllipticDomain):
+    """psi(x) = e^{xi x} prod_j vt1(x - t_j) / vt1(x)^n."""
+    x = np.asarray(x, dtype=complex)
+    return _hermite_value(x, xi, *_at_x_and_roots(theta1, x, roots, dom))
+
+
+def _log_derivs(jets, xi):
+    """psi'/psi, psi''/psi and wp1(x) from theta1_jet at x and at x - t_j (_at_x_and_roots):
 
     psi'/psi = xi + sum_j zeta1(x - t_j) - n zeta1(x)
     psi''/psi = (psi'/psi)^2 - sum_j wp1(x - t_j) + n wp1(x).
     """
-    n = len(roots)
-    (_, zeta_x, d_x), (_, zeta_r, d_r) = _at_x_and_roots(theta1_jet, x, roots, dom)
+    (_, zeta_x, d_x), (_, zeta_r, d_r) = jets
+    n = zeta_r.shape[-1]
     ld = xi + zeta_r.sum(axis=-1) - n * zeta_x
     return ld, ld * ld + d_r.sum(axis=-1) - n * d_x, -d_x     # wp1 = -(ln vt1)''
 
 
 def hermite_psi_field(roots, xi: complex, dom: EllipticDomain,
                       reflect: bool = False) -> SmoothField:
-    """One-coordinate field psi(+-x) with the analytic derivatives of _log_derivs."""
+    """One-coordinate field psi(+-x); its jet takes the value and _log_derivs from one
+    theta1_jet pass, whose vt1 is theta1's bit for bit."""
     roots = np.asarray(roots, dtype=complex)
     s = -1.0 if reflect else 1.0
 
-    def val(xv):
-        return complex(hermite_psi(s * xv[0], roots, xi, dom))
+    def jet(xv):
+        x = s * xv[0]
+        at_x, at_roots = _at_x_and_roots(theta1_jet, x, roots, dom)
+        value = complex(_hermite_value(x, xi, at_x[0], at_roots[0]))     # the vt1 rows
+        ld, ld2, _ = _log_derivs((at_x, at_roots), xi)
+        return Jet(value, np.array([s * ld * value]), np.array([ld2 * value]))
 
-    def d1(xv, i):
-        return s * _log_derivs(s * xv[0], roots, xi, dom)[0] * val(xv)
-
-    def d2(xv, i):
-        return _log_derivs(s * xv[0], roots, xi, dom)[1] * val(xv)
-
-    return SmoothField(value=val, d1=d1, d2=d2)
+    return SmoothField(jet)
 
 
 def bloch_multipliers(roots, xi: complex, dom: EllipticDomain):
@@ -316,7 +318,8 @@ def energy_from_roots(roots, xi: complex, dom: EllipticDomain):
     """
     roots = np.asarray(roots, dtype=complex)
     n = len(roots)
-    _, second, wp_x = _log_derivs(_energy_grid(roots, dom), roots, xi, dom)
+    _, second, wp_x = _log_derivs(_at_x_and_roots(theta1_jet, _energy_grid(roots, dom),
+                                                  roots, dom), xi)
     vals = -second + n * (n + 1.0) * wp_x    # g = -n, so g(g-1) = n(n+1)
     E = vals[0]
     return E, float(np.max(np.abs(vals - E)))
@@ -335,7 +338,7 @@ def _certify(t, dom, bethe_res) -> BetheState:
     # (-psi'' + n(n+1) wp1 psi - E psi) / psi = -psi''/psi + n(n+1) wp1 - E
     x0 = dom.ell * (0.29 + 0.13j)
     pts = np.append(dom.ell * (0.21 + 0.12 * np.arange(5)) + 0.09j * dom.ell, [x0, -x0])
-    ld, second, wp_x = _log_derivs(pts, t, xi, dom)
+    ld, second, wp_x = _log_derivs(_at_x_and_roots(theta1_jet, pts, t, dom), xi)
     ode = np.max(np.abs(-second[:5] + n * (n + 1.0) * wp_x[:5] - E))
 
     # Bloch-ratio certificate for xi: psi(x + 2 ell)/psi(x) = e^{2 ell xi}

@@ -1,63 +1,58 @@
 """Smooth complex-valued fields with analytic derivatives.
 
-Operators consume SmoothField objects: a value callable with analytic
-first/second coordinate partials and an optional analytic tau-derivative.
+A field is one callable, its jet: at a point x of N coordinates it returns the
+value, the N first and N second partials and, where the field has one, the
+tau-derivative, all from one evaluation.  Operators read one jet per point.
 Finite differences appear only as test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConvergenceError
 
-__all__ = ["SmoothField"]
+__all__ = ["Jet", "SmoothField", "plane_wave"]
 
 Vec = np.ndarray
 
 
-@dataclass
+class Jet(NamedTuple):
+    """A field at one point: value, partials d/dx_i and d^2/dx_i^2 (length-N
+    arrays) and the tau-derivative at fixed x (None where the field has none)."""
+
+    value: complex
+    d1: Vec
+    d2: Vec
+    dtau: Optional[complex] = None
+
+
+@dataclass(frozen=True)
 class SmoothField:
-    """Complex field psi(x) of N coordinates.
+    """Complex field psi(x) of N coordinates; jet(x) takes x as a complex array."""
 
-    value      : x (ndarray) -> complex
-    d1, d2     : analytic partials, called as d(x, i)
-    dtau       : optional analytic tau-derivative at fixed x
-    """
-
-    value: Callable[[Vec], complex]
-    d1: Callable[[Vec, int], complex]
-    d2: Callable[[Vec, int], complex]
-    dtau: Optional[Callable[[Vec], complex]] = None
+    jet: Callable[[Vec], Jet]
 
     def __call__(self, x) -> complex:
-        return self.value(np.asarray(x, dtype=complex))
+        return self.jet(np.asarray(x, dtype=complex)).value
 
-    def first(self, x, i: int) -> complex:
-        return self.d1(np.asarray(x, dtype=complex), i)
-
-    def second(self, x, i: int) -> complex:
-        return self.d2(np.asarray(x, dtype=complex), i)
-
-    def tau_derivative(self, x) -> complex:
-        if self.dtau is None:
+    def tau_jet(self, x) -> Jet:
+        """jet(x) for an operator that needs d/dtau; ConvergenceError where dtau is None."""
+        j = self.jet(np.asarray(x, dtype=complex))
+        if j.dtau is None:
             raise ConvergenceError("field has no analytic tau-derivative")
-        return self.dtau(np.asarray(x, dtype=complex))
+        return j
 
 
 def plane_wave(k) -> SmoothField:
-    """exp(i k . x) with analytic derivatives (test helper)."""
+    """exp(i k . x), tau-independent: a free eCS eigenfunction (E = k.k/2 at g = 0, 1)."""
     k = np.asarray(k, dtype=complex)
 
-    def val(x):
-        return complex(np.exp(1j * np.dot(k, x)))
+    def jet(x):
+        v = complex(np.exp(1j * np.dot(k, x)))
+        return Jet(v, 1j * k * v, -(k ** 2) * v, 0.0)
 
-    return SmoothField(
-        value=val,
-        d1=lambda x, i: 1j * k[i] * val(x),
-        d2=lambda x, i: -(k[i] ** 2) * val(x),
-        dtau=lambda x: 0.0,
-    )
+    return SmoothField(jet)

@@ -5,8 +5,10 @@ All Hamiltonians are taken with hbar = m = 1: the N-body operator is
     H_N(x; g) = -1/2 sum_i d^2/dx_i^2 + g(g-1) sum_{i<j} wp1(x_i - x_j),
 
 its non-stationary deformation adds (i pi kappa / 2 ell^2) d/dtau, and the
-deformed/generalized variants follow the same unit convention.  Every field
-carries analytic derivatives; finite differences appear only as test oracles.
+deformed/generalized variants follow the same unit convention.  Each operator
+evaluates its field's jet (fields.Jet) once per point and takes the value, the
+second partials and the tau-derivative from it; finite differences appear only
+as test oracles.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .domain import EllipticDomain, RuijsenaarsParams
 from .errors import DomainError, PoleError
-from .fields import SmoothField
+from .fields import Jet, SmoothField
 from .gamma import ground_state_psi0
 from .theta import pair_values, theta1_jet, theta1_tau_logderiv, theta_q, wp1
 
@@ -33,28 +35,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CouplingSet:
-    """eCS coupling g and the four Inozemtsev couplings g0..g3."""
+    """The four Inozemtsev couplings g0..g3 of the BC_1 (Heun) operator."""
 
-    g: float = 0.0
     g0: float = 0.0
     g1: float = 0.0
     g2: float = 0.0
     g3: float = 0.0
 
     @property
-    def gamma(self) -> float:
-        return self.g * (self.g - 1.0)
-
-    @property
     def gnu(self):
         return (self.g0, self.g1, self.g2, self.g3)
-
-
-def _gamma_of(c) -> float:
-    if isinstance(c, CouplingSet):
-        return c.gamma
-    g = float(c)
-    return g * (g - 1.0)
 
 
 def half_period_shifts(dom: EllipticDomain):
@@ -68,27 +58,36 @@ def _pairwise_potential(xs, dom):
     return pair_values(wp1, xs, dom=dom).sum()
 
 
-def apply_ecs(psi: SmoothField, x: Sequence[complex], c, dom: EllipticDomain) -> complex:
-    """(H_N psi)(x) for the eCS operator with coupling c (float g or CouplingSet)."""
+def _ecs_on_jet(j: Jet, x, g: float, dom: EllipticDomain) -> complex:
+    return -0.5 * j.d2.sum() + g * (g - 1.0) * _pairwise_potential(x, dom) * j.value
+
+
+def apply_ecs(psi: SmoothField, x: Sequence[complex], g: float, dom: EllipticDomain) -> complex:
+    """(H_N psi)(x) for the eCS operator with coupling g."""
     x = np.asarray(x, dtype=complex)
-    kin = -0.5 * sum(psi.second(x, i) for i in range(len(x)))
-    return kin + _gamma_of(c) * _pairwise_potential(x, dom) * psi(x)
+    return _ecs_on_jet(psi.jet(x), x, g, dom)
+
+
+def _nonstationary_lhs(psi: SmoothField, kappa: complex, x, g: float, dom: EllipticDomain):
+    """(((i pi kappa / 2 ell^2) d_tau + H_N) psi, psi) at x from one jet."""
+    x = np.asarray(x, dtype=complex)
+    j = psi.tau_jet(x)
+    tau_term = (1j * math.pi * kappa / (2.0 * dom.ell ** 2)) * j.dtau
+    return tau_term + _ecs_on_jet(j, x, g, dom), j.value
 
 
 def nonstationary_residual(psi: SmoothField, kappa: complex, E: complex,
-                           x: Sequence[complex], c, dom: EllipticDomain) -> complex:
+                           x: Sequence[complex], g: float, dom: EllipticDomain) -> complex:
     """((i pi kappa / 2 ell^2) d_tau + H_N - E) psi at x; needs analytic d_tau."""
-    x = np.asarray(x, dtype=complex)
-    tau_term = (1j * math.pi * kappa / (2.0 * dom.ell ** 2)) * psi.tau_derivative(x)
-    return tau_term + apply_ecs(psi, x, c, dom) - E * psi(x)
+    lhs, value = _nonstationary_lhs(psi, kappa, x, g, dom)
+    return lhs - E * value
 
 
-def fit_nonstationary_E(psi: SmoothField, kappa: complex, x_ref, c,
+def fit_nonstationary_E(psi: SmoothField, kappa: complex, x_ref, g: float,
                         dom: EllipticDomain) -> complex:
     """Generalized eigenvalue fixed by a vanishing residual at one reference point."""
-    x_ref = np.asarray(x_ref, dtype=complex)
-    tau_term = (1j * math.pi * kappa / (2.0 * dom.ell ** 2)) * psi.tau_derivative(x_ref)
-    return (tau_term + apply_ecs(psi, x_ref, c, dom)) / psi(x_ref)
+    lhs, value = _nonstationary_lhs(psi, kappa, x_ref, g, dom)
+    return lhs / value
 
 
 def lame_residual(psi: SmoothField, E: complex, x: complex, g: float,
@@ -108,17 +107,18 @@ def heun_residual(psi: SmoothField, E: complex, x: complex, c: CouplingSet,
     for gnu, om in zip(c.gnu, half_period_shifts(dom) if dom.p > 0.0 else (0.0, dom.ell)):
         if gnu != 0.0:
             pot += gnu * (gnu - 1.0) * wp1(x + om, dom)
-    return -psi.second(xv, 0) + (pot - E) * psi(xv)
+    j = psi.jet(xv)
+    return -j.d2[0] + (pot - E) * j.value
 
 
 def _cross_potential(us, vs, dom, shift=0.0):
     return pair_values(wp1, us, np.asarray(vs) - shift, dom=dom).sum()
 
 
-def _deformed_block(psi: SmoothField, full, iA, iB, g: float, dom):
-    """Kinetic and potential parts of H_{N,M} on the coordinates full[iA], full[iB]."""
-    kin = -0.5 * sum(psi.second(full, i) for i in iA)
-    kin += 0.5 * g * sum(psi.second(full, i) for i in iB)
+def _deformed_block(d2, full, iA: slice, iB: slice, g: float, dom):
+    """Kinetic and potential parts of H_{N,M} on the coordinates full[iA], full[iB];
+    d2 holds the second partials of the field in every coordinate of full."""
+    kin = -0.5 * d2[iA].sum() + 0.5 * g * d2[iB].sum()
     ua, ub = full[iA], full[iB]
     pot = g * (g - 1.0) * _pairwise_potential(ua, dom)
     if len(ub) > 1:
@@ -139,9 +139,9 @@ def apply_deformed_ecs(psi: SmoothField, x: Sequence[complex], xt: Sequence[comp
     if len(xt) > 0 and g == 0.0:
         raise DomainError("deformed operator needs g != 0 when M > 0")
     full = np.concatenate([x, xt])
-    n = len(x)
-    kin, pot = _deformed_block(psi, full, range(n), range(n, len(full)), g, dom)
-    return kin + pot * psi(full)
+    j = psi.jet(full)
+    kin, pot = _deformed_block(j.d2, full, slice(0, len(x)), slice(len(x), None), g, dom)
+    return kin + pot * j.value
 
 
 def apply_generalized_ecs(psi: SmoothField, x, xt, y, yt, g: float,
@@ -164,9 +164,10 @@ def apply_generalized_ecs(psi: SmoothField, x, xt, y, yt, g: float,
     if sizes[0] + sizes[1] and sizes[2] + sizes[3] and dom.p == 0.0:
         raise DomainError("cross families shift by i delta, which is infinite at p = 0")
 
-    idx = [list(range(offs[k], offs[k + 1])) for k in range(4)]
-    kin1, pot1 = _deformed_block(psi, full, idx[0], idx[1], g, dom)
-    kin2, pot2 = _deformed_block(psi, full, idx[2], idx[3], g, dom)
+    idx = [slice(offs[k], offs[k + 1]) for k in range(4)]
+    j = psi.jet(full)
+    kin1, pot1 = _deformed_block(j.d2, full, idx[0], idx[1], g, dom)
+    kin2, pot2 = _deformed_block(j.d2, full, idx[2], idx[3], g, dom)
     shift = 1j * dom.delta
 
     def V(us, vs, c):
@@ -177,7 +178,7 @@ def apply_generalized_ecs(psi: SmoothField, x, xt, y, yt, g: float,
     pot = pot1 + pot2 + V(x, y, g)
     if g != 0.0:
         pot += -g * V(xt, yt, 1.0 / g) - (1.0 / g) * V(x, yt, g) - (1.0 / g) * V(xt, y, g)
-    return kin1 + kin2 + pot * psi(full)
+    return kin1 + kin2 + pot * j.value
 
 
 def apply_ruijsenaars_D(f, z: Sequence[complex], par: RuijsenaarsParams,
@@ -212,35 +213,17 @@ def apply_ruijsenaars_D(f, z: Sequence[complex], par: RuijsenaarsParams,
 
 
 def ground_state_field(g: float, dom: EllipticDomain) -> SmoothField:
-    """psi0(x) = prod_{i<j} vt1(x_i - x_j)^g as an N-coordinate field, N = len(x)."""
-    memo = {}
+    """psi0(x) = prod_{i<j} vt1(x_i - x_j)^g as an N-coordinate field, N = len(x).
 
-    def at(x, sums=True):
-        # keep psi0 of the last x, and its pair sums once a derivative asks for them
-        x = np.asarray(x, dtype=complex)
-        if memo.get("x") != x.tobytes():
-            memo.clear()
-            memo["x"] = x.tobytes()
-        if sums and "li" not in memo:
-            _, Z, D = pair_values(theta1_jet, x, dom=dom, parity=(-1, -1, 1))
-            memo["li"] = g * Z.sum(axis=1)      # Z = zeta1, D = (ln vt1)'' = -wp1
-            memo["lii"] = g * D.sum(axis=1)
-        if "psi0" not in memo:
-            memo["psi0"] = ground_state_psi0(x, g, dom)
-        return memo
+    Its jet takes the log-derivatives from one theta1_jet pass over the pairs, psi0
+    from ground_state_psi0 and d/dtau ln psi0 from one theta1_tau_logderiv pass.
+    """
+    def jet(x):
+        _, Z, D = pair_values(theta1_jet, x, dom=dom, parity=(-1, -1, 1))
+        li = g * Z.sum(axis=1)      # Z = zeta1, D = (ln vt1)'' = -wp1
+        lii = g * D.sum(axis=1)
+        psi0 = ground_state_psi0(x, g, dom)
+        ltau = g * pair_values(theta1_tau_logderiv, x, dom=dom).sum()
+        return Jet(psi0, li * psi0, (li * li + lii) * psi0, ltau * psi0)
 
-    def val(x):
-        return at(x, sums=False)["psi0"]
-
-    def d1(x, i):
-        m = at(x)
-        return m["li"][i] * m["psi0"]
-
-    def d2(x, i):
-        m = at(x)
-        return (m["li"][i] * m["li"][i] + m["lii"][i]) * m["psi0"]
-
-    def dtau(x):
-        return g * pair_values(theta1_tau_logderiv, x, dom=dom).sum() * val(x)
-
-    return SmoothField(value=val, d1=d1, d2=d2, dtau=dtau)
+    return SmoothField(jet)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .domain import EllipticDomain
 from .errors import ConvergenceError, DomainError, SeamError, WindowError
-from .fields import SmoothField
+from .fields import Jet, SmoothField
 from .kernels import KernelSpec, kernel_K
 from .operators import apply_ecs, ground_state_field
 from .pseries import PSeriesTable
@@ -291,25 +291,11 @@ def assemble_P_lambda(lam: Partition2, table: PSeriesTable, z, g: float, p: floa
     return _node_doubled(lambda s: _f_moments(pairs, legs.every(s), g, p)["F"] @ weights)
 
 
-def _psi0_times(psi0: SmoothField, moments: Callable) -> SmoothField:
-    """psi0 P by the product rule; moments(x) holds P, d^k P/dx_i^k at [k, i] and dP/dtau."""
-    def val(x):
-        return complex(psi0(x) * moments(x)["P"])
-
-    def d1(x, i):
-        m = moments(x)
-        return complex(psi0.d1(x, i) * m["P"] + psi0(x) * m[1, i])
-
-    def d2(x, i):
-        m = moments(x)
-        return complex(psi0.d2(x, i) * m["P"] + 2.0 * psi0.d1(x, i) * m[1, i]
-                       + psi0(x) * m[2, i])
-
-    def dtau(x):
-        m = moments(x)
-        return complex(psi0.dtau(x) * m["P"] + psi0(x) * m["tau"])
-
-    return SmoothField(value=val, d1=d1, d2=d2, dtau=dtau)
+def _psi0_times(j0: Jet, P, dP, dP2) -> Jet:
+    """The x-jet of psi0 P by the product rule on psi0's jet j0, from P and its
+    first and second partials dP, dP2 (arrays over the coordinates)."""
+    return Jet(complex(j0.value * P), j0.d1 * P + j0.value * dP,
+               j0.d2 * P + 2.0 * j0.d1 * dP + j0.value * dP2)
 
 
 def eigen_residuals_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
@@ -321,7 +307,8 @@ def eigen_residuals_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
     x-derivatives are Euler moments); E is (pi/ell)^2 times the truncated eigenvalue
     series.  First x2 moves by whole periods 2 ell and x1, x2 are ordered, so that
     x1 - x2 lies in [0, ell], where vt1 > 0: P is symmetric and 2 ell-periodic in x_i,
-    and vt1^g only gains a constant factor.  One contraction serves every order.
+    and vt1^g only gains a constant factor.  One contraction and one jet of psi0
+    serve every order.
     """
     Ks = _check_table(lam, table, g, [table.K] if Ks is None else Ks)
     x = np.asarray(x, dtype=float)
@@ -334,18 +321,17 @@ def eigen_residuals_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
     mom = _f_moments(pairs, _f_legs(z, g, p, r1, r2, cfg.nodes), g, p, derivs=True)
     ipl = 1j * math.pi / dom.ell
     # column K of each contraction is the order-K moment
-    P = mom.pop("F") @ weights
-    dP = {key: ipl ** key[0] * (val @ weights) for key, val in mom.items()}
+    P = mom["F"] @ weights
+    dP, dP2 = (ipl ** k * np.array([mom[k, i] @ weights for i in range(2)]) for k in (1, 2))
     E = (math.pi / dom.ell) ** 2 * np.cumsum([complex(e) * p ** k
                                               for k, e in enumerate(table.eps)])
-    psi0 = ground_state_field(g, dom)
+    j0 = ground_state_field(g, dom).jet(x.astype(complex))
     out = []
     for K in Ks:
         if abs(P[K]) == 0.0:
             raise ConvergenceError("assembled P vanished at this point")
-        m = {"P": P[K], **{key: val[K] for key, val in dP.items()}}
-        psi = _psi0_times(psi0, lambda _: m)
-        out.append(abs(apply_ecs(psi, x, g, dom) / psi(x) - E[K]))
+        j = _psi0_times(j0, P[K], dP[:, K], dP2[:, K])
+        out.append(abs(apply_ecs(SmoothField(lambda _: j), x, g, dom) / j.value - E[K]))
     return np.array(out)
 
 
@@ -364,29 +350,21 @@ def single_contour_psi_field(lam_diff: int, lam2: int, g: float, dom: EllipticDo
     xi = _nodes(cfg.single_radius(p), cfg.nodes)
     ipl = 1j * math.pi / dom.ell
 
-    memo = {}
-
-    def moments(x):
-        # P, d^k P/dx_i^k as m[k, i] and dP/dtau share one set of moments: keep the last x
-        x = np.asarray(x, dtype=complex)
-        key = x.tobytes()
-        if key in memo:
-            return memo[key]
+    def jet(x):
         z = np.exp(1j * math.pi * x / dom.ell)
         pref, base = _single_integrand(lam_diff, lam2, z, xi, g, p)
         zx = z[:, None] / xi
-        m = {"P": pref * np.mean(base)}
         e1, e2 = _wdlog_jet(zx, p)
-        for i in range(2):
-            al = lam2 - g * e1[i]                 # z_i-Euler weight
-            m[1, i] = ipl * pref * np.mean(base * al)
-            m[2, i] = ipl ** 2 * pref * np.mean(base * (al * al - g * e2[i]))
-        m["tau"] = pref * np.mean(base * (-g * _tau_dlog_theta(zx, p).sum(axis=0)))
-        memo.clear()
-        memo[key] = m
-        return m
+        al = lam2 - g * e1                        # z_i-Euler weights, one row per i
+        P = pref * np.mean(base)
+        dP = ipl * pref * np.mean(base * al, axis=-1)
+        dP2 = ipl ** 2 * pref * np.mean(base * (al * al - g * e2), axis=-1)
+        P_tau = pref * np.mean(base * (-g * _tau_dlog_theta(zx, p).sum(axis=0)))
+        j0 = psi0.jet(x)
+        dtau = complex(j0.dtau * P + j0.value * P_tau)
+        return _psi0_times(j0, P, dP, dP2)._replace(dtau=dtau)
 
-    return _psi0_times(psi0, moments)
+    return SmoothField(jet)
 
 
 def kernel_transform(spec: KernelSpec, source: Callable, x, dom: EllipticDomain,

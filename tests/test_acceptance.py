@@ -195,9 +195,12 @@ class TestCriterion5:
         # deformed duality
         g = 1.6
         psi = plane_wave([0.5, 0.2])
-        psi_sw = SmoothField(value=lambda u: psi(u[::-1]),
-                             d1=lambda u, i: psi.d1(u[::-1], 1 - i),
-                             d2=lambda u, i: psi.d2(u[::-1], 1 - i))
+
+        def swapped(u):
+            j = psi.jet(u[::-1])
+            return j._replace(d1=j.d1[::-1], d2=j.d2[::-1])
+
+        psi_sw = SmoothField(swapped)
         dual = abs(apply_deformed_ecs(psi, [0.4], [1.1], g, dom)
                    + g * apply_deformed_ecs(psi_sw, [1.1], [0.4], 1.0 / g, dom))
         worst = max(worst, dual / 1e-10)
@@ -211,9 +214,7 @@ class TestCriterion5:
             v[2] -= 1j * dom.delta
             return v
 
-        psi_sub = SmoothField(value=lambda u: psi3(sub(u)),
-                              d1=lambda u, i: psi3.d1(sub(u), i),
-                              d2=lambda u, i: psi3.d2(sub(u), i))
+        psi_sub = SmoothField(lambda u: psi3.jet(sub(u)))
         trick = abs(apply_generalized_ecs(psi_sub, xx, [], yy, [], 1.5, dom)
                     - apply_ecs(psi3, np.concatenate([xx, yy - 1j * dom.delta]), 1.5, dom))
         worst = max(worst, trick / 1e-10)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ellipcmr.domain import RuijsenaarsParams
-from ellipcmr.errors import PoleError
+from ellipcmr.errors import BranchError, PoleError
 from ellipcmr.gamma import elliptic_gamma, ground_state_psi0, weight_W, weight_Wrel
 from ellipcmr.theta import theta_q
 
@@ -59,6 +59,13 @@ class TestWeights:
         w = weight_W(z, g, dom.p)
         psi0 = ground_state_psi0(x, g, dom)
         assert abs(w - abs(psi0) ** 2) <= 1e-10 * abs(w)
+
+    def test_ground_state_at_coincident_points(self, dom):
+        # vt1(0) = 0: an integer power gives 0, a non-integer one has no principal branch
+        x = np.array([0.3, 0.3, 0.9])
+        assert ground_state_psi0(x, 2.0, dom) == 0
+        with pytest.raises(BranchError):
+            ground_state_psi0(x, 1.3, dom)
 
     def test_coincident_arguments_rejected(self, dom):
         with pytest.raises(PoleError):

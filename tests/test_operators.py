@@ -5,8 +5,8 @@ import pytest
 
 from ellipcmr.bethe import hermite_psi_field, solve_bethe
 from ellipcmr.domain import EllipticDomain, RuijsenaarsParams
-from ellipcmr.errors import BranchError, DomainError, PoleError
-from ellipcmr.fields import SmoothField, plane_wave
+from ellipcmr.errors import ConvergenceError, DomainError, PoleError
+from ellipcmr.fields import Jet, SmoothField, plane_wave
 from ellipcmr.kernels import KernelSpec, kernel_identity_residual, kernel_K
 from ellipcmr.operators import (CouplingSet, apply_deformed_ecs, apply_ecs,
                                 apply_generalized_ecs, apply_ruijsenaars_D,
@@ -14,7 +14,8 @@ from ellipcmr.operators import (CouplingSet, apply_deformed_ecs, apply_ecs,
                                 half_period_shifts, heun_residual,
                                 lame_residual, nonstationary_residual)
 from ellipcmr.theta import heat_constant_c0, theta1_power, wp1
-from oracles import fd_second_derivative
+from ellipcmr.transform import single_contour_psi_field
+from oracles import fd_derivative, fd_second_derivative
 
 
 def relative_ns_residual(field, kappa, E, x, g, dom):
@@ -52,12 +53,11 @@ class TestApplyEcs:
         st = solve_bethe(1, dom)
         f1 = hermite_psi_field(st.roots, st.xi, dom)
 
-        def rel(x):
-            return np.array([x[0] - x[1]])
+        def jet(x):
+            j = f1.jet(np.array([x[0] - x[1]]))
+            return Jet(j.value, np.array([1.0, -1.0]) * j.d1[0], np.full(2, j.d2[0]))
 
-        psi = SmoothField(value=lambda x: f1(rel(x)),
-                          d1=lambda x, i: (1 if i == 0 else -1) * f1.first(rel(x), 0),
-                          d2=lambda x, i: f1.second(rel(x), 0))
+        psi = SmoothField(jet)
         x = np.array([0.8, 0.1])
         resid = apply_ecs(psi, x, -1.0, dom) - st.energy * psi(x)
         assert abs(resid) / abs(psi(x)) <= 1e-8
@@ -77,19 +77,62 @@ class TestApplyEcs:
         with pytest.raises(PoleError):
             apply_ecs(pw, np.array([0.4, 0.4]), 1.6, dom)
 
-    def test_fd_fallback_consistency(self, dom):
-        # the analytic second partials of psi0 against the finite-difference oracle
-        g = 1.3
-        f = ground_state_field(g, dom)
-        x = np.array([0.9, 0.1, -0.5], dtype=complex)
+
+# every library field as make(dom) -> SmoothField, with a point to test it at
+FD_ELL, FD_DELTA = 2.3, 0.9
+FD_FIELDS = {
+    "plane_wave": (lambda dom: plane_wave([0.7, -0.4, 0.5]), [0.4, 1.1, -0.5]),
+    "ground_state_field": (lambda dom: ground_state_field(1.3, dom), [0.9, 0.1, -0.5]),
+    "hermite_psi_field": (
+        lambda dom: hermite_psi_field(*_bethe_pair(dom), dom), [0.53 * FD_ELL]),
+    "hermite_psi_field_reflected": (
+        lambda dom: hermite_psi_field(*_bethe_pair(dom), dom, reflect=True), [0.53 * FD_ELL]),
+    "single_contour_psi_field": (
+        lambda dom: single_contour_psi_field(1, 0, 2.0, dom), [0.8, 0.1]),
+}
+
+
+def _bethe_pair(dom):
+    st = solve_bethe(2, dom)
+    return st.roots, st.xi
+
+
+class TestFieldJets:
+    """A field's jet against finite differences of its values, in x and in tau."""
+
+    @pytest.mark.parametrize("name", FD_FIELDS)
+    def test_partials_match_finite_differences(self, name):
+        make, x = FD_FIELDS[name]
+        f = make(EllipticDomain.from_half_periods(FD_ELL, FD_DELTA))
+        x = np.asarray(x, dtype=complex)
+        j = f.jet(x)
+        assert j.value == f(x)
         for i in range(len(x)):
             def along(u):
                 y = x.copy()
                 y[i] = u
                 return f(y)
 
-            a = f.second(x, i)
-            assert abs(a - fd_second_derivative(along, x[i])) <= 1e-7 * abs(a)
+            assert abs(j.d1[i] - fd_derivative(along, x[i])) <= 1e-9 * abs(j.d1[i])
+            assert abs(j.d2[i] - fd_second_derivative(along, x[i])) <= 1e-7 * abs(j.d2[i])
+
+    # Hermite's solution has no tau-derivative (its roots are solved per domain)
+    @pytest.mark.parametrize("name", [n for n in FD_FIELDS if not n.startswith("hermite")])
+    def test_tau_derivative_matches_finite_differences(self, name):
+        # tau = i delta / ell, so d/dtau = (ell / i) d/d delta at fixed x
+        make, x = FD_FIELDS[name]
+        j = make(EllipticDomain.from_half_periods(FD_ELL, FD_DELTA)).jet(
+            np.asarray(x, dtype=complex))
+        fd = fd_derivative(lambda d: make(EllipticDomain.from_half_periods(FD_ELL, d))(x),
+                           FD_DELTA) * FD_ELL / 1j
+        assert abs(j.dtau - fd) <= 1e-8 * abs(j.dtau)
+
+    def test_no_tau_derivative_raises(self, dom_small_p):
+        st = solve_bethe(1, dom_small_p)
+        f = hermite_psi_field(st.roots, st.xi, dom_small_p)
+        assert f.jet(np.array([0.62 + 0j])).dtau is None
+        with pytest.raises(ConvergenceError):
+            nonstationary_residual(f, 1.0, 0.0, [0.62], -1.0, dom_small_p)
 
 
 class TestNonstationary:
@@ -120,24 +163,21 @@ class TestNonstationary:
                             lambda fn, *a, **kw: kernels.append(fn) or counted(fn, *a, **kw))
         f = ground_state_field(1.3, dom)
         x = np.array([1.2, 0.9, 0.25, -0.4])
-        f(x)
-        assert kernels == []                    # a value alone needs no pair sums
-        apply_ecs(f, x + 0.01, 1.3, dom)
-        # the field's zeta1 and (ln vt1)'' sums from one jet for all four coordinates,
+        nonstationary_residual(f, 4 * 1.3, 0.5, x, 1.3, dom)
+        # one jet: zeta1 and (ln vt1)'' for all four coordinates, then d/dtau ln vt1;
         # then the potential
-        assert kernels == [operators.theta1_jet, wp1]
+        assert kernels == [operators.theta1_jet, operators.theta1_tau_logderiv, wp1]
 
     def test_ground_state_field_at_coincident_points(self, dom):
+        # the jet's zeta1 has a pole at x_i = x_j, so even the value raises there
+        # (tests/test_gamma.py checks psi0 itself at such points)
         x = np.array([0.3, 0.3, 0.9])
-        assert ground_state_field(2.0, dom)(x) == 0
-        with pytest.raises(BranchError):
-            ground_state_field(1.3, dom)(x)
         for g in (2.0, 1.3):
             f = ground_state_field(g, dom)
             with pytest.raises(PoleError):
-                f.d1(x, 0)
+                f(x)
             with pytest.raises(PoleError):
-                f.d2(x, 1)
+                f.jet(x.astype(complex))
 
     def test_gauge_symmetry(self, dom):
         # psi -> C(tau) psi shifts E by (i pi kappa / 2 ell^2) dC/dtau / C
@@ -147,10 +187,12 @@ class TestNonstationary:
         E = fit_nonstationary_E(f, kappa, [0.45 * dom.ell, 0.05 * dom.ell], g, dom)
         C = 1.0 + dom.tau ** 2
         dC = 2.0 * dom.tau
-        scaled = SmoothField(value=lambda x: C * f(x),
-                             d1=lambda x, i: C * f.d1(x, i),
-                             d2=lambda x, i: C * f.d2(x, i),
-                             dtau=lambda x: C * f.dtau(x) + dC * f(x))
+
+        def scaled_jet(x):
+            j = f.jet(x)
+            return Jet(C * j.value, C * j.d1, C * j.d2, C * j.dtau + dC * j.value)
+
+        scaled = SmoothField(scaled_jet)
         E2 = E + 1j * math.pi * kappa / (2 * dom.ell ** 2) * dC / C
         pts = [(dom.ell * (0.2 + 0.1 * j), -0.03 * dom.ell * j) for j in range(5)]
         worst = max(relative_ns_residual(scaled, kappa, E2, [a, b], g, dom) for a, b in pts)
@@ -164,14 +206,13 @@ class TestNonstationary:
         E = fit_nonstationary_E(f, kappa, [0.45 * dom.ell, 0.05 * dom.ell], g, dom)
         q = 0.37
 
-        def phase(x):
-            return np.exp(1j * q * (x[0] + x[1]))
+        def boosted_jet(x):
+            j = f.jet(x)
+            phase = np.exp(1j * q * (x[0] + x[1]))
+            return Jet(phase * j.value, phase * (j.d1 + 1j * q * j.value),
+                       phase * (j.d2 + 2j * q * j.d1 - q * q * j.value), phase * j.dtau)
 
-        boosted = SmoothField(
-            value=lambda x: phase(x) * f(x),
-            d1=lambda x, i: phase(x) * (f.d1(x, i) + 1j * q * f(x)),
-            d2=lambda x, i: phase(x) * (f.d2(x, i) + 2j * q * f.d1(x, i) - q * q * f(x)),
-            dtau=lambda x: phase(x) * f.dtau(x))
+        boosted = SmoothField(boosted_jet)
         E2 = E + q * q
         pts = [(dom.ell * (0.2 + 0.1 * j), -0.02 * dom.ell * j) for j in range(5)]
         worst = max(relative_ns_residual(boosted, kappa, E2, [a, b], g, dom) for a, b in pts)
@@ -201,9 +242,12 @@ class TestHeun:
     def test_reduces_to_lame(self, dom):
         g = 1.6
         f = ground_state_field(g, dom)
-        psi = SmoothField(value=lambda x: f(np.array([x[0], 0.0])),
-                          d1=lambda x, i: f.d1(np.array([x[0], 0.0]), 0),
-                          d2=lambda x, i: f.d2(np.array([x[0], 0.0]), 0))
+
+        def jet(x):
+            j = f.jet(np.array([x[0], 0.0]))
+            return Jet(j.value, j.d1[:1], j.d2[:1])
+
+        psi = SmoothField(jet)
         E = 1.234
         x = 0.43 * dom.ell
         a = heun_residual(psi, E, x, CouplingSet(g0=g), dom)
@@ -216,12 +260,11 @@ class TestHeun:
         st = solve_bethe(1, dom)
         f = hermite_psi_field(st.roots, st.xi, dom)
 
-        def half(x):
-            return np.array([2.0 * x[0]])
+        def jet(x):
+            j = f.jet(2.0 * x)
+            return Jet(j.value, 2.0 * j.d1, 4.0 * j.d2)
 
-        psi = SmoothField(value=lambda x: f(half(x)),
-                          d1=lambda x, i: 2.0 * f.first(half(x), 0),
-                          d2=lambda x, i: 4.0 * f.second(half(x), 0))
+        psi = SmoothField(jet)
         g = -1.0
         x = 0.26 * dom.ell
         r = heun_residual(psi, 4.0 * st.energy, x, CouplingSet(g0=g, g1=g, g2=g, g3=g), dom)
@@ -239,12 +282,12 @@ class TestHeun:
             return (0.5 * (g0 / np.tan(u) - g1 * np.tan(u)),
                     -0.25 * (g0 / np.sin(u) ** 2 + g1 / np.cos(u) ** 2))
 
-        def d2(x, i):
+        def jet(x):
+            v = complex(phi(x[0] / 2))
             l1, l2 = dlog(x[0] / 2)
-            return (l1 * l1 + l2) * phi(x[0] / 2)
+            return Jet(v, np.array([l1 * v]), np.array([(l1 * l1 + l2) * v]))
 
-        psi = SmoothField(value=lambda x: complex(phi(x[0] / 2)),
-                          d1=lambda x, i: dlog(x[0] / 2)[0] * phi(x[0] / 2), d2=d2)
+        psi = SmoothField(jet)
         E_pt = (g0 + g1) ** 2
         x = 0.9
         r = heun_residual(psi, E_pt / 4.0, x, CouplingSet(g0=g0, g1=g1), dom)
@@ -288,9 +331,12 @@ class TestDeformed:
     def test_duality_one_one(self, dom):
         g = 1.6
         psi = plane_wave([0.5, 0.2])
-        psi_sw = SmoothField(value=lambda u: psi(u[::-1]),
-                             d1=lambda u, i: psi.d1(u[::-1], 1 - i),
-                             d2=lambda u, i: psi.d2(u[::-1], 1 - i))
+
+        def swapped(u):
+            j = psi.jet(u[::-1])
+            return j._replace(d1=j.d1[::-1], d2=j.d2[::-1])
+
+        psi_sw = SmoothField(swapped)
         a = apply_deformed_ecs(psi, [0.4], [1.1], g, dom)
         b = apply_deformed_ecs(psi_sw, [1.1], [0.4], 1.0 / g, dom)
         assert abs(a + g * b) <= 1e-12
@@ -316,9 +362,7 @@ class TestGeneralized:
             v[2] -= 1j * dom.delta
             return v
 
-        psi_sub = SmoothField(value=lambda u: psi(sub(u)),
-                              d1=lambda u, i: psi.d1(sub(u), i),
-                              d2=lambda u, i: psi.d2(sub(u), i))
+        psi_sub = SmoothField(lambda u: psi.jet(sub(u)))
         lhs = apply_generalized_ecs(psi_sub, xx, [], yy, [], g, dom)
         rhs = apply_ecs(psi, np.concatenate([xx, yy - 1j * dom.delta]), g, dom)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))

@@ -1,8 +1,9 @@
 """Static checks on the library source, with the standard-library ast module.
 
 No linter is a dependency, so these rules are checked here: every import in
-src/ellipcmr is used, every name a module lists in __all__ is defined, and
-every module-level private name is referenced outside its own definition.
+src/ellipcmr is used, every name a module lists in __all__ is defined, every
+module-level private name is referenced outside its own definition, and no
+nested function keeps state in a container of its enclosing function.
 """
 
 import ast
@@ -103,3 +104,62 @@ def test_private_names_referenced(path):
             if name.startswith("_") and not name.startswith("__") and name not in elsewhere
             and name not in _references(other for other in own if other is not node)]
     assert not dead, f"{path.name}: private names nothing references {dead}"
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(fn):
+    """The nodes of fn's body, not descending into the functions it defines."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _bound_names(fn):
+    """{name: line} of the parameters of fn and the names its own body assigns."""
+    names = {a.arg: fn.lineno for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+    for node in _own_nodes(fn):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.setdefault(node.id, node.lineno)
+    return names
+
+
+def _stored_containers(fn):
+    """Names whose container fn mutates: subscript stores and .clear() / .update() calls."""
+    for node in _own_nodes(fn):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                and isinstance(node.value, ast.Name)):
+            yield node.value.id
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("clear", "update") and isinstance(node.func.value, ast.Name)):
+            yield node.func.value.id
+
+
+def closure_stores(tree):
+    """(line, name) of each container bound in a function and mutated by a function nested in it.
+
+    That is the memo pattern: state kept between calls of the nested function.
+    """
+    hits = set()
+    for outer in ast.walk(tree):
+        if not isinstance(outer, _FUNCTIONS):
+            continue
+        bound = _bound_names(outer)
+        for inner in ast.walk(outer):
+            if inner is outer or not isinstance(inner, _FUNCTIONS):
+                continue
+            local = _bound_names(inner)
+            hits.update((bound[name], name) for name in _stored_containers(inner)
+                        if name in bound and name not in local)
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_state_in_closures(path):
+    """A nested function that stores into its enclosing function's container is a hidden cache."""
+    hits = closure_stores(_tree(path))
+    assert not hits, f"{path.name}: closures store into {[f'{n} (line {l})' for l, n in hits]}"

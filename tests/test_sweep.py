@@ -98,8 +98,9 @@ def old_wronskian(state, dom):
     f = hermite_psi_field(state.roots, state.xi, dom)
     fm = hermite_psi_field(state.roots, state.xi, dom, reflect=True)
     xv = np.array([dom.ell * (0.29 + 0.13j)])
-    wron = f(xv) * fm.first(xv, 0) - f.first(xv, 0) * fm(xv)
-    return abs(wron) / max(abs(f(xv) * fm(xv)), 1e-300)
+    jf, jm = f.jet(xv), fm.jet(xv)
+    wron = jf.value * jm.d1[0] - jf.d1[0] * jm.value
+    return abs(wron) / max(abs(jf.value * jm.value), 1e-300)
 
 
 def test_bethe_wronskian_matches_the_field_form():

@@ -73,6 +73,16 @@ class TestSingleContour:
                             / abs(psi(np.array(x, dtype=complex))) for x in pts)
                 assert worst <= 1e-8
 
+    def test_field_builds_moments_once_per_point(self, dom_small_p, monkeypatch):
+        # value, partials and tau-derivative of psi0 P share one set of contour moments
+        calls = []
+        counted = transform._wdlog_jet
+        monkeypatch.setattr(transform, "_wdlog_jet",
+                            lambda *a: calls.append(1) or counted(*a))
+        psi = single_contour_psi_field(1, 0, 2.0, dom_small_p)
+        nonstationary_residual(psi, 2.0, 1.0, [0.8, 0.1], 2.0, dom_small_p)
+        assert len(calls) == 1
+
 
 class TestDoubleContour:
     def test_jacobi_trudi_at_free_fermion_point(self):
