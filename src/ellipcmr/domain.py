@@ -85,11 +85,17 @@ class TruncationPolicy:
             raise DomainError("tail_tol must be positive")
 
     def n_terms(self, ratio: float, scale: float = 1.0) -> int:
-        """Smallest N with scale * ratio^{N+1} (N+2)/(1-ratio)^2 <= tail_tol."""
-        if ratio <= 0.0:
+        """Smallest N with scale * ratio^{N+1} (N+2)/(1-ratio)^2 <= tail_tol.
+
+        A ratio outside [0, 1) is rejected: DomainError below 0 or NaN (a raw
+        invalid nome), TailBoundError at 1 or more.
+        """
+        if ratio == 0.0:
             return 0
         if ratio >= 1.0:
             raise TailBoundError(f"series ratio {ratio} >= 1: no geometric tail bound")
+        if not ratio > 0.0:
+            raise DomainError(f"series ratio {ratio} outside [0, 1)")
         scale = max(scale, 1.0)
         pref = scale / (1.0 - ratio) ** 2
         n = 0

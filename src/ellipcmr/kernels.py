@@ -4,9 +4,12 @@ K_{N,M}(x, y; g) = prod_{i<j} vt1(x_i-x_j)^g prod_{i<j} vt1(y_i-y_j)^g
                    / prod_{i,j} vt1(x_i-y_j)^g
 
 obeys ((i pi g (N-M)/2 ell^2) d_tau + H_N(x) - H_M(y) - C_{N,M}) K = 0 with a
-constant C_{N,M} proportional to N-M.  The residual below is assembled from
-log-derivatives only (zeta1, wp1 and the tau log-derivative), so it is
-branch-free for any real g even where K itself would need a branch choice.
+constant C_{N,M} proportional to N-M.  H_N(x) - H_M(y) is the mass Hamiltonian
+of operators with masses +1 on x and -1 on y, and K the source with the same
+signs; the residual applies it to the jet of K/K, built from log-derivatives
+only (zeta1, (ln vt1)'' and the tau log-derivative), with the potential from
+the wp1 series.  So it is branch-free for any real g even where K itself would
+need a branch choice.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import numpy as np
 from .domain import EllipticDomain
 from .errors import DomainError
 from .gamma import ground_state_psi0
-from .theta import (_scalar_or_array, pair_values, theta1_jet, theta1_power,
-                    theta1_tau_logderiv)
+from .operators import _hamiltonian, _source_jet
+from .theta import _scalar_or_array, theta1_power
 
 __all__ = ["KernelSpec", "kernel_K", "kernel_identity_residual"]
 
@@ -69,22 +72,9 @@ def kernel_identity_residual(spec: KernelSpec, x, y, dom: EllipticDomain) -> com
     y = np.asarray(y, dtype=complex)
     if len(x) != spec.N or len(y) != spec.M:
         raise DomainError("coordinate counts must match the KernelSpec")
-    g = spec.g
-    kw = dict(dom=dom)
-    # x-y cross matrices of zeta1 and d = (ln vt1)'' = -wp1; the y-x ones follow
-    # from parity (zeta1 odd, d even)
-    _, zeta_xy, d_xy = pair_values(theta1_jet, x, y, **kw)
-
-    def h_part(u, zeta_uv, d_uv):
-        """H(u) K / K for the family u against the opposite family v."""
-        _, zeta_uu, d_uu = pair_values(theta1_jet, u, parity=(-1, -1, 1), **kw)
-        li = g * (zeta_uu.sum(axis=1) - zeta_uv.sum(axis=1))
-        lii = g * (d_uu.sum(axis=1) - d_uv.sum(axis=1))
-        return -0.5 * np.sum(li * li + lii) - g * (g - 1.0) * 0.5 * d_uu.sum()
-
-    # d_tau ln K = g * (signed sum of per-pair tau log-derivatives)
-    dtau_log = g * (pair_values(theta1_tau_logderiv, x, **kw).sum()
-                    + pair_values(theta1_tau_logderiv, y, **kw).sum()
-                    - pair_values(theta1_tau_logderiv, x, y, **kw).sum())
-    tau_term = (1j * math.pi * spec.kappa / (2.0 * dom.ell ** 2)) * dtau_log
-    return tau_term + h_part(x, zeta_xy, d_xy) - h_part(y, -zeta_xy.T, d_xy.T)
+    # masses s = +1 on x and -1 on y: the source is K and the Hamiltonian H_N(x) - H_M(y)
+    u = np.concatenate([x, y])
+    s = np.repeat([1.0, -1.0], [len(x), len(y)])
+    _, j = _source_jet(u, s, spec.g, dom)
+    tau_term = (1j * math.pi * spec.kappa / (2.0 * dom.ell ** 2)) * j.dtau
+    return tau_term + _hamiltonian(j, u, s, spec.g, dom)

@@ -1,14 +1,17 @@
 """CMR differential/difference operators and residuals of their equations.
 
-All Hamiltonians are taken with hbar = m = 1: the N-body operator is
+Every Hamiltonian (hbar = 1) is one operator on particles u_i with masses m_i,
 
-    H_N(x; g) = -1/2 sum_i d^2/dx_i^2 + g(g-1) sum_{i<j} wp1(x_i - x_j),
+    H = -1/2 sum_i d^2/du_i^2 / m_i + sum_{i<k} c_ik wp1(u_i - u_k [+ i delta]),
+    c_ik = g (g m_i m_k - 1)(m_i + m_k) / 2,
 
-its non-stationary deformation adds (i pi kappa / 2 ell^2) d/dtau, and the
-deformed/generalized variants follow the same unit convention.  Each operator
+with + i delta on the pairs across the two sides of the generalized operator.
+m = 1 gives the eCS operator H_N (c = g(g-1)); a deformed partner has m = -1/g
+(c = (g-1)/g among partners, 1-g against eCS particles), and the kernel
+identity takes m = +1 on x and -1 on y, so that H = H_N(x) - H_M(y).  The
+non-stationary deformation adds (i pi kappa / 2 ell^2) d/dtau.  Each operator
 evaluates its field's jet (fields.Jet) once per point and takes the value, the
-second partials and the tau-derivative from it; finite differences appear only
-as test oracles.
+second partials and the tau-derivative from it.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import numpy as np
 from .domain import EllipticDomain, RuijsenaarsParams
 from .errors import DomainError, PoleError
 from .fields import Jet, SmoothField
-from .gamma import ground_state_psi0
-from .theta import pair_values, theta1_jet, theta1_tau_logderiv, theta_q, wp1
+from .theta import (_pair_index, _power, _scalar_or_array, pair_values, theta1_jet,
+                    theta1_tau_logderiv, theta_q, wp1)
 
 __all__ = [
     "CouplingSet", "half_period_shifts", "apply_ecs", "nonstationary_residual",
@@ -54,18 +57,25 @@ def half_period_shifts(dom: EllipticDomain):
     return (0.0, dom.ell, 1j * dom.delta, -dom.ell - 1j * dom.delta)
 
 
-def _pairwise_potential(xs, dom):
-    return pair_values(wp1, xs, dom=dom).sum()
-
-
-def _ecs_on_jet(j: Jet, x, g: float, dom: EllipticDomain) -> complex:
-    return -0.5 * j.d2.sum() + g * (g - 1.0) * _pairwise_potential(x, dom) * j.value
+def _hamiltonian(j: Jet, u, m, g: float, dom: EllipticDomain, side=None) -> complex:
+    """(H psi)(u) from psi's jet j at u for masses m; pairs with unequal side labels
+    shift by i delta.  One wp1 call over all pairs, summed per distinct c_ik, so
+    equal masses give c * (sum of wp1) exactly.
+    """
+    jj, kk = _pair_index(len(u))
+    c = 0.5 * g * (g * m[jj] * m[kk] - 1.0) * (m[jj] + m[kk])
+    d = u[jj] - u[kk]
+    if side is not None:
+        d[side[jj] != side[kk]] += 1j * dom.delta
+    w = wp1(d, dom)
+    pot = sum(ck * w[c == ck].sum() for ck in dict.fromkeys(c.tolist()))
+    return -0.5 * (j.d2 / m).sum() + pot * j.value
 
 
 def apply_ecs(psi: SmoothField, x: Sequence[complex], g: float, dom: EllipticDomain) -> complex:
     """(H_N psi)(x) for the eCS operator with coupling g."""
     x = np.asarray(x, dtype=complex)
-    return _ecs_on_jet(psi.jet(x), x, g, dom)
+    return _hamiltonian(psi.jet(x), x, np.ones(len(x)), g, dom)
 
 
 def _nonstationary_lhs(psi: SmoothField, kappa: complex, x, g: float, dom: EllipticDomain):
@@ -73,7 +83,7 @@ def _nonstationary_lhs(psi: SmoothField, kappa: complex, x, g: float, dom: Ellip
     x = np.asarray(x, dtype=complex)
     j = psi.tau_jet(x)
     tau_term = (1j * math.pi * kappa / (2.0 * dom.ell ** 2)) * j.dtau
-    return tau_term + _ecs_on_jet(j, x, g, dom), j.value
+    return tau_term + _hamiltonian(j, x, np.ones(len(x)), g, dom), j.value
 
 
 def nonstationary_residual(psi: SmoothField, kappa: complex, E: complex,
@@ -111,26 +121,19 @@ def heun_residual(psi: SmoothField, E: complex, x: complex, c: CouplingSet,
     return -j.d2[0] + (pot - E) * j.value
 
 
-def _cross_potential(us, vs, dom, shift=0.0):
-    return pair_values(wp1, us, np.asarray(vs) - shift, dom=dom).sum()
-
-
-def _deformed_block(d2, full, iA: slice, iB: slice, g: float, dom):
-    """Kinetic and potential parts of H_{N,M} on the coordinates full[iA], full[iB];
-    d2 holds the second partials of the field in every coordinate of full."""
-    kin = -0.5 * d2[iA].sum() + 0.5 * g * d2[iB].sum()
-    ua, ub = full[iA], full[iB]
-    pot = g * (g - 1.0) * _pairwise_potential(ua, dom)
-    if len(ub) > 1:
-        pot -= (1.0 / g - 1.0) * _pairwise_potential(ub, dom)
-    if len(ua) and len(ub):
-        pot += (1.0 - g) * _cross_potential(ua, ub, dom)
-    return kin, pot
+def _masses(g: float, sizes):
+    """Masses 1 (eCS) and -1/g (deformed) of alternating families of sizes[k] particles;
+    callers reject deformed particles at g = 0, so no -1/g is formed there.
+    """
+    return np.repeat([1.0, -1.0 / g if g else 0.0] * (len(sizes) // 2), sizes)
 
 
 def apply_deformed_ecs(psi: SmoothField, x: Sequence[complex], xt: Sequence[complex],
                        g: float, dom: EllipticDomain) -> complex:
-    """(H_{N,M} psi)(x, xt): two particle families with couplings g and 1/g.
+    """(H_{N,M} psi)(x, xt): N particles of mass 1 and M of mass -1/g,
+
+    H_{N,M} = -1/2 sum d^2/dx_i^2 + (g/2) sum d^2/dxt_j^2 + g(g-1) sum_{i<k} wp1(x_i - x_k)
+              + (1 - 1/g) sum_{j<l} wp1(xt_j - xt_l) + (1 - g) sum_{i,j} wp1(x_i - xt_j).
 
     psi is a field of N+M coordinates ordered (x_1..x_N, xt_1..xt_M).
     """
@@ -139,46 +142,30 @@ def apply_deformed_ecs(psi: SmoothField, x: Sequence[complex], xt: Sequence[comp
     if len(xt) > 0 and g == 0.0:
         raise DomainError("deformed operator needs g != 0 when M > 0")
     full = np.concatenate([x, xt])
-    j = psi.jet(full)
-    kin, pot = _deformed_block(j.d2, full, slice(0, len(x)), slice(len(x), None), g, dom)
-    return kin + pot * j.value
+    return _hamiltonian(psi.jet(full), full, _masses(g, [len(x), len(xt)]), g, dom)
 
 
 def apply_generalized_ecs(psi: SmoothField, x, xt, y, yt, g: float,
                           dom: EllipticDomain) -> complex:
-    """Four-family operator built from two deformed blocks and shifted couplings.
+    """Four-family operator: masses (1, -1/g, 1, -1/g) on (x, xt, y, yt), sides (x, xt), (y, yt).
 
     H = H_{N1,M1}(x, xt) + H_{N2,M2}(y, yt) + V(x, y; g) - g V(xt, yt; 1/g)
         - (1/g) V(x, yt; g) - (1/g) V(xt, y; g),
-    with V(u, v; c) = c(c-1) sum wp1(u_i - v_j + i delta).  psi is a field of
-    all N1+M1+N2+M2 coordinates in the order (x, xt, y, yt).  The cross terms
-    shift by i delta, so two nonempty sides (x, xt) and (y, yt) need p > 0.
+    with V(u, v; c) = c(c-1) sum wp1(u_i - v_j + i delta): the mass Hamiltonian with
+    every pair across the sides shifted by i delta.  psi is a field of all
+    N1+M1+N2+M2 coordinates in the order (x, xt, y, yt).  Two nonempty sides
+    need p > 0.
     """
     x, xt = np.asarray(x, dtype=complex), np.asarray(xt, dtype=complex)
     y, yt = np.asarray(y, dtype=complex), np.asarray(yt, dtype=complex)
     full = np.concatenate([x, xt, y, yt])
     sizes = [len(x), len(xt), len(y), len(yt)]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
     if (len(xt) > 0 or len(yt) > 0) and g == 0.0:
         raise DomainError("generalized operator needs g != 0 when tilde families are present")
     if sizes[0] + sizes[1] and sizes[2] + sizes[3] and dom.p == 0.0:
         raise DomainError("cross families shift by i delta, which is infinite at p = 0")
-
-    idx = [slice(offs[k], offs[k + 1]) for k in range(4)]
-    j = psi.jet(full)
-    kin1, pot1 = _deformed_block(j.d2, full, idx[0], idx[1], g, dom)
-    kin2, pot2 = _deformed_block(j.d2, full, idx[2], idx[3], g, dom)
-    shift = 1j * dom.delta
-
-    def V(us, vs, c):
-        if len(us) == 0 or len(vs) == 0:
-            return 0.0
-        return c * (c - 1.0) * _cross_potential(us, vs, dom, shift=shift)
-
-    pot = pot1 + pot2 + V(x, y, g)
-    if g != 0.0:
-        pot += -g * V(xt, yt, 1.0 / g) - (1.0 / g) * V(x, yt, g) - (1.0 / g) * V(xt, y, g)
-    return kin1 + kin2 + pot * j.value
+    return _hamiltonian(psi.jet(full), full, _masses(g, sizes), g, dom,
+                        side=np.repeat([0, 0, 1, 1], sizes))
 
 
 def apply_ruijsenaars_D(f, z: Sequence[complex], par: RuijsenaarsParams,
@@ -195,35 +182,46 @@ def apply_ruijsenaars_D(f, z: Sequence[complex], par: RuijsenaarsParams,
         raise DomainError("sign = -1 needs q != 0 and t != 0")
     q = par.q if sign > 0 else 1.0 / par.q
     t = par.t if sign > 0 else 1.0 / par.t
+    # coefficient factors theta(t w)/theta(w), w = z_j/z_i, row i, column j != i
+    off = ~np.eye(len(z), dtype=bool)
+    w = (z[None, :] / z[:, None])[off]
+    den = theta_q(w, par.p)
+    if np.any(np.abs(den) < 1e-13):
+        raise PoleError("coefficient pole: theta(z_j/z_i; p) = 0")
+    ratio = np.ones((len(z), len(z)), dtype=complex)
+    ratio[off] = theta_q(t * w, par.p) / den
     total = 0.0 + 0.0j
-    for i in range(len(z)):
-        coef = 1.0 + 0.0j
-        for j in range(len(z)):
-            if j == i:
-                continue
-            w = z[j] / z[i]
-            den = theta_q(w, par.p)
-            if abs(den) < 1e-13:
-                raise PoleError("coefficient pole: theta(z_j/z_i; p) = 0")
-            coef *= theta_q(t * w, par.p) / den
+    for i, coef in enumerate(ratio.prod(axis=1)):
         zs = np.array(z, dtype=complex)
         zs[i] *= q
         total += coef * f(zs)
     return total
 
 
+def _source_jet(u, s, g: float, dom: EllipticDomain):
+    """Pair values vt1(u_i - u_k), i < k, and the jet of F/F at u for the source
+    F = prod_{i<k} vt1(u_i - u_k)^(g s_i s_k), s_i = +-1: Jet(1, d ln F,
+    (d ln F)^2 + d^2 ln F, d_tau ln F).  s = 1 gives psi0, s = (+1 on x, -1 on y) K.
+    """
+    vt, Z, D = pair_values(theta1_jet, u, dom=dom, parity=(-1, -1, 1))
+    jj, kk = _pair_index(len(u))
+    flip = np.not_equal.outer(s, s)     # pairs with exponent -g; negation is exact
+    li = g * np.where(flip, -Z, Z).sum(axis=1)      # Z = zeta1, D = (ln vt1)'' = -wp1
+    lii = g * np.where(flip, -D, D).sum(axis=1)
+    t = pair_values(theta1_tau_logderiv, u, dom=dom)
+    ltau = g * np.where(flip[jj, kk], -t, t).sum()
+    return vt[jj, kk], Jet(1.0, li, li * li + lii, ltau)
+
+
 def ground_state_field(g: float, dom: EllipticDomain) -> SmoothField:
     """psi0(x) = prod_{i<j} vt1(x_i - x_j)^g as an N-coordinate field, N = len(x).
 
-    Its jet takes the log-derivatives from one theta1_jet pass over the pairs, psi0
-    from ground_state_psi0 and d/dtau ln psi0 from one theta1_tau_logderiv pass.
+    Its jet is _source_jet's with s = 1, times psi0, which the pair values of vt1
+    give by theta1_power's power rule.
     """
     def jet(x):
-        _, Z, D = pair_values(theta1_jet, x, dom=dom, parity=(-1, -1, 1))
-        li = g * Z.sum(axis=1)      # Z = zeta1, D = (ln vt1)'' = -wp1
-        lii = g * D.sum(axis=1)
-        psi0 = ground_state_psi0(x, g, dom)
-        ltau = g * pair_values(theta1_tau_logderiv, x, dom=dom).sum()
-        return Jet(psi0, li * psi0, (li * li + lii) * psi0, ltau * psi0)
+        vt, j = _source_jet(x, np.ones(len(x)), g, dom)
+        psi0 = _scalar_or_array(np.prod(_power(vt, g), axis=0))
+        return Jet(psi0, j.d1 * psi0, j.d2 * psi0, j.dtau * psi0)
 
     return SmoothField(jet)

@@ -198,7 +198,11 @@ def theta1_power(x, g: float, dom: EllipticDomain):
     part (real x in (0, 2 ell) mod 2 ell gives vt1 > 0); elsewhere the branch
     is ambiguous and a BranchError is raised.
     """
-    v = theta1(x, dom)
+    return _power(theta1(x, dom), g)
+
+
+def _power(v, g: float):
+    """v^g for values v of vt1 by theta1_power's rule (BranchError off its domain)."""
     if g == int(round(g)):
         return v ** int(round(g))
     if np.any(np.real(np.asarray(v)) <= 0.0):

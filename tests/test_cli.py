@@ -98,6 +98,11 @@ class TestVerify:
                              "--N", "2", "--M", "1"])
         assert code == 0 and json.loads(out)["pass"] is True
 
+    def test_calogero_trick_at_g_zero(self):
+        # g = 0 without tilde families is valid: no -1/g mass is formed
+        code, out = run_cli(["verify", "--suite", "calogero-trick", "--g", "0", "--p", "0.1"])
+        assert code == 0 and json.loads(out)["pass"] is True
+
     def test_unknown_suite_no_partial_output(self, tmp_path):
         out_path = tmp_path / "report.json"
         with pytest.raises(SystemExit) as exc:

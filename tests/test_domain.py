@@ -1,9 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
 from ellipcmr.domain import EllipticDomain, RuijsenaarsParams, TruncationPolicy
-from ellipcmr.errors import DomainError, TailBoundError
+from ellipcmr.errors import DomainError, EllipcmrError, TailBoundError
+from ellipcmr.gamma import weight_W
+from ellipcmr.pseries import solve_variant_I
+from ellipcmr.theta import log_theta_q, theta_q
+from ellipcmr.transform import (Partition2, assemble_P_lambda, contour_F_lambda,
+                                n2_single_contour_P)
 
 
 def test_nome_roundtrip():
@@ -66,6 +72,34 @@ def test_policy_rejects_unbounded():
         pol.n_terms(0.99)
     with pytest.raises(TailBoundError):
         pol.n_terms(1.0)
+
+
+@pytest.mark.parametrize("bad", [-0.1, -math.inf, math.nan])
+def test_policy_rejects_invalid_ratio(bad):
+    # a negative or NaN ratio has no tail bound; it must not read as the p = 0 case
+    with pytest.raises(DomainError):
+        TruncationPolicy().n_terms(bad)
+    assert TruncationPolicy().n_terms(-0.0) == 0
+
+
+Z = np.exp(1j * np.array([0.5, 0.3]))
+RAW_NOME_CALLS = {
+    "theta_q": lambda p: theta_q(0.5, p),
+    "log_theta_q": lambda p: log_theta_q(0.5, p),
+    "weight_W": lambda p: weight_W(Z, 1.0, p),
+    "n2_single_contour_P": lambda p: n2_single_contour_P(1, 0, Z, 1.0, p),
+    "contour_F_lambda": lambda p: contour_F_lambda(1, 0, Z, 1.0, p),
+    "assemble_P_lambda": lambda p: assemble_P_lambda(
+        Partition2(1, 0), solve_variant_I((2.0, -1.0), 2.0, 4), Z, 2.0, p),
+}
+
+
+@pytest.mark.parametrize("p", [math.nan, -0.1])
+@pytest.mark.parametrize("name", RAW_NOME_CALLS)
+def test_raw_nome_outside_range_raises(name, p):
+    # functions that take a raw nome p, not an EllipticDomain, reject invalid ones
+    with pytest.raises(EllipcmrError):
+        RAW_NOME_CALLS[name](p)
 
 
 def test_ruijsenaars_params_ranges():

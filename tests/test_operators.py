@@ -13,9 +13,9 @@ from ellipcmr.operators import (CouplingSet, apply_deformed_ecs, apply_ecs,
                                 fit_nonstationary_E, ground_state_field,
                                 half_period_shifts, heun_residual,
                                 lame_residual, nonstationary_residual)
-from ellipcmr.theta import heat_constant_c0, theta1_power, wp1
+from ellipcmr.theta import heat_constant_c0, theta1_power, theta_q, wp1
 from ellipcmr.transform import single_contour_psi_field
-from oracles import fd_derivative, fd_second_derivative
+from oracles import fd_derivative, fd_second_derivative, lattice_sum_wp1
 
 
 def relative_ns_residual(field, kappa, E, x, g, dom):
@@ -135,6 +135,22 @@ class TestFieldJets:
             nonstationary_residual(f, 1.0, 0.0, [0.62], -1.0, dom_small_p)
 
 
+def _spy_walks(monkeypatch):
+    """Record, by name, each call of the theta kernels the operators walk the ladder with.
+
+    theta1 is patched in ellipcmr.theta, so theta1_power and ground_state_psi0 show too.
+    """
+    import ellipcmr.operators as operators
+    import ellipcmr.theta as theta
+    calls = []
+    for mod, name in ((operators, "theta1_jet"), (operators, "theta1_tau_logderiv"),
+                      (operators, "wp1"), (theta, "theta1")):
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _fn=fn, _name=name, **kw:
+                            calls.append(_name) or _fn(*a, **kw))
+    return calls
+
+
 class TestNonstationary:
     def test_theta_power_solves_kappa_2g(self, dom):
         g = 1.7
@@ -156,17 +172,13 @@ class TestNonstationary:
             assert worst <= 1e-8
 
     def test_ground_state_field_builds_pair_sums_once_per_point(self, dom, monkeypatch):
-        import ellipcmr.operators as operators
-        kernels = []
-        counted = operators.pair_values
-        monkeypatch.setattr(operators, "pair_values",
-                            lambda fn, *a, **kw: kernels.append(fn) or counted(fn, *a, **kw))
+        calls = _spy_walks(monkeypatch)
         f = ground_state_field(1.3, dom)
         x = np.array([1.2, 0.9, 0.25, -0.4])
         nonstationary_residual(f, 4 * 1.3, 0.5, x, 1.3, dom)
-        # one jet: zeta1 and (ln vt1)'' for all four coordinates, then d/dtau ln vt1;
-        # then the potential
-        assert kernels == [operators.theta1_jet, operators.theta1_tau_logderiv, wp1]
+        # one jet: zeta1, (ln vt1)'' and vt1 for all four coordinates, then d/dtau ln vt1;
+        # psi0 comes from that vt1, with no theta1 (theta1_power) walk; then the potential
+        assert calls == ["theta1_jet", "theta1_tau_logderiv", "wp1"]
 
     def test_ground_state_field_at_coincident_points(self, dom):
         # the jet's zeta1 has a pole at x_i = x_j, so even the value raises there
@@ -313,7 +325,43 @@ class TestHeun:
             half_period_shifts(EllipticDomain.from_nome(dom.ell, 0.0))
 
 
+def _wp1_sum(dom, u, v=None, shift=0.0):
+    """sum wp1 over the pairs i < k of u, or over all (u_i, v_j) at u_i - v_j + shift."""
+    if v is None:
+        return sum(lattice_sum_wp1(u[i] - u[k], dom)
+                   for i in range(len(u)) for k in range(i + 1, len(u)))
+    return sum(lattice_sum_wp1(a - b + shift, dom) for a in u for b in v)
+
+
+def _deformed_oracle(j, x, xt, offset, g, dom):
+    """H_{N,M}(x, xt) psi per the docstring; the jet's partials of (x, xt) start at offset."""
+    d2 = j.d2[offset:offset + len(x) + len(xt)]
+    kin = -0.5 * d2[:len(x)].sum() + 0.5 * g * d2[len(x):].sum()
+    pot = (g * (g - 1.0) * _wp1_sum(dom, x) + (1.0 - 1.0 / g) * _wp1_sum(dom, xt)
+           + (1.0 - g) * _wp1_sum(dom, x, xt))
+    return kin + pot * j.value
+
+
+ORACLE_P = [0.02, 0.1, 0.19]
+
+
 class TestDeformed:
+    @pytest.mark.parametrize("p", ORACLE_P)
+    def test_both_families_match_oracle(self, p):
+        dom = EllipticDomain.from_nome(2.0, p)
+        g = 1.6
+        x, xt = np.array([0.4, 1.3]), np.array([-0.5, 0.9, 2.6])
+        pw = plane_wave([0.3, -0.6, 0.2, 0.5, -0.1])
+        a = apply_deformed_ecs(pw, x, xt, g, dom)
+        b = _deformed_oracle(pw.jet(np.concatenate([x, xt]).astype(complex)), x, xt, 0, g, dom)
+        assert abs(a - b) <= 1e-9 * abs(b)
+
+    def test_g_zero_without_partners(self, dom):
+        # g = 0 is valid when no deformed partner (mass -1/g) is present
+        pw = plane_wave([0.3, -0.6])
+        x = [0.4, 1.0]
+        assert apply_deformed_ecs(pw, x, [], 0.0, dom) == apply_ecs(pw, x, 0.0, dom)
+
     def test_m_zero_reduces(self, dom):
         pw = plane_wave([0.3, -0.6])
         x = [0.4, 1.0]
@@ -343,6 +391,34 @@ class TestDeformed:
 
 
 class TestGeneralized:
+    @pytest.mark.parametrize("p", ORACLE_P)
+    def test_four_families_match_oracle(self, p):
+        # H_{N1,M1}(x, xt) + H_{N2,M2}(y, yt) + V(x, y; g) - g V(xt, yt; 1/g)
+        # - (1/g) V(x, yt; g) - (1/g) V(xt, y; g), V(u, v; c) = c(c-1) sum wp1(u - v + i delta)
+        dom = EllipticDomain.from_nome(2.0, p)
+        g = 1.6
+        x, xt = np.array([0.4, 1.3]), np.array([-0.5])
+        y, yt = np.array([0.9]), np.array([2.6, -1.1])
+        pw = plane_wave([0.3, -0.6, 0.2, 0.5, -0.1, 0.7])
+        j = pw.jet(np.concatenate([x, xt, y, yt]).astype(complex))
+
+        def V(u, v, c):
+            return c * (c - 1.0) * _wp1_sum(dom, u, v, shift=1j * dom.delta)
+
+        b = (_deformed_oracle(j, x, xt, 0, g, dom) + _deformed_oracle(j, y, yt, 3, g, dom)
+             + (V(x, y, g) - g * V(xt, yt, 1.0 / g) - V(x, yt, g) / g - V(xt, y, g) / g)
+             * j.value)
+        a = apply_generalized_ecs(pw, x, xt, y, yt, g, dom)
+        assert abs(a - b) <= 1e-9 * abs(b)
+
+    def test_g_zero_without_tilde_families(self, dom):
+        # at g = 0 every coefficient vanishes: the free operator on x and y
+        k = np.array([0.4, -0.2, 0.9])
+        pw = plane_wave(k)
+        u = np.array([0.5, 1.4, -0.3])
+        a = apply_generalized_ecs(pw, u[:2], [], u[2:], [], 0.0, dom)
+        assert abs(a - 0.5 * (k @ k) * pw(u)) <= 1e-13
+
     def test_single_family_reduces(self, dom):
         pw = plane_wave([0.3, -0.6])
         x = [0.4, 1.0]
@@ -425,6 +501,23 @@ class TestRuijsenaarsD:
                 lambda zz: apply_ruijsenaars_D(f, zz, par, sign=+1), z, par, sign=-1)
             assert abs(ab - ba) <= 1e-10
 
+    def test_positive_nome_matches_pair_loop(self):
+        par = RuijsenaarsParams(p=0.12, q=0.31, t=0.47)
+        z = np.exp(1j * np.array([0.3, 1.7, -2.2, 0.9]))
+        f = lambda zz: zz[0] + 2.0 * zz[1] * zz[2] + 1.0 / zz[3]
+        for sign, q, t in ((+1, par.q, par.t), (-1, 1.0 / par.q, 1.0 / par.t)):
+            expect = 0.0
+            for i in range(len(z)):
+                coef = 1.0
+                for jj in range(len(z)):
+                    if jj != i:
+                        coef *= theta_q(t * z[jj] / z[i], par.p) / theta_q(z[jj] / z[i], par.p)
+                zs = z.copy()
+                zs[i] *= q
+                expect += coef * f(zs)
+            got = apply_ruijsenaars_D(f, z, par, sign=sign)
+            assert abs(got - expect) <= 1e-12 * abs(expect)
+
     def test_coefficient_pole(self):
         par = RuijsenaarsParams(p=0.0, q=0.31, t=0.47)
         with pytest.raises(PoleError):
@@ -443,6 +536,20 @@ class TestKernelIdentity:
         r = kernel_identity_residual(spec, np.array([0.9, 0.1]),
                                      np.array([0.55, -0.62]), dom)
         assert abs(r) <= 1e-8
+
+    def test_one_walk_per_kernel(self, dom, monkeypatch):
+        # one theta1_jet and one theta1_tau_logderiv pass over all pairs of (x, y), then
+        # one wp1 call for the potential: three truncation orders in all
+        from ellipcmr.domain import TruncationPolicy
+        calls = _spy_walks(monkeypatch)
+        orders = []
+        counted = TruncationPolicy.n_terms
+        monkeypatch.setattr(TruncationPolicy, "n_terms",
+                            lambda self, *a: orders.append(a) or counted(self, *a))
+        kernel_identity_residual(KernelSpec(2, 1, 1.4), np.array([0.9, 0.1]),
+                                 np.array([0.4]), dom)
+        assert calls == ["theta1_jet", "theta1_tau_logderiv", "wp1"]
+        assert len(orders) == 3
 
     def test_two_one_constant(self, dom):
         spec = KernelSpec(2, 1, 1.4)
