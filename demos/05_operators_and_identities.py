@@ -6,7 +6,7 @@ Run:  python demos/05_operators_and_identities.py
 
 import numpy as np
 
-from ellipcmr import (EllipticDomain, KernelSpec, RuijsenaarsParams, SmoothField,
+from ellipcmr import (EllipticDomain, KernelSpec, RuijsenaarsParams,
                       apply_deformed_ecs, apply_ecs, apply_generalized_ecs,
                       apply_ruijsenaars_D, fit_nonstationary_E, ground_state_field,
                       heat_constant_c0, kernel_identity_residual)
@@ -31,19 +31,18 @@ E = fit_nonstationary_E(psi0, 2 * g, [0.9, 0.1], g, dom)
 print(f"\npsi0 generalized eigenvalue (N=2, kappa=2g): {E:.8g} = g^2 c0 = "
       f"{g * g * heat_constant_c0(dom):.8g}")
 
-# Deformed model: swapping families swaps g <-> 1/g
+# Deformed model: swapping families swaps g <-> 1/g; a field is its jet function
 psi = plane_wave([0.5, 0.2])
 
 
 def swapped(u):
     """The jet of psi(u2, u1): value at the swapped point, partials swapped back."""
-    j = psi.jet(u[::-1])
+    j = psi(u[::-1])
     return j._replace(d1=j.d1[::-1], d2=j.d2[::-1])
 
 
-psi_sw = SmoothField(swapped)
 a = apply_deformed_ecs(psi, [0.4], [1.1], g, dom)
-b = apply_deformed_ecs(psi_sw, [1.1], [0.4], 1 / g, dom)
+b = apply_deformed_ecs(swapped, [1.1], [0.4], 1 / g, dom)
 print(f"\ndeformed duality H(g) + g H(1/g): {abs(a + g * b):.2e}")
 
 # Calogero's trick: shifting a family by i delta is the generalized model
@@ -51,8 +50,7 @@ k = np.array([0.4, -0.2, 0.9])
 psi3 = plane_wave(k)
 xx, yy = np.array([0.5, 1.4]), np.array([-0.3])
 sub = lambda u: np.concatenate([u[:2], [u[2] - 1j * dom.delta]])
-psi_sub = SmoothField(lambda u: psi3.jet(sub(u)))
-lhs = apply_generalized_ecs(psi_sub, xx, [], yy, [], 1.5, dom)
+lhs = apply_generalized_ecs(lambda u: psi3(sub(u)), xx, [], yy, [], 1.5, dom)
 rhs = apply_ecs(psi3, np.concatenate([xx, yy - 1j * dom.delta]), 1.5, dom)
 print(f"Calogero-trick evaluation match: {abs(lhs - rhs):.2e}")
 

@@ -22,7 +22,7 @@ from .theta import (heat_constant_c0, heat_residual, theta1, theta1_dlog2,
                     theta1_dtau, theta1_jet, theta1_logderiv, theta1_power,
                     theta1_tau_logderiv, theta_q, wp1, wp1_fourier_coeffs)
 from .gamma import elliptic_gamma, ground_state_psi0, weight_W, weight_Wrel
-from .fields import Jet, SmoothField
+from .fields import Jet
 from .operators import (CouplingSet, apply_deformed_ecs, apply_ecs,
                         apply_generalized_ecs, apply_ruijsenaars_D,
                         fit_nonstationary_E, ground_state_field,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .domain import EllipticDomain
 from .errors import BranchError, ConvergenceError, DomainError, EllipcmrError, PoleError
-from .fields import Jet, SmoothField
+from .fields import Field, Jet
 from .theta import pair_values, theta1, theta1_jet, theta1_logderiv
 
 __all__ = [
@@ -266,7 +266,7 @@ def _log_derivs(jets, xi):
 
 
 def hermite_psi_field(roots, xi: complex, dom: EllipticDomain,
-                      reflect: bool = False) -> SmoothField:
+                      reflect: bool = False) -> Field:
     """One-coordinate field psi(+-x); its jet takes the value and _log_derivs from one
     theta1_jet pass, whose vt1 is theta1's bit for bit."""
     roots = np.asarray(roots, dtype=complex)
@@ -279,7 +279,7 @@ def hermite_psi_field(roots, xi: complex, dom: EllipticDomain,
         ld, ld2, _ = _log_derivs((at_x, at_roots), xi)
         return Jet(value, np.array([s * ld * value]), np.array([ld2 * value]))
 
-    return SmoothField(jet)
+    return jet
 
 
 def bloch_multipliers(roots, xi: complex, dom: EllipticDomain):

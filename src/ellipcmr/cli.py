@@ -24,7 +24,7 @@ from .gamma import elliptic_gamma, weight_W
 from .kernels import KernelSpec, kernel_identity_residual
 from .operators import (apply_deformed_ecs, apply_ecs, apply_generalized_ecs,
                         fit_nonstationary_E, ground_state_field)
-from .fields import SmoothField, plane_wave
+from .fields import plane_wave
 from .pseries import apply_L_series, solve_variant_I, solve_variant_II
 from .theta import (heat_residual, theta1, theta1_logderiv, theta_q, wp1)
 from .transform import ContourConfig, Partition2, assemble_P_lambda
@@ -103,12 +103,11 @@ def _suite_duality(dom, g):
     psi = plane_wave([0.5, 0.2])
 
     def swapped(u):
-        j = psi.jet(u[::-1])
+        j = psi(u[::-1])
         return j._replace(d1=j.d1[::-1], d2=j.d2[::-1])
 
-    psi_sw = SmoothField(swapped)
     a = apply_deformed_ecs(psi, [0.4 * dom.ell], [0.55 * dom.ell], g, dom)
-    b = apply_deformed_ecs(psi_sw, [0.55 * dom.ell], [0.4 * dom.ell], 1.0 / g, dom)
+    b = apply_deformed_ecs(swapped, [0.55 * dom.ell], [0.4 * dom.ell], 1.0 / g, dom)
     return abs(a + g * b)
 
 
@@ -123,8 +122,7 @@ def _suite_calogero(dom, g):
         v[2] -= 1j * dom.delta
         return v
 
-    psi_sub = SmoothField(lambda u: psi.jet(sub(u)))
-    lhs = apply_generalized_ecs(psi_sub, xx, [], yy, [], g, dom)
+    lhs = apply_generalized_ecs(lambda u: psi(sub(u)), xx, [], yy, [], g, dom)
     rhs = apply_ecs(psi, np.concatenate([xx, yy - 1j * dom.delta]), g, dom)
     return abs(lhs - rhs)
 

@@ -9,9 +9,9 @@ with + i delta on the pairs across the two sides of the generalized operator.
 m = 1 gives the eCS operator H_N (c = g(g-1)); a deformed partner has m = -1/g
 (c = (g-1)/g among partners, 1-g against eCS particles), and the kernel
 identity takes m = +1 on x and -1 on y, so that H = H_N(x) - H_M(y).  The
-non-stationary deformation adds (i pi kappa / 2 ell^2) d/dtau.  Each operator
-evaluates its field's jet (fields.Jet) once per point and takes the value, the
-second partials and the tau-derivative from it.
+non-stationary deformation adds (i pi kappa / 2 ell^2) d/dtau.  A field is its
+jet function psi(x) -> fields.Jet; each operator calls it once per point and
+takes the value, the second partials and the tau-derivative from that jet.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .domain import EllipticDomain, RuijsenaarsParams
-from .errors import DomainError, PoleError
-from .fields import Jet, SmoothField
+from .errors import ConvergenceError, DomainError, PoleError
+from .fields import Field, Jet
 from .theta import (_pair_index, _power, _scalar_or_array, pair_values, theta1_jet,
                     theta1_tau_logderiv, theta_q, wp1)
 
@@ -60,7 +60,8 @@ def half_period_shifts(dom: EllipticDomain):
 def _hamiltonian(j: Jet, u, m, g: float, dom: EllipticDomain, side=None) -> complex:
     """(H psi)(u) from psi's jet j at u for masses m; pairs with unequal side labels
     shift by i delta.  One wp1 call over all pairs, summed per distinct c_ik, so
-    equal masses give c * (sum of wp1) exactly.
+    equal masses give c * (sum of wp1) exactly.  The kinetic term sums the jet's
+    last axis, so a jet batched over leading axes gives one value per field.
     """
     jj, kk = _pair_index(len(u))
     c = 0.5 * g * (g * m[jj] * m[kk] - 1.0) * (m[jj] + m[kk])
@@ -69,44 +70,52 @@ def _hamiltonian(j: Jet, u, m, g: float, dom: EllipticDomain, side=None) -> comp
         d[side[jj] != side[kk]] += 1j * dom.delta
     w = wp1(d, dom)
     pot = sum(ck * w[c == ck].sum() for ck in dict.fromkeys(c.tolist()))
-    return -0.5 * (j.d2 / m).sum() + pot * j.value
+    return -0.5 * (j.d2 / m).sum(axis=-1) + pot * j.value
 
 
-def apply_ecs(psi: SmoothField, x: Sequence[complex], g: float, dom: EllipticDomain) -> complex:
-    """(H_N psi)(x) for the eCS operator with coupling g."""
+def apply_ecs(psi: Field, x: Sequence[complex], g: float, dom: EllipticDomain) -> complex:
+    """(H_N psi)(x) for the eCS operator with coupling g.
+
+    psi(x) is called once with the N coordinates as a complex array; its jet may
+    batch several fields at x over leading axes (coordinates on the last axis of
+    d1, d2), and then one value per field is returned from one wp1 call.
+    """
     x = np.asarray(x, dtype=complex)
-    return _hamiltonian(psi.jet(x), x, np.ones(len(x)), g, dom)
+    return _hamiltonian(psi(x), x, np.ones(len(x)), g, dom)
 
 
-def _nonstationary_lhs(psi: SmoothField, kappa: complex, x, g: float, dom: EllipticDomain):
-    """(((i pi kappa / 2 ell^2) d_tau + H_N) psi, psi) at x from one jet."""
+def _nonstationary_lhs(psi: Field, kappa: complex, x, g: float, dom: EllipticDomain):
+    """(((i pi kappa / 2 ell^2) d_tau + H_N) psi, psi) at x from one jet;
+    ConvergenceError where the jet has no tau-derivative."""
     x = np.asarray(x, dtype=complex)
-    j = psi.tau_jet(x)
+    j = psi(x)
+    if j.dtau is None:
+        raise ConvergenceError("field has no analytic tau-derivative")
     tau_term = (1j * math.pi * kappa / (2.0 * dom.ell ** 2)) * j.dtau
     return tau_term + _hamiltonian(j, x, np.ones(len(x)), g, dom), j.value
 
 
-def nonstationary_residual(psi: SmoothField, kappa: complex, E: complex,
+def nonstationary_residual(psi: Field, kappa: complex, E: complex,
                            x: Sequence[complex], g: float, dom: EllipticDomain) -> complex:
     """((i pi kappa / 2 ell^2) d_tau + H_N - E) psi at x; needs analytic d_tau."""
     lhs, value = _nonstationary_lhs(psi, kappa, x, g, dom)
     return lhs - E * value
 
 
-def fit_nonstationary_E(psi: SmoothField, kappa: complex, x_ref, g: float,
+def fit_nonstationary_E(psi: Field, kappa: complex, x_ref, g: float,
                         dom: EllipticDomain) -> complex:
     """Generalized eigenvalue fixed by a vanishing residual at one reference point."""
     lhs, value = _nonstationary_lhs(psi, kappa, x_ref, g, dom)
     return lhs / value
 
 
-def lame_residual(psi: SmoothField, E: complex, x: complex, g: float,
+def lame_residual(psi: Field, E: complex, x: complex, g: float,
                   dom: EllipticDomain) -> complex:
     """Residual of (-d^2/dx^2 + g(g-1) wp1(x) - E) psi: the BC_1 equation with g0 = g."""
     return heun_residual(psi, E, x, CouplingSet(g0=g), dom)
 
 
-def heun_residual(psi: SmoothField, E: complex, x: complex, c: CouplingSet,
+def heun_residual(psi: Field, E: complex, x: complex, c: CouplingSet,
                   dom: EllipticDomain) -> complex:
     """BC_1 residual with potential sum_nu g_nu(g_nu-1) wp1(x+omega_nu); g2, g3 need p > 0."""
     if (c.g2 or c.g3) and dom.p == 0.0:
@@ -117,7 +126,7 @@ def heun_residual(psi: SmoothField, E: complex, x: complex, c: CouplingSet,
     for gnu, om in zip(c.gnu, half_period_shifts(dom) if dom.p > 0.0 else (0.0, dom.ell)):
         if gnu != 0.0:
             pot += gnu * (gnu - 1.0) * wp1(x + om, dom)
-    j = psi.jet(xv)
+    j = psi(xv)
     return -j.d2[0] + (pot - E) * j.value
 
 
@@ -128,7 +137,7 @@ def _masses(g: float, sizes):
     return np.repeat([1.0, -1.0 / g if g else 0.0] * (len(sizes) // 2), sizes)
 
 
-def apply_deformed_ecs(psi: SmoothField, x: Sequence[complex], xt: Sequence[complex],
+def apply_deformed_ecs(psi: Field, x: Sequence[complex], xt: Sequence[complex],
                        g: float, dom: EllipticDomain) -> complex:
     """(H_{N,M} psi)(x, xt): N particles of mass 1 and M of mass -1/g,
 
@@ -142,10 +151,10 @@ def apply_deformed_ecs(psi: SmoothField, x: Sequence[complex], xt: Sequence[comp
     if len(xt) > 0 and g == 0.0:
         raise DomainError("deformed operator needs g != 0 when M > 0")
     full = np.concatenate([x, xt])
-    return _hamiltonian(psi.jet(full), full, _masses(g, [len(x), len(xt)]), g, dom)
+    return _hamiltonian(psi(full), full, _masses(g, [len(x), len(xt)]), g, dom)
 
 
-def apply_generalized_ecs(psi: SmoothField, x, xt, y, yt, g: float,
+def apply_generalized_ecs(psi: Field, x, xt, y, yt, g: float,
                           dom: EllipticDomain) -> complex:
     """Four-family operator: masses (1, -1/g, 1, -1/g) on (x, xt, y, yt), sides (x, xt), (y, yt).
 
@@ -164,7 +173,7 @@ def apply_generalized_ecs(psi: SmoothField, x, xt, y, yt, g: float,
         raise DomainError("generalized operator needs g != 0 when tilde families are present")
     if sizes[0] + sizes[1] and sizes[2] + sizes[3] and dom.p == 0.0:
         raise DomainError("cross families shift by i delta, which is infinite at p = 0")
-    return _hamiltonian(psi.jet(full), full, _masses(g, sizes), g, dom,
+    return _hamiltonian(psi(full), full, _masses(g, sizes), g, dom,
                         side=np.repeat([0, 0, 1, 1], sizes))
 
 
@@ -213,7 +222,7 @@ def _source_jet(u, s, g: float, dom: EllipticDomain):
     return vt[jj, kk], Jet(1.0, li, li * li + lii, ltau)
 
 
-def ground_state_field(g: float, dom: EllipticDomain) -> SmoothField:
+def ground_state_field(g: float, dom: EllipticDomain) -> Field:
     """psi0(x) = prod_{i<j} vt1(x_i - x_j)^g as an N-coordinate field, N = len(x).
 
     Its jet is _source_jet's with s = 1, times psi0, which the pair values of vt1
@@ -224,4 +233,4 @@ def ground_state_field(g: float, dom: EllipticDomain) -> SmoothField:
         psi0 = _scalar_or_array(np.prod(_power(vt, g), axis=0))
         return Jet(psi0, j.d1 * psi0, j.d2 * psi0, j.dtau * psi0)
 
-    return SmoothField(jet)
+    return jet

@@ -34,7 +34,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -281,24 +280,23 @@ class LaurentPSeries:
         return max((abs(v) for v in self.data.values()), default=0.0)
 
 
-def apply_L_series(table: PSeriesTable, dom: Optional[EllipticDomain] = None) -> LaurentPSeries:
+def apply_L_series(table: PSeriesTable) -> LaurentPSeries:
     """Apply L to the stored series exactly in the truncated ring.
 
     Independent route: the p-expansion coefficients of the potential come from
     wp1_fourier_coeffs (rescaled to the dimensionless Phat), each operator
     piece acts by series arithmetic, and the residual coefficients are
     collected on the window k <= K, -k <= n <= n_cap (where the truncation is
-    exact).  For a correctly solved table every entry vanishes.
+    exact).  For a correctly solved table every entry vanishes.  L is
+    dimensionless, so the coefficients are taken at the fixed domain ell = pi, p = 0.
     """
     K, n_cap = table.K, table.n_cap
     s1, s2 = complex(table.s[0]), complex(table.s[1])
     gamma, kappa = complex(table.gamma), complex(table.kappa)
-    dom = dom or EllipticDomain.from_nome(math.pi, 0.0)
     m_max = n_cap + 3 * K + 1
-    fc = wp1_fourier_coeffs(dom, m_max=m_max, k_max=K)
-    scale = -((dom.ell / math.pi) ** 2)      # Phat = -(ell/pi)^2 * wp1-coefficients
-    phat_plus = scale * fc.plus              # [m, k] -> coeff of u^m p^k
-    phat_minus = scale * fc.minus
+    fc = wp1_fourier_coeffs(EllipticDomain.from_nome(math.pi, 0.0), m_max=m_max, k_max=K)
+    # Phat = -(ell/pi)^2 * wp1-coefficients, at ell = pi; [m, k] -> coeff of u^m p^k
+    phat_plus, phat_minus = -fc.plus, -fc.minus
 
     eps = np.array([complex(e) for e in table.eps])
     # dense copy of the table over the reach of every shift below,

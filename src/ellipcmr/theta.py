@@ -45,8 +45,9 @@ def _nome_ladder(p: float, z):
     """Iterator over (n, p^n) for the n = 1..N that DEFAULT_POLICY certifies at |z| + 1/|z|.
 
     p^n is the running product p, p*p, ..., not p**n, so every series keeps its rounding.
+    At p = 0 there are no terms, and no p^n / z is formed, so z = 0 is allowed there.
     """
-    nt = DEFAULT_POLICY.n_terms(p, _scale_for(z))
+    nt = 0 if p == 0.0 else DEFAULT_POLICY.n_terms(p, _scale_for(z))
     return zip(range(1, nt + 1), accumulate(repeat(p, nt), mul))
 
 

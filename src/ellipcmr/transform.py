@@ -40,7 +40,7 @@ import numpy as np
 
 from .domain import EllipticDomain
 from .errors import ConvergenceError, DomainError, SeamError, WindowError
-from .fields import Jet, SmoothField
+from .fields import Field, Jet
 from .kernels import KernelSpec, kernel_K
 from .operators import apply_ecs, ground_state_field
 from .pseries import PSeriesTable
@@ -293,9 +293,11 @@ def assemble_P_lambda(lam: Partition2, table: PSeriesTable, z, g: float, p: floa
 
 def _psi0_times(j0: Jet, P, dP, dP2) -> Jet:
     """The x-jet of psi0 P by the product rule on psi0's jet j0, from P and its
-    first and second partials dP, dP2 (arrays over the coordinates)."""
-    return Jet(complex(j0.value * P), j0.d1 * P + j0.value * dP,
-               j0.d2 * P + 2.0 * j0.d1 * dP + j0.value * dP2)
+    first and second partials dP, dP2 (coordinates on the last axis).  P may
+    carry leading axes, one entry per function P: the jet then batches over them."""
+    Pc = np.asarray(P)[..., None]
+    return Jet(j0.value * P, j0.d1 * Pc + j0.value * dP,
+               j0.d2 * Pc + 2.0 * j0.d1 * dP + j0.value * dP2)
 
 
 def eigen_residuals_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
@@ -308,7 +310,7 @@ def eigen_residuals_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
     series.  First x2 moves by whole periods 2 ell and x1, x2 are ordered, so that
     x1 - x2 lies in [0, ell], where vt1 > 0: P is symmetric and 2 ell-periodic in x_i,
     and vt1^g only gains a constant factor.  One contraction and one jet of psi0
-    serve every order.
+    serve every order, and one apply_ecs call takes the jet batched over the orders.
     """
     Ks = _check_table(lam, table, g, [table.K] if Ks is None else Ks)
     x = np.asarray(x, dtype=float)
@@ -320,24 +322,21 @@ def eigen_residuals_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
     pairs, weights = _assembly_weights(lam, table, p)
     mom = _f_moments(pairs, _f_legs(z, g, p, r1, r2, cfg.nodes), g, p, derivs=True)
     ipl = 1j * math.pi / dom.ell
-    # column K of each contraction is the order-K moment
-    P = mom["F"] @ weights
-    dP, dP2 = (ipl ** k * np.array([mom[k, i] @ weights for i in range(2)]) for k in (1, 2))
+    # column K of each contraction is the order-K moment; rows of dP, dP2 are orders
+    P = (mom["F"] @ weights)[Ks]
+    dP, dP2 = (ipl ** k * np.array([mom[k, i] @ weights for i in range(2)]).T[Ks]
+               for k in (1, 2))
+    if np.any(P == 0.0):
+        raise ConvergenceError("assembled P vanished at this point")
     E = (math.pi / dom.ell) ** 2 * np.cumsum([complex(e) * p ** k
                                               for k, e in enumerate(table.eps)])
-    j0 = ground_state_field(g, dom).jet(x.astype(complex))
-    out = []
-    for K in Ks:
-        if abs(P[K]) == 0.0:
-            raise ConvergenceError("assembled P vanished at this point")
-        j = _psi0_times(j0, P[K], dP[:, K], dP2[:, K])
-        out.append(abs(apply_ecs(SmoothField(lambda _: j), x, g, dom) / j.value - E[K]))
-    return np.array(out)
+    j = _psi0_times(ground_state_field(g, dom)(x.astype(complex)), P, dP, dP2)
+    return np.abs(apply_ecs(lambda _: j, x, g, dom) / j.value - E[Ks])
 
 
 def single_contour_psi_field(lam_diff: int, lam2: int, g: float, dom: EllipticDomain,
-                             cfg: ContourConfig = ContourConfig()):
-    """psi(x) = psi0(x) P_lam(z(x)) as a SmoothField with analytic derivatives.
+                             cfg: ContourConfig = ContourConfig()) -> Field:
+    """psi(x) = psi0(x) P_lam(z(x)) as a field (its jet function) with analytic derivatives.
 
     psi0 = vt1(x1-x2)^g is operators.ground_state_field, and psi follows by the
     product rule; x-derivatives of P are Euler moments differentiated under the
@@ -360,11 +359,11 @@ def single_contour_psi_field(lam_diff: int, lam2: int, g: float, dom: EllipticDo
         dP = ipl * pref * np.mean(base * al, axis=-1)
         dP2 = ipl ** 2 * pref * np.mean(base * (al * al - g * e2), axis=-1)
         P_tau = pref * np.mean(base * (-g * _tau_dlog_theta(zx, p).sum(axis=0)))
-        j0 = psi0.jet(x)
+        j0 = psi0(x)
         dtau = complex(j0.dtau * P + j0.value * P_tau)
         return _psi0_times(j0, P, dP, dP2)._replace(dtau=dtau)
 
-    return SmoothField(jet)
+    return jet
 
 
 def kernel_transform(spec: KernelSpec, source: Callable, x, dom: EllipticDomain,

@@ -6,7 +6,7 @@ import pytest
 from ellipcmr.bethe import hermite_psi_field, solve_bethe
 from ellipcmr.domain import EllipticDomain, RuijsenaarsParams
 from ellipcmr.errors import ConvergenceError, DomainError, PoleError
-from ellipcmr.fields import Jet, SmoothField, plane_wave
+from ellipcmr.fields import Jet, plane_wave
 from ellipcmr.kernels import KernelSpec, kernel_identity_residual, kernel_K
 from ellipcmr.operators import (CouplingSet, apply_deformed_ecs, apply_ecs,
                                 apply_generalized_ecs, apply_ruijsenaars_D,
@@ -20,7 +20,7 @@ from oracles import fd_derivative, fd_second_derivative, lattice_sum_wp1
 
 def relative_ns_residual(field, kappa, E, x, g, dom):
     x = np.asarray(x, dtype=complex)
-    return abs(nonstationary_residual(field, kappa, E, x, g, dom)) / abs(field(x))
+    return abs(nonstationary_residual(field, kappa, E, x, g, dom)) / abs(field(x).value)
 
 
 class TestApplyEcs:
@@ -29,13 +29,13 @@ class TestApplyEcs:
         pw = plane_wave(k)
         x = np.array([0.4, 1.1])
         val = apply_ecs(pw, x, 1.0, dom)       # g = 1 -> gamma = 0
-        assert abs(val - 0.5 * (k @ k) * pw(x)) <= 1e-13
+        assert abs(val - 0.5 * (k @ k) * pw(x).value) <= 1e-13
 
     def test_free_case_g_zero(self, dom):
         pw = plane_wave([0.5, 0.5, -0.2])
         x = np.array([0.4, 1.1, -0.6])
         val = apply_ecs(pw, x, 0.0, dom)
-        assert abs(val - 0.5 * 0.54 * pw(x)) <= 1e-13
+        assert abs(val - 0.5 * 0.54 * pw(x).value) <= 1e-13
 
     def test_permutation_symmetry(self, dom):
         k = np.array([0.7, -0.3, 0.2])
@@ -53,24 +53,38 @@ class TestApplyEcs:
         st = solve_bethe(1, dom)
         f1 = hermite_psi_field(st.roots, st.xi, dom)
 
-        def jet(x):
-            j = f1.jet(np.array([x[0] - x[1]]))
+        def psi(x):
+            j = f1(np.array([x[0] - x[1]]))
             return Jet(j.value, np.array([1.0, -1.0]) * j.d1[0], np.full(2, j.d2[0]))
 
-        psi = SmoothField(jet)
-        x = np.array([0.8, 0.1])
-        resid = apply_ecs(psi, x, -1.0, dom) - st.energy * psi(x)
-        assert abs(resid) / abs(psi(x)) <= 1e-8
+        x = np.array([0.8, 0.1], dtype=complex)
+        resid = apply_ecs(psi, x, -1.0, dom) - st.energy * psi(x).value
+        assert abs(resid) / abs(psi(x).value) <= 1e-8
 
     def test_trig_ground_state_eigenvalue(self, dom_trig):
         # p = 0, g = 2: psi0 is the exact ground state, E = (pi/ell)^2 eps0
         g = 2.0
         psi0 = ground_state_field(g, dom_trig)
-        x = np.array([1.1, 0.2])
+        x = np.array([1.1, 0.2], dtype=complex)
         eps0 = 0.5 * ((g / 2) ** 2 + (g / 2) ** 2)
         E = (math.pi / dom_trig.ell) ** 2 * eps0
-        resid = apply_ecs(psi0, x, g, dom_trig) - E * psi0(x)
-        assert abs(resid) / abs(psi0(x)) <= 1e-10
+        resid = apply_ecs(psi0, x, g, dom_trig) - E * psi0(x).value
+        assert abs(resid) / abs(psi0(x).value) <= 1e-10
+
+    def test_jet_batched_over_leading_axes(self, dom):
+        # fields at one point stacked on leading axes (2, 3), coordinates last:
+        # one call gives each field's value of the per-jet call
+        x = np.array([1.1, 0.4, -0.5], dtype=complex)     # x_i > x_k: vt1 > 0 for psi0
+        fields = [plane_wave([0.7, -0.3, 0.2 * b]) for b in range(5)]
+        fields.append(ground_state_field(1.6, dom))
+        jets = [f(x) for f in fields]
+        batched = Jet(np.array([j.value for j in jets]).reshape(2, 3),
+                      np.array([j.d1 for j in jets]).reshape(2, 3, 3),
+                      np.array([j.d2 for j in jets]).reshape(2, 3, 3))
+        got = apply_ecs(lambda _: batched, x, 1.6, dom)
+        assert got.shape == (2, 3)
+        want = np.array([apply_ecs(f, x, 1.6, dom) for f in fields]).reshape(2, 3)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
 
     def test_coincident_coordinates_rejected(self, dom):
         pw = plane_wave([0.3, 0.1])
@@ -78,7 +92,7 @@ class TestApplyEcs:
             apply_ecs(pw, np.array([0.4, 0.4]), 1.6, dom)
 
 
-# every library field as make(dom) -> SmoothField, with a point to test it at
+# every library field as make(dom) -> its jet function, with a point to test it at
 FD_ELL, FD_DELTA = 2.3, 0.9
 FD_FIELDS = {
     "plane_wave": (lambda dom: plane_wave([0.7, -0.4, 0.5]), [0.4, 1.1, -0.5]),
@@ -105,13 +119,13 @@ class TestFieldJets:
         make, x = FD_FIELDS[name]
         f = make(EllipticDomain.from_half_periods(FD_ELL, FD_DELTA))
         x = np.asarray(x, dtype=complex)
-        j = f.jet(x)
-        assert j.value == f(x)
+        j = f(x)
+        assert j.value == f(x).value
         for i in range(len(x)):
             def along(u):
                 y = x.copy()
                 y[i] = u
-                return f(y)
+                return f(y).value
 
             assert abs(j.d1[i] - fd_derivative(along, x[i])) <= 1e-9 * abs(j.d1[i])
             assert abs(j.d2[i] - fd_second_derivative(along, x[i])) <= 1e-7 * abs(j.d2[i])
@@ -121,16 +135,16 @@ class TestFieldJets:
     def test_tau_derivative_matches_finite_differences(self, name):
         # tau = i delta / ell, so d/dtau = (ell / i) d/d delta at fixed x
         make, x = FD_FIELDS[name]
-        j = make(EllipticDomain.from_half_periods(FD_ELL, FD_DELTA)).jet(
-            np.asarray(x, dtype=complex))
-        fd = fd_derivative(lambda d: make(EllipticDomain.from_half_periods(FD_ELL, d))(x),
+        x = np.asarray(x, dtype=complex)
+        j = make(EllipticDomain.from_half_periods(FD_ELL, FD_DELTA))(x)
+        fd = fd_derivative(lambda d: make(EllipticDomain.from_half_periods(FD_ELL, d))(x).value,
                            FD_DELTA) * FD_ELL / 1j
         assert abs(j.dtau - fd) <= 1e-8 * abs(j.dtau)
 
     def test_no_tau_derivative_raises(self, dom_small_p):
         st = solve_bethe(1, dom_small_p)
         f = hermite_psi_field(st.roots, st.xi, dom_small_p)
-        assert f.jet(np.array([0.62 + 0j])).dtau is None
+        assert f(np.array([0.62 + 0j])).dtau is None
         with pytest.raises(ConvergenceError):
             nonstationary_residual(f, 1.0, 0.0, [0.62], -1.0, dom_small_p)
 
@@ -189,7 +203,7 @@ class TestNonstationary:
             with pytest.raises(PoleError):
                 f(x)
             with pytest.raises(PoleError):
-                f.jet(x.astype(complex))
+                f(x.astype(complex))
 
     def test_gauge_symmetry(self, dom):
         # psi -> C(tau) psi shifts E by (i pi kappa / 2 ell^2) dC/dtau / C
@@ -200,11 +214,10 @@ class TestNonstationary:
         C = 1.0 + dom.tau ** 2
         dC = 2.0 * dom.tau
 
-        def scaled_jet(x):
-            j = f.jet(x)
+        def scaled(x):
+            j = f(x)
             return Jet(C * j.value, C * j.d1, C * j.d2, C * j.dtau + dC * j.value)
 
-        scaled = SmoothField(scaled_jet)
         E2 = E + 1j * math.pi * kappa / (2 * dom.ell ** 2) * dC / C
         pts = [(dom.ell * (0.2 + 0.1 * j), -0.03 * dom.ell * j) for j in range(5)]
         worst = max(relative_ns_residual(scaled, kappa, E2, [a, b], g, dom) for a, b in pts)
@@ -218,13 +231,12 @@ class TestNonstationary:
         E = fit_nonstationary_E(f, kappa, [0.45 * dom.ell, 0.05 * dom.ell], g, dom)
         q = 0.37
 
-        def boosted_jet(x):
-            j = f.jet(x)
+        def boosted(x):
+            j = f(x)
             phase = np.exp(1j * q * (x[0] + x[1]))
             return Jet(phase * j.value, phase * (j.d1 + 1j * q * j.value),
                        phase * (j.d2 + 2j * q * j.d1 - q * q * j.value), phase * j.dtau)
 
-        boosted = SmoothField(boosted_jet)
         E2 = E + q * q
         pts = [(dom.ell * (0.2 + 0.1 * j), -0.02 * dom.ell * j) for j in range(5)]
         worst = max(relative_ns_residual(boosted, kappa, E2, [a, b], g, dom) for a, b in pts)
@@ -242,7 +254,7 @@ class TestLame:
         f = hermite_psi_field(st.roots, st.xi, dom_small_p)
         x = 0.62 * dom_small_p.ell
         r = lame_residual(f, st.energy, x, -1.0, dom_small_p)
-        assert abs(r) / abs(f(np.array([x]))) <= 1e-8
+        assert abs(r) / abs(f(np.array([x], dtype=complex)).value) <= 1e-8
 
     def test_shifted_potential_real(self, dom):
         # wp1(x + i delta) is real for real x
@@ -255,11 +267,10 @@ class TestHeun:
         g = 1.6
         f = ground_state_field(g, dom)
 
-        def jet(x):
-            j = f.jet(np.array([x[0], 0.0]))
+        def psi(x):
+            j = f(np.array([x[0], 0.0]))
             return Jet(j.value, j.d1[:1], j.d2[:1])
 
-        psi = SmoothField(jet)
         E = 1.234
         x = 0.43 * dom.ell
         a = heun_residual(psi, E, x, CouplingSet(g0=g), dom)
@@ -272,15 +283,14 @@ class TestHeun:
         st = solve_bethe(1, dom)
         f = hermite_psi_field(st.roots, st.xi, dom)
 
-        def jet(x):
-            j = f.jet(2.0 * x)
+        def psi(x):
+            j = f(2.0 * x)
             return Jet(j.value, 2.0 * j.d1, 4.0 * j.d2)
 
-        psi = SmoothField(jet)
         g = -1.0
         x = 0.26 * dom.ell
         r = heun_residual(psi, 4.0 * st.energy, x, CouplingSet(g0=g, g1=g, g2=g, g3=g), dom)
-        assert abs(r) / abs(psi(np.array([x]))) <= 1e-8
+        assert abs(r) / abs(psi(np.array([x], dtype=complex)).value) <= 1e-8
 
     def test_poschl_teller_limit(self):
         # ell = pi, p -> 0: potential becomes the trigonometric two-term well
@@ -294,16 +304,15 @@ class TestHeun:
             return (0.5 * (g0 / np.tan(u) - g1 * np.tan(u)),
                     -0.25 * (g0 / np.sin(u) ** 2 + g1 / np.cos(u) ** 2))
 
-        def jet(x):
+        def psi(x):
             v = complex(phi(x[0] / 2))
             l1, l2 = dlog(x[0] / 2)
             return Jet(v, np.array([l1 * v]), np.array([(l1 * l1 + l2) * v]))
 
-        psi = SmoothField(jet)
         E_pt = (g0 + g1) ** 2
         x = 0.9
         r = heun_residual(psi, E_pt / 4.0, x, CouplingSet(g0=g0, g1=g1), dom)
-        assert abs(r) / abs(psi(np.array([x]))) <= 1e-7
+        assert abs(r) / abs(psi(np.array([x], dtype=complex)).value) <= 1e-7
 
     def test_shifted_couplings_rejected_at_p0(self):
         # g2 and g3 shift by i delta, infinite at p = 0; g0 and g1 do not
@@ -314,7 +323,7 @@ class TestHeun:
                 heun_residual(pw, 1.0, 0.4, c, dom)
         r = heun_residual(pw, 1.0, 0.4, CouplingSet(g0=1.5, g1=0.7), dom)
         assert abs(r - lame_residual(pw, 1.0, 0.4, 1.5, dom)
-                   - 0.7 * (0.7 - 1.0) * wp1(0.4 + math.pi, dom) * pw([0.4])) <= 1e-12
+                   - 0.7 * (0.7 - 1.0) * wp1(0.4 + math.pi, dom) * pw([0.4]).value) <= 1e-12
 
     def test_half_period_shifts(self, dom):
         om = half_period_shifts(dom)
@@ -353,7 +362,7 @@ class TestDeformed:
         x, xt = np.array([0.4, 1.3]), np.array([-0.5, 0.9, 2.6])
         pw = plane_wave([0.3, -0.6, 0.2, 0.5, -0.1])
         a = apply_deformed_ecs(pw, x, xt, g, dom)
-        b = _deformed_oracle(pw.jet(np.concatenate([x, xt]).astype(complex)), x, xt, 0, g, dom)
+        b = _deformed_oracle(pw(np.concatenate([x, xt]).astype(complex)), x, xt, 0, g, dom)
         assert abs(a - b) <= 1e-9 * abs(b)
 
     def test_g_zero_without_partners(self, dom):
@@ -381,12 +390,11 @@ class TestDeformed:
         psi = plane_wave([0.5, 0.2])
 
         def swapped(u):
-            j = psi.jet(u[::-1])
+            j = psi(u[::-1])
             return j._replace(d1=j.d1[::-1], d2=j.d2[::-1])
 
-        psi_sw = SmoothField(swapped)
         a = apply_deformed_ecs(psi, [0.4], [1.1], g, dom)
-        b = apply_deformed_ecs(psi_sw, [1.1], [0.4], 1.0 / g, dom)
+        b = apply_deformed_ecs(swapped, [1.1], [0.4], 1.0 / g, dom)
         assert abs(a + g * b) <= 1e-12
 
 
@@ -400,7 +408,7 @@ class TestGeneralized:
         x, xt = np.array([0.4, 1.3]), np.array([-0.5])
         y, yt = np.array([0.9]), np.array([2.6, -1.1])
         pw = plane_wave([0.3, -0.6, 0.2, 0.5, -0.1, 0.7])
-        j = pw.jet(np.concatenate([x, xt, y, yt]).astype(complex))
+        j = pw(np.concatenate([x, xt, y, yt]).astype(complex))
 
         def V(u, v, c):
             return c * (c - 1.0) * _wp1_sum(dom, u, v, shift=1j * dom.delta)
@@ -417,7 +425,7 @@ class TestGeneralized:
         pw = plane_wave(k)
         u = np.array([0.5, 1.4, -0.3])
         a = apply_generalized_ecs(pw, u[:2], [], u[2:], [], 0.0, dom)
-        assert abs(a - 0.5 * (k @ k) * pw(u)) <= 1e-13
+        assert abs(a - 0.5 * (k @ k) * pw(u).value) <= 1e-13
 
     def test_single_family_reduces(self, dom):
         pw = plane_wave([0.3, -0.6])
@@ -438,8 +446,7 @@ class TestGeneralized:
             v[2] -= 1j * dom.delta
             return v
 
-        psi_sub = SmoothField(lambda u: psi.jet(sub(u)))
-        lhs = apply_generalized_ecs(psi_sub, xx, [], yy, [], g, dom)
+        lhs = apply_generalized_ecs(lambda u: psi(sub(u)), xx, [], yy, [], g, dom)
         rhs = apply_ecs(psi, np.concatenate([xx, yy - 1j * dom.delta]), g, dom)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
@@ -517,6 +524,19 @@ class TestRuijsenaarsD:
                 expect += coef * f(zs)
             got = apply_ruijsenaars_D(f, z, par, sign=sign)
             assert abs(got - expect) <= 1e-12 * abs(expect)
+
+    def test_t_zero_at_p_zero(self):
+        # theta(t w; 0) = 1 at t = 0: D f = sum_i prod_{j != i} (1 - z_j/z_i)^-1 f(.., q z_i, ..)
+        par = RuijsenaarsParams(p=0.0, q=0.31, t=0.0)
+        z = np.exp(1j * np.array([0.3, 1.7, -2.2]))
+        f = lambda zz: zz[0] + 2.0 * zz[1] * zz[2] + 1.0 / zz[0]
+        expect = 0.0
+        for i in range(len(z)):
+            zs = z.copy()
+            zs[i] *= par.q
+            expect += f(zs) / np.prod([1.0 - z[j] / z[i] for j in range(len(z)) if j != i])
+        assert abs(apply_ruijsenaars_D(f, z, par) - expect) <= 1e-13 * abs(expect)
+        assert abs(apply_ruijsenaars_D(lambda zz: 1.0, z[:2], par) - 1.0) <= 1e-14
 
     def test_coefficient_pole(self):
         par = RuijsenaarsParams(p=0.0, q=0.31, t=0.47)

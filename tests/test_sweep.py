@@ -98,7 +98,7 @@ def old_wronskian(state, dom):
     f = hermite_psi_field(state.roots, state.xi, dom)
     fm = hermite_psi_field(state.roots, state.xi, dom, reflect=True)
     xv = np.array([dom.ell * (0.29 + 0.13j)])
-    jf, jm = f.jet(xv), fm.jet(xv)
+    jf, jm = f(xv), fm(xv)
     wron = jf.value * jm.d1[0] - jf.d1[0] * jm.value
     return abs(wron) / max(abs(jf.value * jm.value), 1e-300)
 

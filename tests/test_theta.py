@@ -34,6 +34,17 @@ class TestThetaQ:
         with pytest.raises(PoleError):
             theta_q(0.0, 0.1)
 
+    def test_zero_argument_at_p_zero(self):
+        # no p^n / z factor exists at p = 0, so theta(0; 0) = 1 and its log is 0
+        assert theta_q(0.0, 0.0) == 1.0
+        assert log_theta_q(0.0, 0.0) == 0.0
+        # a raw invalid nome still fails in the truncation rule, not as the p = 0 case
+        for bad in (math.nan, -0.1):
+            with pytest.raises(DomainError):
+                theta_q(0.5, bad)
+            with pytest.raises(DomainError):
+                log_theta_q(0.5, bad)
+
 
 def summed_principal_logs(z, p):
     """sum over the factors 1 - y of theta(z; p) of log(1 - y), with the factor count.

@@ -70,7 +70,7 @@ class TestSingleContour:
                 E = fit_nonstationary_E(psi, g, [0.8, 0.1], g, dom)
                 pts = [[1.2, 0.3], [0.6, -0.5], [1.7, 0.9]]
                 worst = max(abs(nonstationary_residual(psi, g, E, x, g, dom))
-                            / abs(psi(np.array(x, dtype=complex))) for x in pts)
+                            / abs(psi(np.array(x, dtype=complex)).value) for x in pts)
                 assert worst <= 1e-8
 
     def test_field_builds_moments_once_per_point(self, dom_small_p, monkeypatch):
@@ -228,6 +228,23 @@ class TestAssembly:
         every = eigen_residuals_P_lambda(lam, t, x, g, dom_small_p, Ks=range(7))
         for K in range(7):
             assert eigen_residuals_P_lambda(lam, t, x, g, dom_small_p, Ks=[K])[0] == every[K]
+
+    def test_every_order_in_one_hamiltonian_call(self, dom_small_p, monkeypatch):
+        # all requested orders share one jet and one apply_ecs call: one wp1 walk
+        import ellipcmr.operators as operators
+        calls = []
+        counted = operators.wp1
+        monkeypatch.setattr(operators, "wp1", lambda *a, **kw: calls.append(1) or counted(*a, **kw))
+        g, lam, K = 1.5, Partition2(3, 1), 6
+        t = table_for(lam, g, K=K)
+        x = np.array([0.7, 0.1])
+        every = eigen_residuals_P_lambda(lam, t, x, g, dom_small_p, Ks=range(K + 1))
+        assert len(calls) == 1
+        for k in range(K + 1):
+            calls.clear()
+            single = eigen_residuals_P_lambda(lam, t, x, g, dom_small_p, Ks=[k])
+            assert len(calls) == 1
+            assert abs(single[0] - every[k]) <= 1e-13
 
     def test_eigen_residual_invariant_under_swap_and_period(self):
         # psi0 = vt1(x1 - x2)^g at g = 1.5 needs vt1 > 0; the residual is the same
