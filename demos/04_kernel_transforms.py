@@ -25,9 +25,8 @@ dom = EllipticDomain.from_nome(2.0, 0.05)
 g = 2.0
 psi = single_contour_psi_field(1, 0, g, dom)
 E = fit_nonstationary_E(psi, g, [0.8, 0.1], g, dom)
-worst = max(abs(nonstationary_residual(psi, g, E, x, g, dom))
-            / abs(psi(np.array(x, dtype=complex)).value)
-            for x in ([1.2, 0.3], [0.6, -0.5]))
+x = np.array([[1.2, 0.3], [0.6, -0.5]], dtype=complex)     # two points, one per row
+worst = np.max(np.abs(nonstationary_residual(psi, g, E, x, g, dom)) / np.abs(psi(x).value))
 print(f"\nkappa = g non-stationary residual of psi0 * P: {worst:.2e}  (E = {E:.8g})")
 
 # Double-contour building block and the assembled eigenfunction

@@ -67,8 +67,8 @@ def _with_origin(fn, t, dom, parity):
 
 
 def _at_x_and_roots(fn, x, roots, dom):
-    """(fn(x), fn(x - t_j)) from one call; a tuple-valued fn comes stacked on a first axis."""
-    v = np.asarray(pair_values(fn, x, np.append(0.0, roots), dom=dom))
+    """(fn(x), fn(x - t_j)) from one call, t_j last; a tuple-valued fn comes stacked first."""
+    v = np.asarray(fn(np.asarray(x, dtype=complex)[..., None] - np.append(0.0, roots), dom))
     return v[..., 0], v[..., 1:]
 
 
@@ -273,11 +273,11 @@ def hermite_psi_field(roots, xi: complex, dom: EllipticDomain,
     s = -1.0 if reflect else 1.0
 
     def jet(xv):
-        x = s * xv[0]
+        x = s * xv[..., 0]
         at_x, at_roots = _at_x_and_roots(theta1_jet, x, roots, dom)
-        value = complex(_hermite_value(x, xi, at_x[0], at_roots[0]))     # the vt1 rows
+        value = _hermite_value(x, xi, at_x[0], at_roots[0])     # the vt1 rows
         ld, ld2, _ = _log_derivs((at_x, at_roots), xi)
-        return Jet(value, np.array([s * ld * value]), np.array([ld2 * value]))
+        return Jet(value, (s * ld * value)[..., None], (ld2 * value)[..., None])
 
     return jet
 

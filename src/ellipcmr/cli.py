@@ -51,7 +51,8 @@ _EVAL_FNS = {
     "gamma": lambda x, z, dom, args: elliptic_gamma(
         z, RuijsenaarsParams(p=dom.p, q=args.q, t=args.t)),
     # two-point torus slice (z, 1)
-    "W": lambda x, z, dom, args: weight_W(np.stack([z, np.ones_like(z)]), args.g, dom.p) + 0j,
+    "W": lambda x, z, dom, args: weight_W(np.column_stack([z, np.ones_like(z)]),
+                                          args.g, dom.p) + 0j,
 }
 
 
@@ -89,14 +90,11 @@ def _suite_qper(dom):
 
 
 def _suite_kernel_identity(dom, N, M, g):
-    spec = KernelSpec(N, M, g)
-    configs = [(np.array([0.9, 0.1, -0.7, 1.3])[:N] + 0.03 * j,
-                np.array([0.55, -0.62, 1.1, -1.0])[:M] + 0.05 * j) for j in range(5)]
-    vals = [kernel_identity_residual(spec, xc * dom.ell / 2, yc * dom.ell / 2, dom)
-            for xc, yc in configs]
-    if N == M:
-        return max(abs(v) for v in vals)
-    return max(abs(v - vals[0]) for v in vals)
+    j = np.arange(5)[:, None]      # five configurations, one per row
+    x = (np.array([0.9, 0.1, -0.7, 1.3])[:N] + 0.03 * j) * dom.ell / 2
+    y = (np.array([0.55, -0.62, 1.1, -1.0])[:M] + 0.05 * j) * dom.ell / 2
+    vals = kernel_identity_residual(KernelSpec(N, M, g), x, y, dom)
+    return np.max(np.abs(vals if N == M else vals - vals[0]))
 
 
 def _suite_duality(dom, g):
@@ -128,11 +126,12 @@ def _suite_calogero(dom, g):
 
 
 def _suite_nonstationary_theta(dom, g):
-    f = ground_state_field(g, dom)
-    E = fit_nonstationary_E(f, 2 * g, [0.45 * dom.ell, 0.05 * dom.ell], g, dom)
-    pts = [(dom.ell * (0.1 + 0.08 * j), dom.ell * (0.02 + 0.004 * j)) for j in range(10)]
-    # |residual| / |psi| is |fit_nonstationary_E - E|: one jet per point
-    return max(abs(fit_nonstationary_E(f, 2 * g, [a, b], g, dom) - E) for a, b in pts)
+    j = np.arange(10)
+    # row 0 is the reference point; |residual| / |psi| at row j is |E_j - E_0|
+    pts = dom.ell * np.column_stack([np.append(0.45, 0.1 + 0.08 * j),
+                                     np.append(0.05, 0.02 + 0.004 * j)])
+    E = fit_nonstationary_E(ground_state_field(g, dom), 2 * g, pts, g, dom)
+    return np.max(np.abs(E[1:] - E[0]))
 
 
 _SUITES = {

@@ -1,11 +1,12 @@
 """Smooth complex-valued fields with analytic derivatives.
 
-A field is a plain function, its jet: psi(x) takes the N coordinates of a
-point on the last axis of a complex array and returns the value, the N first
-and N second partials and, where the field has one, the tau-derivative, all
-from one evaluation.  A jet may carry leading batch axes (several fields at
-one point), with the coordinates on the last axis of d1 and d2.  Operators
-read one jet per point.  Finite differences appear only as test oracles.
+A field is a plain function, its jet: psi(x) takes complex points x (a point's
+N coordinates on the last axis, leading axes indexing points) and returns the
+value, the N first and N second partials and, where the field has one, the
+tau-derivative, all from one evaluation.  Jet arrays have shape (field axes,
+point axes[, N]): a field has no field axes, and a jet of several fields
+(transform.eigen_residuals_P_lambda) stacks them in front.  Finite differences
+appear only as test oracles.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ Vec = np.ndarray
 
 
 class Jet(NamedTuple):
-    """A field at one point: value, partials d/dx_i and d^2/dx_i^2 (coordinates
-    on the last axis; leading axes batch fields) and the tau-derivative at fixed x
-    (None where the field has none)."""
+    """Fields at points: value, partials d/dx_i and d^2/dx_i^2 and the tau-derivative
+    at fixed x (None where the field has none), shaped (field axes, point axes[, N])
+    with the coordinates last; one field at one point gives a complex value."""
 
     value: complex
     d1: Vec
@@ -38,7 +39,7 @@ def plane_wave(k) -> Field:
     k = np.asarray(k, dtype=complex)
 
     def jet(x):
-        v = complex(np.exp(1j * np.dot(k, x)))
-        return Jet(v, 1j * k * v, -(k ** 2) * v, 0.0)
+        v = np.exp(1j * np.dot(x, k))
+        return Jet(v, 1j * k * v[..., None], -(k ** 2) * v[..., None], 0.0)
 
     return jet

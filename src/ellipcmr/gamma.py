@@ -44,7 +44,7 @@ def elliptic_gamma(z, par: RuijsenaarsParams):
 def weight_W(z, g: float, p: float):
     """Scalar-product weight W(z) = ( prod_{i != j} theta(z_i/z_j; p) )^g.
 
-    z has shape (N, ...): N coordinates per point of the trailing grid axes.
+    z holds N coordinates on its last axis; leading axes index points.
     z must be unimodular with pairwise distinct entries; the product is real
     and non-negative there (conjugate factors pair up), so the imaginary
     roundoff is checked against 1e-12 and discarded.  One point gives a float.
@@ -52,11 +52,11 @@ def weight_W(z, g: float, p: float):
     z = np.asarray(z, dtype=complex)
     if np.any(np.abs(np.abs(z) - 1.0) > 1e-9):
         raise PoleError("weight_W requires |z_i| = 1")
-    j, k = _pair_index(len(z))
-    w = z[j] / z[k]
+    j, k = _pair_index(z.shape[-1])
+    w = z[..., j] / z[..., k]
     if np.any(np.abs(w - 1.0) < _POLE_EPS):
         raise PoleError("coincident arguments z_i = z_j")
-    base = np.prod(theta_q(w, p) * theta_q(1.0 / w, p), axis=0)
+    base = np.prod(theta_q(w, p) * theta_q(1.0 / w, p), axis=-1)
     if np.any(np.abs(base.imag) > 1e-12 * np.maximum(1.0, np.abs(base))):
         raise PoleError(f"weight not real on the torus: Im = {np.max(np.abs(base.imag))}")
     if np.any(base.real < 0.0):
@@ -79,7 +79,7 @@ def weight_Wrel(z, par: RuijsenaarsParams) -> float:
 def ground_state_psi0(x, g: float, dom: EllipticDomain):
     """psi0(x) = prod_{i<j} vt1(x_i - x_j)^g; needs x_i - x_j in the branch domain.
 
-    x has shape (N, ...); the product runs over axis 0, so a grid of points
-    takes one call and one point gives a complex scalar.
+    x holds N coordinates on its last axis and leading axes index points, so a
+    grid of points takes one call and one point gives a complex scalar.
     """
-    return _scalar_or_array(np.prod(pair_values(theta1_power, x, g=g, dom=dom), axis=0))
+    return _scalar_or_array(np.prod(pair_values(theta1_power, x, g=g, dom=dom), axis=-1))

@@ -14,7 +14,6 @@ need a branch choice.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,8 @@ import numpy as np
 from .domain import EllipticDomain
 from .errors import DomainError
 from .gamma import ground_state_psi0
-from .operators import _hamiltonian, _source_jet
-from .theta import _scalar_or_array, theta1_power
+from .operators import _particles, _source_jet, _tau_hamiltonian
+from .theta import _scalar_or_array, pair_values, theta1_power
 
 __all__ = ["KernelSpec", "kernel_K", "kernel_identity_residual"]
 
@@ -48,33 +47,28 @@ class KernelSpec:
 def kernel_K(spec: KernelSpec, x, y, dom: EllipticDomain):
     """Evaluate the theta-quotient kernel; fractional g needs the branch domain.
 
-    x has shape (N, ...) and y shape (M, ...); their trailing grid axes
-    broadcast, so a whole grid takes one call.  One point gives a complex scalar.
+    x holds N and y holds M coordinates on the last axis; their leading point
+    axes broadcast, so a whole grid takes one call.  One point gives a complex scalar.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    if len(x) != spec.N or len(y) != spec.M:
+    if x.shape[-1] != spec.N or y.shape[-1] != spec.M:
         raise DomainError("coordinate counts must match the KernelSpec")
     g = spec.g
-    # x_i - y_j on the last two axes, after the broadcast grid axes
-    cross = np.moveaxis(x, 0, -1)[..., :, None] - np.moveaxis(y, 0, -1)[..., None, :]
-    den = np.prod(theta1_power(cross, g, dom), axis=(-2, -1))
+    den = np.prod(pair_values(theta1_power, x, y, g=g, dom=dom), axis=(-2, -1))
     return _scalar_or_array(ground_state_psi0(x, g, dom) * ground_state_psi0(y, g, dom) / den)
 
 
-def kernel_identity_residual(spec: KernelSpec, x, y, dom: EllipticDomain) -> complex:
+def kernel_identity_residual(spec: KernelSpec, x, y, dom: EllipticDomain):
     """R = ((i pi kappa/2 ell^2) d_tau + H_N(x) - H_M(y)) K / K, kappa = (N-M)g.
 
     R equals the identity constant C_{N,M} (zero for N = M) whenever the kernel
-    identity holds; constancy over configurations is the testable content.
+    identity holds; constancy over configurations (one R per point) is the testable content.
     """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if len(x) != spec.N or len(y) != spec.M:
+    u, sizes = _particles(x, y)
+    if sizes != [spec.N, spec.M]:
         raise DomainError("coordinate counts must match the KernelSpec")
     # masses s = +1 on x and -1 on y: the source is K and the Hamiltonian H_N(x) - H_M(y)
-    u = np.concatenate([x, y])
-    s = np.repeat([1.0, -1.0], [len(x), len(y)])
+    s = np.repeat([1.0, -1.0], sizes)
     _, j = _source_jet(u, s, spec.g, dom)
-    tau_term = (1j * math.pi * spec.kappa / (2.0 * dom.ell ** 2)) * j.dtau
-    return tau_term + _hamiltonian(j, u, s, spec.g, dom)
+    return _tau_hamiltonian(j, u, s, spec.kappa, spec.g, dom)

@@ -10,8 +10,8 @@ m = 1 gives the eCS operator H_N (c = g(g-1)); a deformed partner has m = -1/g
 (c = (g-1)/g among partners, 1-g against eCS particles), and the kernel
 identity takes m = +1 on x and -1 on y, so that H = H_N(x) - H_M(y).  The
 non-stationary deformation adds (i pi kappa / 2 ell^2) d/dtau.  A field is its
-jet function psi(x) -> fields.Jet; each operator calls it once per point and
-takes the value, the second partials and the tau-derivative from that jet.
+jet function psi(x) -> fields.Jet; each operator calls it once on all its points
+(fields.Jet has the shape rule) and returns one value per point.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .domain import EllipticDomain, RuijsenaarsParams
 from .errors import ConvergenceError, DomainError, PoleError
 from .fields import Field, Jet
-from .theta import (_pair_index, _power, _scalar_or_array, pair_values, theta1_jet,
+from .theta import (_pair_index, _power, pair_values, theta1_jet,
                     theta1_tau_logderiv, theta_q, wp1)
 
 __all__ = [
@@ -57,77 +57,86 @@ def half_period_shifts(dom: EllipticDomain):
     return (0.0, dom.ell, 1j * dom.delta, -dom.ell - 1j * dom.delta)
 
 
-def _hamiltonian(j: Jet, u, m, g: float, dom: EllipticDomain, side=None) -> complex:
-    """(H psi)(u) from psi's jet j at u for masses m; pairs with unequal side labels
-    shift by i delta.  One wp1 call over all pairs, summed per distinct c_ik, so
-    equal masses give c * (sum of wp1) exactly.  The kinetic term sums the jet's
-    last axis, so a jet batched over leading axes gives one value per field.
+def _hamiltonian(j: Jet, u, m, g: float, dom: EllipticDomain, side=None):
+    """(H psi)(u) from psi's jet j at the points u for masses m; pairs with unequal
+    side labels shift by i delta.  One wp1 call over all pairs of all points, summed
+    per distinct c_ik, so equal masses give c * (sum of wp1) exactly.  One value per
+    field and point: the kinetic term sums the jet's last axis.
     """
-    jj, kk = _pair_index(len(u))
+    jj, kk = _pair_index(u.shape[-1])
     c = 0.5 * g * (g * m[jj] * m[kk] - 1.0) * (m[jj] + m[kk])
-    d = u[jj] - u[kk]
+    d = np.take(u, jj, axis=-1) - np.take(u, kk, axis=-1)     # C-ordered, as pair_values
     if side is not None:
-        d[side[jj] != side[kk]] += 1j * dom.delta
+        d[..., side[jj] != side[kk]] += 1j * dom.delta
     w = wp1(d, dom)
-    pot = sum(ck * w[c == ck].sum() for ck in dict.fromkeys(c.tolist()))
+    pot = sum(ck * np.compress(c == ck, w, -1).sum(-1) for ck in dict.fromkeys(c.tolist()))
     return -0.5 * (j.d2 / m).sum(axis=-1) + pot * j.value
 
 
-def apply_ecs(psi: Field, x: Sequence[complex], g: float, dom: EllipticDomain) -> complex:
-    """(H_N psi)(x) for the eCS operator with coupling g.
+def _tau_hamiltonian(j: Jet, u, m, kappa: complex, g: float, dom: EllipticDomain):
+    """(((i pi kappa / 2 ell^2) d_tau + H) psi)(u) from psi's jet j for masses m."""
+    return (1j * math.pi * kappa / (2.0 * dom.ell ** 2)) * j.dtau + _hamiltonian(j, u, m, g, dom)
 
-    psi(x) is called once with the N coordinates as a complex array; its jet may
-    batch several fields at x over leading axes (coordinates on the last axis of
-    d1, d2), and then one value per field is returned from one wp1 call.
+
+def _particles(*families):
+    """All families' coordinates joined on the last axis (point axes broadcast), and their sizes."""
+    fams = [np.asarray(f, dtype=complex) for f in families]
+    lead = np.broadcast_shapes(*(f.shape[:-1] for f in fams))
+    u = np.concatenate([np.broadcast_to(f, lead + f.shape[-1:]) for f in fams], axis=-1)
+    return u, [f.shape[-1] for f in fams]
+
+
+def apply_ecs(psi: Field, x, g: float, dom: EllipticDomain):
+    """(H_N psi)(x) for the eCS operator with coupling g, one value per point.
+
+    psi(x) is called once on the complex points x (fields.Jet has the shape rule);
+    its jet may also batch several fields over leading axes, and then one value per
+    field and point is returned from one wp1 call.
     """
     x = np.asarray(x, dtype=complex)
-    return _hamiltonian(psi(x), x, np.ones(len(x)), g, dom)
+    return _hamiltonian(psi(x), x, np.ones(x.shape[-1]), g, dom)
 
 
 def _nonstationary_lhs(psi: Field, kappa: complex, x, g: float, dom: EllipticDomain):
-    """(((i pi kappa / 2 ell^2) d_tau + H_N) psi, psi) at x from one jet;
+    """(((i pi kappa / 2 ell^2) d_tau + H_N) psi, psi) at the points x from one jet;
     ConvergenceError where the jet has no tau-derivative."""
     x = np.asarray(x, dtype=complex)
     j = psi(x)
     if j.dtau is None:
         raise ConvergenceError("field has no analytic tau-derivative")
-    tau_term = (1j * math.pi * kappa / (2.0 * dom.ell ** 2)) * j.dtau
-    return tau_term + _hamiltonian(j, x, np.ones(len(x)), g, dom), j.value
+    return _tau_hamiltonian(j, x, np.ones(x.shape[-1]), kappa, g, dom), j.value
 
 
-def nonstationary_residual(psi: Field, kappa: complex, E: complex,
-                           x: Sequence[complex], g: float, dom: EllipticDomain) -> complex:
+def nonstationary_residual(psi: Field, kappa: complex, E: complex, x, g: float,
+                           dom: EllipticDomain):
     """((i pi kappa / 2 ell^2) d_tau + H_N - E) psi at x; needs analytic d_tau."""
     lhs, value = _nonstationary_lhs(psi, kappa, x, g, dom)
     return lhs - E * value
 
 
-def fit_nonstationary_E(psi: Field, kappa: complex, x_ref, g: float,
-                        dom: EllipticDomain) -> complex:
-    """Generalized eigenvalue fixed by a vanishing residual at one reference point."""
+def fit_nonstationary_E(psi: Field, kappa: complex, x_ref, g: float, dom: EllipticDomain):
+    """Generalized eigenvalue fixed by a vanishing residual at x_ref: one per point."""
     lhs, value = _nonstationary_lhs(psi, kappa, x_ref, g, dom)
     return lhs / value
 
 
-def lame_residual(psi: Field, E: complex, x: complex, g: float,
-                  dom: EllipticDomain) -> complex:
+def lame_residual(psi: Field, E: complex, x, g: float, dom: EllipticDomain):
     """Residual of (-d^2/dx^2 + g(g-1) wp1(x) - E) psi: the BC_1 equation with g0 = g."""
     return heun_residual(psi, E, x, CouplingSet(g0=g), dom)
 
 
-def heun_residual(psi: Field, E: complex, x: complex, c: CouplingSet,
-                  dom: EllipticDomain) -> complex:
-    """BC_1 residual with potential sum_nu g_nu(g_nu-1) wp1(x+omega_nu); g2, g3 need p > 0."""
+def heun_residual(psi: Field, E: complex, x, c: CouplingSet, dom: EllipticDomain):
+    """BC_1 residual with potential sum_nu g_nu(g_nu-1) wp1(x+omega_nu); g2, g3 need p > 0.
+    x is a coordinate or an array of them, one residual each; psi gets x[..., None]."""
     if (c.g2 or c.g3) and dom.p == 0.0:
         raise DomainError("couplings g2, g3 shift by i delta, which is infinite at p = 0")
-    xv = np.asarray([x], dtype=complex)
-    pot = 0.0 + 0.0j
-    # zip stops after g0, g1 at p = 0, which shift by 0 and ell only
-    for gnu, om in zip(c.gnu, half_period_shifts(dom) if dom.p > 0.0 else (0.0, dom.ell)):
-        if gnu != 0.0:
-            pot += gnu * (gnu - 1.0) * wp1(x + om, dom)
+    xv = np.asarray(x, dtype=complex)[..., None]
+    om = np.array(half_period_shifts(dom) if dom.p > 0.0 else (0.0, dom.ell))
+    gnu = np.array(c.gnu[:len(om)])
+    on = gnu != 0.0      # a zero coupling takes no wp1 value, so its shift meets no pole
+    pot = (gnu[on] * (gnu[on] - 1.0) * wp1(xv + om[on], dom)).sum(axis=-1)
     j = psi(xv)
-    return -j.d2[0] + (pot - E) * j.value
+    return -j.d2[..., 0] + (pot - E) * j.value
 
 
 def _masses(g: float, sizes):
@@ -137,8 +146,7 @@ def _masses(g: float, sizes):
     return np.repeat([1.0, -1.0 / g if g else 0.0] * (len(sizes) // 2), sizes)
 
 
-def apply_deformed_ecs(psi: Field, x: Sequence[complex], xt: Sequence[complex],
-                       g: float, dom: EllipticDomain) -> complex:
+def apply_deformed_ecs(psi: Field, x, xt, g: float, dom: EllipticDomain):
     """(H_{N,M} psi)(x, xt): N particles of mass 1 and M of mass -1/g,
 
     H_{N,M} = -1/2 sum d^2/dx_i^2 + (g/2) sum d^2/dxt_j^2 + g(g-1) sum_{i<k} wp1(x_i - x_k)
@@ -146,16 +154,13 @@ def apply_deformed_ecs(psi: Field, x: Sequence[complex], xt: Sequence[complex],
 
     psi is a field of N+M coordinates ordered (x_1..x_N, xt_1..xt_M).
     """
-    x = np.asarray(x, dtype=complex)
-    xt = np.asarray(xt, dtype=complex)
-    if len(xt) > 0 and g == 0.0:
+    full, sizes = _particles(x, xt)
+    if sizes[1] > 0 and g == 0.0:
         raise DomainError("deformed operator needs g != 0 when M > 0")
-    full = np.concatenate([x, xt])
-    return _hamiltonian(psi(full), full, _masses(g, [len(x), len(xt)]), g, dom)
+    return _hamiltonian(psi(full), full, _masses(g, sizes), g, dom)
 
 
-def apply_generalized_ecs(psi: Field, x, xt, y, yt, g: float,
-                          dom: EllipticDomain) -> complex:
+def apply_generalized_ecs(psi: Field, x, xt, y, yt, g: float, dom: EllipticDomain):
     """Four-family operator: masses (1, -1/g, 1, -1/g) on (x, xt, y, yt), sides (x, xt), (y, yt).
 
     H = H_{N1,M1}(x, xt) + H_{N2,M2}(y, yt) + V(x, y; g) - g V(xt, yt; 1/g)
@@ -165,11 +170,8 @@ def apply_generalized_ecs(psi: Field, x, xt, y, yt, g: float,
     N1+M1+N2+M2 coordinates in the order (x, xt, y, yt).  Two nonempty sides
     need p > 0.
     """
-    x, xt = np.asarray(x, dtype=complex), np.asarray(xt, dtype=complex)
-    y, yt = np.asarray(y, dtype=complex), np.asarray(yt, dtype=complex)
-    full = np.concatenate([x, xt, y, yt])
-    sizes = [len(x), len(xt), len(y), len(yt)]
-    if (len(xt) > 0 or len(yt) > 0) and g == 0.0:
+    full, sizes = _particles(x, xt, y, yt)
+    if (sizes[1] > 0 or sizes[3] > 0) and g == 0.0:
         raise DomainError("generalized operator needs g != 0 when tilde families are present")
     if sizes[0] + sizes[1] and sizes[2] + sizes[3] and dom.p == 0.0:
         raise DomainError("cross families shift by i delta, which is infinite at p = 0")
@@ -208,18 +210,18 @@ def apply_ruijsenaars_D(f, z: Sequence[complex], par: RuijsenaarsParams,
 
 
 def _source_jet(u, s, g: float, dom: EllipticDomain):
-    """Pair values vt1(u_i - u_k), i < k, and the jet of F/F at u for the source
-    F = prod_{i<k} vt1(u_i - u_k)^(g s_i s_k), s_i = +-1: Jet(1, d ln F,
+    """Pair values vt1(u_i - u_k), i < k, and the jet of F/F at the points u for the
+    source F = prod_{i<k} vt1(u_i - u_k)^(g s_i s_k), s_i = +-1: Jet(1, d ln F,
     (d ln F)^2 + d^2 ln F, d_tau ln F).  s = 1 gives psi0, s = (+1 on x, -1 on y) K.
     """
     vt, Z, D = pair_values(theta1_jet, u, dom=dom, parity=(-1, -1, 1))
-    jj, kk = _pair_index(len(u))
+    jj, kk = _pair_index(u.shape[-1])
     flip = np.not_equal.outer(s, s)     # pairs with exponent -g; negation is exact
-    li = g * np.where(flip, -Z, Z).sum(axis=1)      # Z = zeta1, D = (ln vt1)'' = -wp1
-    lii = g * np.where(flip, -D, D).sum(axis=1)
+    li = g * np.where(flip, -Z, Z).sum(axis=-1)      # Z = zeta1, D = (ln vt1)'' = -wp1
+    lii = g * np.where(flip, -D, D).sum(axis=-1)
     t = pair_values(theta1_tau_logderiv, u, dom=dom)
-    ltau = g * np.where(flip[jj, kk], -t, t).sum()
-    return vt[jj, kk], Jet(1.0, li, li * li + lii, ltau)
+    ltau = g * np.where(flip[jj, kk], -t, t).sum(axis=-1)
+    return vt[..., jj, kk], Jet(1.0, li, li * li + lii, ltau)
 
 
 def ground_state_field(g: float, dom: EllipticDomain) -> Field:
@@ -229,8 +231,8 @@ def ground_state_field(g: float, dom: EllipticDomain) -> Field:
     give by theta1_power's power rule.
     """
     def jet(x):
-        vt, j = _source_jet(x, np.ones(len(x)), g, dom)
-        psi0 = _scalar_or_array(np.prod(_power(vt, g), axis=0))
-        return Jet(psi0, j.d1 * psi0, j.d2 * psi0, j.dtau * psi0)
+        vt, j = _source_jet(x, np.ones(x.shape[-1]), g, dom)
+        psi0 = np.prod(_power(vt, g), axis=-1)
+        return Jet(psi0, j.d1 * psi0[..., None], j.d2 * psi0[..., None], j.dtau * psi0)
 
     return jet

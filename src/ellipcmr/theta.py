@@ -254,25 +254,28 @@ def _pair_index(n: int):
 def pair_values(fn, a, b=None, *, parity: int | tuple = 0, **kw):
     """fn(differences, **kw) on the pair differences of a, in one vectorised call.
 
-    With b: the (len(a), len(b)) matrix of fn(a_i - b_j).  Without b: fn(a_j - a_k)
-    over the pairs j < k in row-major order or, for parity -1 (odd fn) or +1
-    (even fn), the n x n matrix with zero diagonal whose lower triangle is filled
-    from those values.  For an fn that returns a tuple (theta1_jet), parity has
-    one entry per output and the matrices come stacked along a first axis.  The
-    call takes its truncation order at the largest |z| + 1/|z| over all pairs,
-    so every entry keeps a certified tail bound.
+    The coordinates sit on the last axis of a (and b); leading axes index points.
+    With b: the matrices fn(a[..., i] - b[..., j]) on the last two axes.  Without b:
+    fn(a[..., j] - a[..., k]) over the pairs j < k in row-major order on the last
+    axis or, for parity -1 (odd fn) or +1 (even fn), the n x n matrices with zero
+    diagonal whose lower triangle is filled from those values.  For an fn that
+    returns a tuple (theta1_jet), parity has one entry per output and the results
+    come stacked along a first axis.  The call takes its truncation order at the
+    largest |z| + 1/|z| over all pairs, so every entry keeps a certified tail bound.
     """
     a = np.asarray(a, dtype=complex)
     if b is not None:
-        return fn(np.subtract.outer(a, np.asarray(b, dtype=complex)), **kw)
-    j, k = _pair_index(len(a))
-    vals = fn(a[j] - a[k], **kw)
+        return fn(a[..., :, None] - np.asarray(b, dtype=complex)[..., None, :], **kw)
+    j, k = _pair_index(a.shape[-1])
+    # np.take keeps the point axes C-ordered, so per-point sums round as one point's
+    vals = fn(np.take(a, j, axis=-1) - np.take(a, k, axis=-1), **kw)
     if not parity:
         return vals
     vals = np.asarray(vals)
-    out = np.zeros(vals.shape[:-1] + (len(a), len(a)), dtype=complex)
+    sign = np.reshape(parity, np.shape(parity) + (1,) * (vals.ndim - np.ndim(parity)))
+    out = np.zeros(vals.shape[:-1] + a.shape[-1:] * 2, dtype=complex)
     out[..., j, k] = vals
-    out[..., k, j] = np.asarray(parity)[..., None] * vals
+    out[..., k, j] = sign * vals
     return out
 
 

@@ -113,17 +113,17 @@ def _nodes(radius: float, count: int):
 
 
 def _check_winding(values, what: str):
-    """Total argument change of the theta-power factor must vanish on a loop.
+    """Total argument change of the theta-power factor must vanish on each loop.
 
-    Integer monomial powers wind harmlessly and are excluded by the callers;
-    a nonzero total (or a jump between nodes) signals a crossed branch cut,
-    i.e. a contour outside the zero-free annulus.
+    A loop runs along the last axis, leading axes index loops, and the message names
+    the largest total.  Integer monomial powers wind harmlessly and are excluded by
+    the callers; a nonzero total (or a jump between nodes) signals a crossed branch
+    cut, i.e. a contour outside the zero-free annulus.
     """
-    v = np.asarray(values).ravel()
-    steps = np.angle(np.roll(v, -1) / v)
-    total = float(np.sum(steps))
-    if abs(total) > math.pi or np.max(np.abs(steps)) > 0.5 * math.pi:
-        raise WindowError(f"{what}: theta-power factor winds by {total / (2 * math.pi):.2f} turns")
+    steps = np.angle(np.roll(values, -1, axis=-1) / values)
+    worst = float(max(np.sum(steps, axis=-1).ravel(), key=abs))
+    if abs(worst) > math.pi or np.max(np.abs(steps)) > 0.5 * math.pi:
+        raise WindowError(f"{what}: theta-power factor winds by {worst / (2 * math.pi):.2f} turns")
 
 
 def _node_doubled(value_at: Callable) -> ContourResult:
@@ -139,14 +139,15 @@ def _node_doubled(value_at: Callable) -> ContourResult:
 
 
 def _single_integrand(lam_diff: int, lam2: int, z, xi, g: float, p: float, strides=(1,)):
-    """Prefactor (z1 z2)^lam2 and integrand xi^lam_diff / prod_j theta(z_j/xi)^g.
+    """Prefactor (z1 z2)^lam2 and integrand xi^lam_diff / prod_j theta(z_j/xi)^g at the
+    points z (coordinates on the last axis), nodes on the last axis of the integrand.
 
     The theta part's winding is checked on the [::s] view of the nodes for each s.
     """
-    theta_part = np.exp(-g * log_theta_q(z[:, None] / xi, p).sum(axis=0))
+    theta_part = np.exp(-g * log_theta_q(z[..., :, None] / xi, p).sum(axis=-2))
     for s in strides:
-        _check_winding(theta_part[::s], "single contour")
-    return (z[0] * z[1]) ** lam2, xi ** lam_diff * theta_part
+        _check_winding(theta_part[..., ::s], "single contour")
+    return (z[..., 0] * z[..., 1]) ** lam2, xi ** lam_diff * theta_part
 
 
 def n2_single_contour_P(lam_diff: int, lam2: int, z, g: float, p: float,
@@ -293,11 +294,10 @@ def assemble_P_lambda(lam: Partition2, table: PSeriesTable, z, g: float, p: floa
 
 def _psi0_times(j0: Jet, P, dP, dP2) -> Jet:
     """The x-jet of psi0 P by the product rule on psi0's jet j0, from P and its
-    first and second partials dP, dP2 (coordinates on the last axis).  P may
-    carry leading axes, one entry per function P: the jet then batches over them."""
-    Pc = np.asarray(P)[..., None]
-    return Jet(j0.value * P, j0.d1 * Pc + j0.value * dP,
-               j0.d2 * Pc + 2.0 * j0.d1 * dP + j0.value * dP2)
+    first and second partials dP, dP2, shaped as fields.Jet says.  P may carry
+    field axes in front of j0's point axes: the jet then batches over them."""
+    Pc, v0 = np.asarray(P)[..., None], np.asarray(j0.value)[..., None]
+    return Jet(j0.value * P, j0.d1 * Pc + v0 * dP, j0.d2 * Pc + 2.0 * j0.d1 * dP + v0 * dP2)
 
 
 def eigen_residuals_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
@@ -352,16 +352,15 @@ def single_contour_psi_field(lam_diff: int, lam2: int, g: float, dom: EllipticDo
     def jet(x):
         z = np.exp(1j * math.pi * x / dom.ell)
         pref, base = _single_integrand(lam_diff, lam2, z, xi, g, p)
-        zx = z[:, None] / xi
+        zx = z[..., :, None] / xi
         e1, e2 = _wdlog_jet(zx, p)
         al = lam2 - g * e1                        # z_i-Euler weights, one row per i
-        P = pref * np.mean(base)
-        dP = ipl * pref * np.mean(base * al, axis=-1)
-        dP2 = ipl ** 2 * pref * np.mean(base * (al * al - g * e2), axis=-1)
-        P_tau = pref * np.mean(base * (-g * _tau_dlog_theta(zx, p).sum(axis=0)))
+        P = pref * np.mean(base, axis=-1)
+        dP = ipl * pref[..., None] * np.mean(base[..., None, :] * al, axis=-1)
+        dP2 = ipl ** 2 * pref[..., None] * np.mean(base[..., None, :] * (al * al - g * e2), axis=-1)
+        P_tau = pref * np.mean(base * (-g * _tau_dlog_theta(zx, p).sum(axis=-2)), axis=-1)
         j0 = psi0(x)
-        dtau = complex(j0.dtau * P + j0.value * P_tau)
-        return _psi0_times(j0, P, dP, dP2)._replace(dtau=dtau)
+        return _psi0_times(j0, P, dP, dP2)._replace(dtau=j0.dtau * P + j0.value * P_tau)
 
     return jet
 
@@ -374,8 +373,8 @@ def kernel_transform(spec: KernelSpec, source: Callable, x, dom: EllipticDomain,
     eps_j = delta (j + 1) / (4 (M + 1)) (or (j + 1)/4 at p = 0); closure
     requires the integrand to be 2 ell periodic in every y_j, which is checked
     at the seam (mismatch raises SeamError; e.g. non-integer plane-wave labels).
-    Trapezoid product rule on the (M, n, ..., n) grid, held in memory and
-    evaluated in one call; source gets that array and reads y_j as y[j].  A
+    Trapezoid product rule on the (n, ..., n, M) grid, held in memory and
+    evaluated in one call; source gets that array and reads y_j as y[..., j].  A
     node-doubling delta is attached.
     """
     x = np.asarray(x, dtype=complex)
@@ -389,7 +388,7 @@ def kernel_transform(spec: KernelSpec, source: Callable, x, dom: EllipticDomain,
 
     # seam check at all 2M resolved endpoints in one call: y_j moved to -ell and +ell
     shift = dom.ell * np.eye(M)
-    a, b = integrand(base[:, None, None] + np.stack([-shift, shift], axis=1))
+    a, b = integrand(base + np.stack([-shift, shift]))
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
     bad = np.abs(a - b) > _SEAM_TOL * scale
     if bad.any():
@@ -399,7 +398,8 @@ def kernel_transform(spec: KernelSpec, source: Callable, x, dom: EllipticDomain,
 
     count = 2 * nodes
     s_grid = -dom.ell + 2.0 * dom.ell * np.arange(count) / count
-    y = np.array(np.meshgrid(*(s_grid + e for e in base), indexing="ij"), dtype=complex)
+    # M = 0 is one point with no coordinates
+    y = np.stack(np.meshgrid(*(s_grid + e for e in base), indexing="ij"), axis=-1) if M else base
     vals = integrand(y)
     # a contiguous copy of the view sums in the order a fresh grid of its size does
     return _node_doubled(

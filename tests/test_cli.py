@@ -103,6 +103,21 @@ class TestVerify:
         code, out = run_cli(["verify", "--suite", "calogero-trick", "--g", "0", "--p", "0.1"])
         assert code == 0 and json.loads(out)["pass"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "kernel-identity"],
+        ["--suite", "kernel-identity", "--N", "3", "--M", "1"],
+        ["--suite", "nonstationary-theta-power"],
+    ])
+    def test_batched_suite_makes_one_potential_call(self, argv, monkeypatch):
+        # every configuration of the suite in one library call: one wp1 call in all
+        import ellipcmr.operators as operators
+        calls = []
+        wp1 = operators.wp1
+        monkeypatch.setattr(operators, "wp1", lambda *a, **kw: calls.append(a) or wp1(*a, **kw))
+        code, out = run_cli(["verify", "--p", "0.1"] + argv)
+        assert code == 0 and json.loads(out)["pass"] is True
+        assert len(calls) == 1
+
     def test_unknown_suite_no_partial_output(self, tmp_path):
         out_path = tmp_path / "report.json"
         with pytest.raises(SystemExit) as exc:

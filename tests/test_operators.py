@@ -165,6 +165,68 @@ def _spy_walks(monkeypatch):
     return calls
 
 
+def batch_points(n, dom, seed):
+    """A (2, 3) batch of real points of n coordinates, each point's coordinates
+    descending in (0.05, 1.95) ell, so vt1 > 0 on every pair."""
+    rng = np.random.default_rng(seed)
+    return dom.ell * -np.sort(-rng.uniform(0.05, 1.95, (2, 3, n)), axis=-1) + 0j
+
+
+def batch_cases(dom):
+    """name -> (call, points): every field (call returns a Jet) and every operator,
+    with the (2, 3) batches of points it takes; call on the batch or on one point."""
+    g = 1.3
+    st = solve_bethe(2, dom)
+    psi0 = ground_state_field(g, dom)
+    herm = hermite_psi_field(st.roots, st.xi, dom)
+    pw = plane_wave([0.3, -0.6, 0.2, 0.5, -0.1])
+    u, x1 = batch_points(5, dom, 1), batch_points(1, dom, 2)[..., 0]
+    x, y = u[..., :3], u[..., 3:]
+    return {
+        "plane_wave": (pw, (u,)),
+        "ground_state_field": (psi0, (x,)),
+        "hermite_psi_field": (herm, (x1[..., None],)),
+        "hermite_psi_field_reflected": (
+            hermite_psi_field(st.roots, st.xi, dom, reflect=True), (x1[..., None],)),
+        "single_contour_psi_field": (single_contour_psi_field(1, 0, 2.0, dom), (y,)),
+        "apply_ecs": (lambda x: apply_ecs(psi0, x, g, dom), (x,)),
+        "nonstationary_residual": (lambda x: nonstationary_residual(psi0, 2 * g, 0.5, x, g, dom),
+                                   (x,)),
+        "fit_nonstationary_E": (lambda x: fit_nonstationary_E(psi0, 2 * g, x, g, dom), (x,)),
+        "apply_deformed_ecs": (lambda x, y: apply_deformed_ecs(pw, x, y, g, dom), (x, y)),
+        "apply_generalized_ecs": (
+            lambda u: apply_generalized_ecs(pw, u[..., :2], u[..., 2:3], u[..., 3:4], u[..., 4:],
+                                            g, dom), (u,)),
+        "apply_generalized_ecs_no_tilde": (
+            lambda x, y: apply_generalized_ecs(pw, x, [], y, [], g, dom), (x, y)),
+        "heun_residual": (lambda x1: heun_residual(plane_wave([0.9]), 0.4, x1,
+                                                   CouplingSet(1.5, 0.7, 1.2, -0.4), dom), (x1,)),
+        # E off the eigenvalue, so the residual does not vanish
+        "lame_residual": (lambda x1: lame_residual(herm, st.energy + 1.0, x1, -2.0, dom), (x1,)),
+        "kernel_identity_residual": (
+            lambda x, y: kernel_identity_residual(KernelSpec(3, 2, 1.4), x, y, dom), (x, y)),
+    }
+
+
+BATCH_CASES = batch_cases(EllipticDomain.from_nome(2.0, 0.1))
+
+
+class TestPointBatches:
+    """One call on a (2, 3) batch of points gives each point's value of the one-point call."""
+
+    @pytest.mark.parametrize("name", BATCH_CASES)
+    def test_batch_equals_per_point_calls(self, name):
+        call, pts = BATCH_CASES[name]
+        got = call(*pts)
+        for i in np.ndindex(2, 3):
+            want = call(*(a[i] for a in pts))
+            parts = zip(got, want) if isinstance(got, Jet) else [(got, want)]
+            for a, b in parts:
+                if b is not None:
+                    a = np.broadcast_to(a, (2, 3) + np.shape(b))[i]
+                    assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b)), (name, i)
+
+
 class TestNonstationary:
     def test_theta_power_solves_kappa_2g(self, dom):
         g = 1.7

@@ -18,7 +18,7 @@ from ellipcmr.errors import PoleError
 from ellipcmr.gamma import elliptic_gamma, ground_state_psi0, weight_W
 from ellipcmr.kernels import KernelSpec, kernel_identity_residual, kernel_K
 from ellipcmr.transform import kernel_transform
-from ellipcmr.theta import (pair_values, theta1, theta1_logderiv, theta1_power,
+from ellipcmr.theta import (pair_values, theta1, theta1_jet, theta1_logderiv, theta1_power,
                             theta1_tau_logderiv, wp1)
 
 DOM = EllipticDomain.from_nome(2.0, 0.1)
@@ -129,6 +129,23 @@ class TestPairValues:
         upper = pair_values(theta1, a, dom=DOM)
         assert close(upper, [theta1(a[j] - a[k], DOM) for j in range(5) for k in range(j + 1, 5)])
 
+    def test_batch_of_points(self):
+        # coordinates on the last axis of a (2, 3) batch: each point's matrices, stacked
+        # after the output axis of theta1_jet, and each point's cross matrix
+        rng = np.random.default_rng(3)
+        a = random_points(rng, 2 * 3 * 4).reshape(2, 3, 4)
+        b = random_points(rng, 2 * 3 * 2).reshape(2, 3, 2)
+        jets = pair_values(theta1_jet, a, dom=DOM, parity=(-1, -1, 1))
+        upper = pair_values(wp1, a, dom=DOM)
+        cross = pair_values(theta1, a, b, dom=DOM)
+        assert jets.shape == (3, 2, 3, 4, 4) and upper.shape == (2, 3, 6)
+        assert cross.shape == (2, 3, 4, 2)
+        for i in np.ndindex(2, 3):
+            want = pair_values(theta1_jet, a[i], dom=DOM, parity=(-1, -1, 1))
+            assert all(close(jets[(k,) + i], want[k]) for k in range(3)), i
+            assert close(upper[i], pair_values(wp1, a[i], dom=DOM)), i
+            assert close(cross[i], pair_values(theta1, a[i], b[i], dom=DOM)), i
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_no_pairs(self, n):
         a = np.full(n, 0.3 + 0.1j)
@@ -206,10 +223,10 @@ class TestGridKernels:
         k = math.pi / DOM.ell              # integer labels close the contour
 
         def source(y):
-            return np.exp(1j * k * (y[0] - 2.0 * y[1]))
+            return np.exp(1j * k * (y[..., 0] - 2.0 * y[..., 1]))
 
         coarse, fine = (loop_integrand(spec, source, x, c, DOM) for c in (16, 32))
-        y = np.array(np.meshgrid(*line_axes(spec, 32, DOM), indexing="ij"))
+        y = np.stack(np.meshgrid(*line_axes(spec, 32, DOM), indexing="ij"), axis=-1)
         grid = kernel_K(spec, x, y, DOM) * source(y)
         assert np.all(np.abs(grid - fine) <= 1e-14 * np.abs(fine))
         vol = (2.0 * DOM.ell) ** M
@@ -230,11 +247,12 @@ class TestGridKernels:
 
     def test_weight_W_per_entry(self):
         rng = np.random.default_rng(611)
-        z = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (3, 2, 5)))
+        # a (2, 5) grid of points, their N = 3 coordinates moved to the last axis
+        z = np.moveaxis(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (3, 2, 5))), 0, -1)
         got = weight_W(z, 1.3, DOM.p)
         assert got.shape == (2, 5)
         for a, b in itertools.product(range(2), range(5)):
-            want = weight_W(z[:, a, b], 1.3, DOM.p)
+            want = weight_W(z[a, b], 1.3, DOM.p)
             assert isinstance(want, float)
             assert abs(got[a, b] - want) <= REL * want
 

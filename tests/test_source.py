@@ -2,8 +2,9 @@
 
 No linter is a dependency, so these rules are checked here: every import in
 src/ellipcmr is used, every name a module lists in __all__ is defined, every
-module-level private name is referenced outside its own definition, and no
-nested function keeps state in a container of its enclosing function.
+module-level private name is referenced outside its own definition, no
+nested function keeps state in a container of its enclosing function, and no
+cli verify suite loops over its points.
 """
 
 import ast
@@ -163,3 +164,30 @@ def test_no_state_in_closures(path):
     """A nested function that stores into its enclosing function's container is a hidden cache."""
     hits = closure_stores(_tree(path))
     assert not hits, f"{path.name}: closures store into {[f'{n} (line {l})' for l, n in hits]}"
+
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def suite_loops(tree):
+    """(line, suite) of each for loop or comprehension in a module-level _suite_* function.
+
+    A verify suite hands all its points to the library in one call, so a loop over
+    points or configurations in a suite is the per-point path coming back.
+    """
+    return sorted((node.lineno, fn.name) for fn in tree.body
+                  if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_suite_")
+                  for node in ast.walk(fn) if isinstance(node, _LOOPS))
+
+
+def test_suite_loops_are_seen():
+    tree = ast.parse("def _suite_a(dom):\n    return max(f(x) for x in xs)\n"
+                     "def _suite_b(dom):\n    for x in xs:\n        f(x)\n"
+                     "def _helper(dom):\n    return [f(x) for x in xs]\n")
+    assert suite_loops(tree) == [(2, "_suite_a"), (4, "_suite_b")]
+
+
+def test_no_loops_in_verify_suites():
+    """Each cli verify suite makes its library calls on all its points at once."""
+    hits = suite_loops(_tree(next(p for p in SRC if p.name == "cli.py")))
+    assert not hits, f"cli.py: loops in verify suites {[f'{n} (line {l})' for l, n in hits]}"

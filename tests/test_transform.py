@@ -5,6 +5,7 @@ import pytest
 
 from ellipcmr.domain import EllipticDomain
 from ellipcmr.errors import DomainError, PoleError, SeamError, WindowError
+from ellipcmr.gamma import ground_state_psi0
 from ellipcmr.kernels import KernelSpec, kernel_identity_residual
 from ellipcmr.operators import fit_nonstationary_E, nonstationary_residual
 from ellipcmr.pseries import solve_variant_I
@@ -318,7 +319,7 @@ class TestKernelTransform:
         g, mu = 2, 1
         k = math.pi * (mu + g) / dom.ell
         spec = KernelSpec(2, 1, g)
-        src = lambda y: np.exp(1j * k * y[0])
+        src = lambda y: np.exp(1j * k * y[..., 0])
 
         def ratio(xv):
             xv = np.asarray(xv)
@@ -337,17 +338,24 @@ class TestKernelTransform:
         g = 2
         bad_k = math.pi * (2.5 - g) / dom.ell
         with pytest.raises(SeamError):
-            kernel_transform(KernelSpec(2, 1, g), lambda y: np.exp(1j * bad_k * y[0]),
+            kernel_transform(KernelSpec(2, 1, g), lambda y: np.exp(1j * bad_k * y[..., 0]),
                              np.array([0.8, 0.1]), dom, nodes=64)
+
+    def test_no_contour_at_m_zero(self, dom_small_p):
+        # M = 0 integrates over nothing: K_{2,0}(x) = psi0(x) times the source at y = ()
+        x = np.array([0.8, 0.1])
+        src = lambda y: np.exp(1j * y.sum(axis=-1))
+        r = kernel_transform(KernelSpec(2, 0, 2.0), src, x, dom_small_p, nodes=64)
+        assert r.value == ground_state_psi0(x, 2.0, dom_small_p) and r.node_delta == 0.0
 
     def test_g_zero_fourier_structure(self, dom_small_p):
         dom = dom_small_p
         spec = KernelSpec(2, 1, 0)
         x = np.array([0.8, 0.1])
-        r0 = kernel_transform(spec, lambda y: np.exp(0j * y[0]), x, dom, nodes=64)
+        r0 = kernel_transform(spec, lambda y: np.exp(0j * y[..., 0]), x, dom, nodes=64)
         assert abs(r0.value - 2 * dom.ell) <= 1e-12
         k2 = 2 * math.pi / dom.ell
-        r2 = kernel_transform(spec, lambda y: np.exp(1j * k2 * y[0]), x, dom, nodes=64)
+        r2 = kernel_transform(spec, lambda y: np.exp(1j * k2 * y[..., 0]), x, dom, nodes=64)
         assert abs(r2.value) <= 1e-12
 
 
@@ -366,7 +374,7 @@ def nested_cases():
                                                              ContourConfig(nodes=n)),
         # n // 8 nodes per axis of an M = 2 grid keeps its arrays as small as the circles'
         "kernel_transform": lambda n: kernel_transform(
-            KernelSpec(2, 2, 2.0), lambda y: np.exp(1j * k * (y[0] - 2.0 * y[1])), x, dom,
+            KernelSpec(2, 2, 2.0), lambda y: np.exp(1j * k * (y[..., 0] - 2.0 * y[..., 1])), x, dom,
             nodes=n // 8),
     }
 
