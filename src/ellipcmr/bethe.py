@@ -36,7 +36,7 @@ __all__ = [
 # Newton tolerance at the intermediate nomes of the continuation; tol applies at dom.p
 _PATH_TOL = 1e-6
 _MAX_ITER = 50         # Newton iterations per corrector
-_HOMOTOPY_STEP = 1.5   # nome ratio between continuation steps
+_HOMOTOPY_STEP = 4.0   # nome ratio between continuation steps
 
 
 @dataclass(frozen=True)
@@ -195,12 +195,12 @@ def solve_bethe(n: int, dom: EllipticDomain, seed: Optional[Sequence[complex]] =
     """Solve the Bethe system and certify the resulting eigenfunction.
 
     Without a seed, the system is first solved at a small nome (the
-    trigonometric seed is exact at p = 0) and the nome is continued geometrically to
-    dom.p by predictor-corrector steps: a secant predictor in log p, then Newton
-    to the path tolerance at intermediate nomes and to tol at dom.p; a failed
-    correction is retried from the previous roots.  The final roots get up to
-    two polishing Newton steps.  One branch is returned per seed; no
-    completeness claim is made.
+    trigonometric seed is exact at p = 0) and the nome is continued to dom.p in
+    steps of nome ratio 4 (the last one shorter) by predictor-corrector steps: a
+    secant predictor in log p, then Newton to the path tolerance at intermediate
+    nomes and to tol at dom.p; a failed correction is retried from the previous
+    roots.  The final roots get up to two polishing Newton steps.  One branch is
+    returned per seed; no completeness claim is made.
     """
     if n < 1:
         raise DomainError("need n >= 1")

@@ -10,6 +10,7 @@ written.  Exit code 0 means every requested certificate passed its tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -247,7 +248,9 @@ def _pair(cast):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="ellipcmr",
                                  description="elliptic CMR special functions toolkit")
     ap.add_argument("--version", action="version", version=__version__)

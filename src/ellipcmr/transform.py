@@ -400,7 +400,7 @@ def kernel_transform(spec: KernelSpec, source: Callable, x, dom: EllipticDomain,
     s_grid = -dom.ell + 2.0 * dom.ell * np.arange(count) / count
     # M = 0 is one point with no coordinates
     y = np.stack(np.meshgrid(*(s_grid + e for e in base), indexing="ij"), axis=-1) if M else base
-    vals = integrand(y)
+    vals = np.asarray(integrand(y))      # M = 0: one point, a complex scalar
     # a contiguous copy of the view sums in the order a fresh grid of its size does
     return _node_doubled(
         lambda s: complex(np.mean(np.ascontiguousarray(vals[(slice(None, None, s),) * M]))

@@ -233,9 +233,10 @@ def per_point_ode_residual(state, dom):
 def fully_converged_path(n, dom):
     """The nome continuation with every step Newton-converged to the default tol.
 
-    Same schedule as the solver (start where the trigonometric seed fits, grow the
-    nome by 1.5 per step), no predictor: each step is a seeded solve_bethe call
-    started from the previous roots.
+    An independent oracle for the solver's path: it starts where the trigonometric
+    seed fits, as the solver does, but grows the nome by a deliberately finer ratio
+    of 1.5 per step (the solver takes 4), with no predictor: each step is a seeded
+    solve_bethe call started from the previous roots.
     """
     t = default_seed(n, dom)
     steps = [min(dom.p, 0.5 * math.exp(-2.0 * math.pi * np.max(np.abs(t.imag)) / dom.ell))]
@@ -248,7 +249,7 @@ def fully_converged_path(n, dom):
 
 
 class TestContinuation:
-    DOMAINS = [(1.7, 0.12), (3.3, 0.19), (2.0, 0.05)]
+    DOMAINS = [(1.7, 0.12), (3.3, 0.19), (2.0, 0.05), (1.3, 0.5), (2.0, 0.7)]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_energy_equals_the_fully_converged_path(self, n):
@@ -265,6 +266,14 @@ class TestContinuation:
             dom = EllipticDomain.from_nome(ell, p)
             state = solve_bethe(n, dom)
             assert abs(state.ode_residual - per_point_ode_residual(state, dom)) <= 1e-11
+
+    @pytest.mark.parametrize("n, p, ell", [(5, 0.85, 0.5), (6, 0.85, 1.3), (8, 0.7, 0.5)])
+    def test_certifies_at_high_nome(self, n, p, ell):
+        # longer nome steps lose these, each in a stalled final Newton: a ratio of 10
+        # loses (6, 0.85, 1.3), 100 also (5, 0.85, 0.5), a direct jump also (8, 0.7, 0.5)
+        state = solve_bethe(n, EllipticDomain.from_nome(ell, p))
+        assert state.bethe_residual <= 1e-10 and state.xi_residual <= 1e-10
+        assert state.ode_residual <= 1e-8 and state.energy_spread <= 1e-8
 
     def test_callers_tol_applies_at_the_final_nome(self, dom):
         # intermediate nomes stop at the path tolerance; an unreachable tol must

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ellipcmr.cli import main
+from ellipcmr.cli import build_parser, main
 
 
 def run_cli(args, tmp_path=None):
@@ -392,3 +392,28 @@ class TestEntryPoint:
             main(["eval", "--fn", "wp1", "--grid", "4"])      # neither --p nor --delta
         with pytest.raises(SystemExit):
             main(["eval", "--fn", "wp1", "--p", "0.1", "--delta", "0.5", "--grid", "4"])
+
+    # one argv per outcome: certificate passed, usage error, DomainError, --version, bethe
+    PARSER_SEQUENCE = [
+        ["verify", "--suite", "heat", "--p", "0.1"],
+        ["verify", "--suite", "bogus", "--p", "0.1"],
+        ["verify", "--suite", "calogero-trick", "--p", "0"],
+        ["--version"],
+        ["bethe", "--n", "2", "--p", "0.05"],
+    ]
+
+    def test_one_parser_writes_what_fresh_processes_write(self, capsys, monkeypatch):
+        # main reuses one parser per process; every call of a sequence must write the
+        # bytes and exit code of a fresh interpreter given the same argv
+        monkeypatch.setenv("COLUMNS", "80")     # argparse wraps its usage text to the terminal
+        parser = build_parser()
+        for argv in self.PARSER_SEQUENCE:
+            try:
+                code = main(argv)
+            except SystemExit as exc:           # usage error or --version
+                code = exc.code
+            out, err = capsys.readouterr()
+            proc = subprocess.run([sys.executable, "-m", "ellipcmr", *argv],
+                                  capture_output=True, text=True)
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert build_parser() is parser

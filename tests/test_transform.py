@@ -6,7 +6,7 @@ import pytest
 from ellipcmr.domain import EllipticDomain
 from ellipcmr.errors import DomainError, PoleError, SeamError, WindowError
 from ellipcmr.gamma import ground_state_psi0
-from ellipcmr.kernels import KernelSpec, kernel_identity_residual
+from ellipcmr.kernels import KernelSpec, kernel_K, kernel_identity_residual
 from ellipcmr.operators import fit_nonstationary_E, nonstationary_residual
 from ellipcmr.pseries import solve_variant_I
 from ellipcmr import transform
@@ -347,6 +347,13 @@ class TestKernelTransform:
         src = lambda y: np.exp(1j * y.sum(axis=-1))
         r = kernel_transform(KernelSpec(2, 0, 2.0), src, x, dom_small_p, nodes=64)
         assert r.value == ground_state_psi0(x, 2.0, dom_small_p) and r.node_delta == 0.0
+
+    def test_constant_source_at_m_zero(self, dom_small_p):
+        # a source that returns a Python number: K(x) is a Python complex at M = 0
+        spec, x = KernelSpec(2, 0, 2.0), np.array([0.8, 0.1])
+        r = kernel_transform(spec, lambda y: 3.0, x, dom_small_p, nodes=64)
+        assert r.value == kernel_K(spec, x, np.zeros(0), dom_small_p) * 3.0
+        assert r.node_delta == 0.0
 
     def test_g_zero_fourier_structure(self, dom_small_p):
         dom = dom_small_p
