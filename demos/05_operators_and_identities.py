@@ -57,7 +57,7 @@ print(f"Calogero-trick evaluation match: {abs(lhs - rhs):.2e}")
 par = RuijsenaarsParams(p=0.0, q=0.31, t=0.47)
 z = np.exp(1j * np.array([0.3, 1.7]))
 d0 = apply_ruijsenaars_D(lambda zz: 1.0, z, par)
-e1 = lambda zz: zz[0] + zz[1]
+e1 = lambda zz: zz[..., 0] + zz[..., 1]
 d1 = apply_ruijsenaars_D(e1, z, par) / e1(z)
 print(f"\nD at p=0 on the Macdonald basis: D 1 = {d0:.6g} (1 + t = {1 + par.t}),"
       f"  D e1/e1 = {d1:.6g} (q + t = {par.q + par.t})")

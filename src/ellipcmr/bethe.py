@@ -17,6 +17,7 @@ iteration.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -202,8 +203,8 @@ def solve_bethe(n: int, dom: EllipticDomain, seed: Optional[Sequence[complex]] =
     roots.  The final roots get up to two polishing Newton steps.  One branch is
     returned per seed; no completeness claim is made.
     """
-    if n < 1:
-        raise DomainError("need n >= 1")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise DomainError(f"need an integer n >= 1, got {n!r}")
     if n == 1:
         t = np.array([seed[0] if seed is not None else
                       dom.ell * (0.31 + 0.07j)], dtype=complex)

@@ -65,15 +65,16 @@ def weight_W(z, g: float, p: float):
     return out if out.shape else float(out)
 
 
-def weight_Wrel(z, par: RuijsenaarsParams) -> float:
-    """Relativistic weight prod_{i != j} Gamma(t z_i/z_j)/Gamma(z_i/z_j)."""
+def weight_Wrel(z, par: RuijsenaarsParams):
+    """Relativistic weight prod_{i != j} Gamma(t z_i/z_j)/Gamma(z_i/z_j) with z as for
+    weight_W: real on the torus, checked per point to 1e-10.  One point gives a float."""
     z = np.asarray(z, dtype=complex)
     # the ratios z_i/z_j, i != j, in row-major order
-    w = (z[:, None] / z[None, :])[~np.eye(len(z), dtype=bool)]
-    out = complex(np.prod(elliptic_gamma(par.t * w, par) / elliptic_gamma(w, par)))
-    if abs(out.imag) > 1e-10 * max(1.0, abs(out)):
-        raise PoleError(f"relativistic weight not real on the torus: Im = {out.imag}")
-    return float(out.real)
+    w = (z[..., :, None] / z[..., None, :])[..., ~np.eye(z.shape[-1], dtype=bool)]
+    out = np.prod(elliptic_gamma(par.t * w, par) / elliptic_gamma(w, par), axis=-1)
+    if np.any(np.abs(out.imag) > 1e-10 * np.maximum(1.0, np.abs(out))):
+        raise PoleError(f"relativistic weight not real on the torus: Im = {np.max(np.abs(out.imag))}")
+    return out.real if out.shape else float(out.real)
 
 
 def ground_state_psi0(x, g: float, dom: EllipticDomain):

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .domain import EllipticDomain, RuijsenaarsParams
 from .errors import ConvergenceError, DomainError, PoleError
 from .fields import Field, Jet
-from .theta import (_pair_index, _power, pair_values, theta1_jet,
+from .theta import (_pair_index, _power, _scalar_or_array, pair_values, theta1_jet,
                     theta1_tau_logderiv, theta_q, wp1)
 
 __all__ = [
@@ -179,12 +178,14 @@ def apply_generalized_ecs(psi: Field, x, xt, y, yt, g: float, dom: EllipticDomai
                         side=np.repeat([0, 0, 1, 1], sizes))
 
 
-def apply_ruijsenaars_D(f, z: Sequence[complex], par: RuijsenaarsParams,
-                        sign: int = +1) -> complex:
+def apply_ruijsenaars_D(f, z, par: RuijsenaarsParams, sign: int = +1):
     """Macdonald-Ruijsenaars difference operator applied exactly (no derivatives).
 
     D f(z) = sum_i prod_{j != i} theta(t z_j/z_i; p)/theta(z_j/z_i; p) f(.., q z_i, ..);
     sign = -1 uses (q^-1, t^-1).  Coefficient zeros of theta(z_j/z_i; p) raise.
+    z holds N coordinates on its last axis and leading axes index points.  f is
+    called once, on the (..., N, N) points whose row i is z with z_i -> q z_i, and
+    returns one value per point; D returns one value per point of z.
     """
     z = np.asarray(z, dtype=complex)
     if sign not in (+1, -1):
@@ -194,19 +195,14 @@ def apply_ruijsenaars_D(f, z: Sequence[complex], par: RuijsenaarsParams,
     q = par.q if sign > 0 else 1.0 / par.q
     t = par.t if sign > 0 else 1.0 / par.t
     # coefficient factors theta(t w)/theta(w), w = z_j/z_i, row i, column j != i
-    off = ~np.eye(len(z), dtype=bool)
-    w = (z[None, :] / z[:, None])[off]
+    n = z.shape[-1]
+    eye = np.eye(n, dtype=bool)
+    w = (z[..., None, :] / z[..., :, None])[..., ~eye]
     den = theta_q(w, par.p)
     if np.any(np.abs(den) < 1e-13):
         raise PoleError("coefficient pole: theta(z_j/z_i; p) = 0")
-    ratio = np.ones((len(z), len(z)), dtype=complex)
-    ratio[off] = theta_q(t * w, par.p) / den
-    total = 0.0 + 0.0j
-    for i, coef in enumerate(ratio.prod(axis=1)):
-        zs = np.array(z, dtype=complex)
-        zs[i] *= q
-        total += coef * f(zs)
-    return total
+    coef = (theta_q(t * w, par.p) / den).reshape(w.shape[:-1] + (n, n - 1)).prod(axis=-1)
+    return _scalar_or_array((coef * f(z[..., None, :] * np.where(eye, q, 1.0))).sum(axis=-1))
 
 
 def _source_jet(u, s, g: float, dom: EllipticDomain):

@@ -33,6 +33,7 @@ reference polynomials.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -56,9 +57,24 @@ __all__ = [
 _SEAM_TOL = 1e-10
 
 
+def _check_integers(**labels):
+    """DomainError unless every label is an integer (numbers.Integral, as pseries checks)."""
+    bad = {k: v for k, v in labels.items() if not isinstance(v, numbers.Integral)}
+    if bad:
+        raise DomainError(f"need integers, got {bad}")
+
+
+def _one_point(a, dtype=complex):
+    """a as an array holding the two coordinates of one point; DomainError otherwise."""
+    a = np.asarray(a, dtype=dtype)
+    if a.shape != (2,):
+        raise DomainError(f"need the two coordinates of one point, got shape {a.shape}")
+    return a
+
+
 @dataclass(frozen=True)
 class Partition2:
-    """Two-row partition, lam1 >= lam2 >= 0.
+    """Two-row partition, integers lam1 >= lam2 >= 0.
 
     The contour formula gives no eigenfunction for lam2 < 0: every xi2^{lam2}
     moment vanishes at p = 0.  Such lam are reached through (z1 z2)^k P_{lam + (k, k)}.
@@ -68,6 +84,7 @@ class Partition2:
     lam2: int
 
     def __post_init__(self):
+        _check_integers(lam1=self.lam1, lam2=self.lam2)
         if self.lam1 < self.lam2:
             raise DomainError("need lam1 >= lam2")
         if self.lam2 < 0:
@@ -83,6 +100,7 @@ class ContourConfig:
     nodes: int = 256
 
     def __post_init__(self):
+        _check_integers(nodes=self.nodes)
         if self.nodes < 64 or (self.nodes & (self.nodes - 1)) != 0:
             raise DomainError("nodes must be a power of two >= 64")
 
@@ -138,16 +156,11 @@ def _node_doubled(value_at: Callable) -> ContourResult:
     return ContourResult(value=complex(b), node_delta=abs(b - a))
 
 
-def _single_integrand(lam_diff: int, lam2: int, z, xi, g: float, p: float, strides=(1,)):
-    """Prefactor (z1 z2)^lam2 and integrand xi^lam_diff / prod_j theta(z_j/xi)^g at the
-    points z (coordinates on the last axis), nodes on the last axis of the integrand.
-
-    The theta part's winding is checked on the [::s] view of the nodes for each s.
-    """
-    theta_part = np.exp(-g * log_theta_q(z[..., :, None] / xi, p).sum(axis=-2))
-    for s in strides:
-        _check_winding(theta_part[..., ::s], "single contour")
-    return (z[..., 0] * z[..., 1]) ** lam2, xi ** lam_diff * theta_part
+def _leg(z, xi, g: float, p: float):
+    """The ratios z_i/xi (coordinates on axis -2, nodes last) and the leg
+    prod_i theta(z_i/xi; p)^-g, nodes last, at the points z (coordinates last)."""
+    zx = z[..., :, None] / xi
+    return zx, np.exp(-g * log_theta_q(zx, p).sum(axis=-2))
 
 
 def n2_single_contour_P(lam_diff: int, lam2: int, z, g: float, p: float,
@@ -157,22 +170,25 @@ def n2_single_contour_P(lam_diff: int, lam2: int, z, g: float, p: float,
     The contour |xi| = R must satisfy p < |z_j|/R < 1; psi0 * P solves the
     kappa = g non-stationary equation (certified in the test suite).
     """
+    _check_integers(lam_diff=lam_diff, lam2=lam2)
     if lam_diff < 0:
         raise DomainError("need lam1 - lam2 >= 0")
-    z = np.asarray(z, dtype=complex)
+    z = _one_point(z)
     r = cfg.single_radius(p)
-    for zj in z:
-        if not (p < abs(zj) / r < 1.0):
-            raise WindowError(f"|z|/R = {abs(zj) / r} outside (p, 1)")
-
-    pref, integrand = _single_integrand(lam_diff, lam2, z, _nodes(r, 2 * cfg.nodes), g, p,
-                                        strides=(2, 1))
+    ratio = np.abs(z) / r
+    if not np.all((p < ratio) & (ratio < 1.0)):
+        raise WindowError(f"|z|/R = {ratio} outside (p, 1)")
+    xi = _nodes(r, 2 * cfg.nodes)
+    theta_part = _leg(z, xi, g, p)[1]
+    _check_winding(theta_part[::2], "single contour")
+    _check_winding(theta_part, "single contour")
+    pref, integrand = (z[..., 0] * z[..., 1]) ** lam2, xi ** lam_diff * theta_part
     return _node_doubled(lambda s: complex(pref * np.mean(integrand[::s])))
 
 
 class _FLegs(NamedTuple):
     """The theta factors of F on one node set: circle nodes xi1, xi2, the ratios
-    z_i/xi on axis 0 (zx1, zx2), the legs u, v and the circulant row c."""
+    z_i/xi (zx1, zx2; coordinates on axis -2), the legs u, v and the circulant row c."""
 
     xi1: np.ndarray
     xi2: np.ndarray
@@ -191,25 +207,25 @@ def _f_legs(z, g: float, p: float, r1: float, r2: float, count: int) -> _FLegs:
     """u_a = prod_i theta(z_i/xi1a)^-g, v_b = prod_i theta(z_i/xi2b)^-g and
     c_k = theta((r1/r2) w^k)^g, w = e^{2 pi i/count}, on count nodes per circle.
 
-    Each leg walks the nome ladder once: z_i/xi on axis 0.
+    Each leg walks the nome ladder once (_leg).
     """
     xi1 = _nodes(r1, count)
     xi2 = _nodes(r2, count)
-    zx1, zx2 = z[:, None] / xi1, z[:, None] / xi2
-    u = np.exp(-g * log_theta_q(zx1, p).sum(axis=0))
-    v = np.exp(-g * log_theta_q(zx2, p).sum(axis=0))
+    (zx1, u), (zx2, v) = _leg(z, xi1, g, p), _leg(z, xi2, g, p)
     c = np.exp(g * log_theta_q(_nodes(r1 / r2, count), p))
     return _FLegs(xi1, xi2, zx1, zx2, u, v, c)
 
 
 def _f_moments(mu_pairs, legs: _FLegs, g: float, p: float, derivs: bool = False):
-    """F_mu (and optional z_i-Euler moments [1, i], [2, i]) for a list of (mu1, mu2) pairs.
+    """The moments of F_mu for a list of (mu1, mu2) pairs by z-Euler order: (F,), or
+    with derivs (F, E1, E2), where Ek[i] is the order-k z_i-Euler moment (coordinates
+    on axis 0, one C-contiguous row of pairs each).
 
     F = mean_a mean_b xi1^mu1 xi2^mu2 M_ab with M_ab = c_{a-b} u_a v_b (see
     _f_legs): xi1a/xi2b depends on a - b only, so the cross factor is circulant
     and one row of theta values defines it.  Every contraction M @ y / count is
     then the circular convolution u * ifft(fft(c) fft(v y)) / count, taken for
-    all pairs at once along the last axis.
+    all pairs and coordinates at once along the last axis.
     """
     xi1, xi2, zx1, zx2, u, v, c = legs
     count = len(xi1)
@@ -228,27 +244,26 @@ def _f_moments(mu_pairs, legs: _FLegs, g: float, p: float, derivs: bool = False)
     w1 = xi1 ** m1[:, None]
     w2 = xi2 ** m2[:, None]
     col = conv(w2)
-    out = {"F": np.mean(w1 * col, axis=-1)}
-    if derivs:
-        # al[i] = z_i dlog of the xi1-leg, be[i] of the xi2-leg; al2, be2 second order
-        al, al2 = (-g * d for d in _wdlog_jet(zx1, p))
-        be, be2 = (-g * d for d in _wdlog_jet(zx2, p))
-        for i in range(2):
-            colb = conv(w2 * be[i])
-            colb2 = conv(w2 * (be[i] ** 2 + be2[i]))
-            out[1, i] = np.mean(w1 * (al[i] * col + colb), axis=-1)
-            out[2, i] = np.mean(w1 * ((al[i] ** 2 + al2[i]) * col + 2.0 * al[i] * colb + colb2),
-                                axis=-1)
-    return out
+    F = np.mean(w1 * col, axis=-1)
+    if not derivs:
+        return (F,)
+    # z_i-Euler weights of the xi1-leg (al, al2) and the xi2-leg (be, be2): [i, pair, node]
+    al, al2 = (-g * d[:, None, :] for d in _wdlog_jet(zx1, p))
+    be, be2 = (-g * d[:, None, :] for d in _wdlog_jet(zx2, p))
+    colb = conv(w2 * be)
+    colb2 = conv(w2 * (be ** 2 + be2))
+    return (F, np.mean(w1 * (al * col + colb), axis=-1),
+            np.mean(w1 * ((al ** 2 + al2) * col + 2.0 * al * colb + colb2), axis=-1))
 
 
 def contour_F_lambda(lam1: int, lam2: int, z, g: float, p: float,
                      cfg: ContourConfig = ContourConfig()) -> ContourResult:
-    """Double-contour F_lam with its node-doubling certificate."""
-    z = np.asarray(z, dtype=complex)
+    """Double-contour F_lam, integer lam1 and lam2, with its node-doubling certificate."""
+    _check_integers(lam1=lam1, lam2=lam2)
+    z = _one_point(z)
     r1, r2 = cfg.radii(p)
     legs = _f_legs(z, g, p, r1, r2, 2 * cfg.nodes)
-    return _node_doubled(lambda s: _f_moments([(lam1, lam2)], legs.every(s), g, p)["F"][0])
+    return _node_doubled(lambda s: _f_moments([(lam1, lam2)], legs.every(s), g, p)[0][0])
 
 
 def _check_table(lam: Partition2, table: PSeriesTable, g: float, Ks) -> list:
@@ -283,13 +298,13 @@ def assemble_P_lambda(lam: Partition2, table: PSeriesTable, z, g: float, p: floa
     defaults to the table's truncation order.
     """
     K, = _check_table(lam, table, g, [table.K if K is None else K])
-    z = np.asarray(z, dtype=complex)
+    z = _one_point(z)
     r1, r2 = cfg.radii(p)
     pairs, weights = _assembly_weights(lam, table, p)
     # order K starts at n = -K; contiguous weights round as a table solved at K does
     pairs, weights = pairs[table.K - K:], np.ascontiguousarray(weights[table.K - K:, K])
     legs = _f_legs(z, g, p, r1, r2, 2 * cfg.nodes)
-    return _node_doubled(lambda s: _f_moments(pairs, legs.every(s), g, p)["F"] @ weights)
+    return _node_doubled(lambda s: _f_moments(pairs, legs.every(s), g, p)[0] @ weights)
 
 
 def _psi0_times(j0: Jet, P, dP, dP2) -> Jet:
@@ -313,7 +328,7 @@ def eigen_residuals_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
     serve every order, and one apply_ecs call takes the jet batched over the orders.
     """
     Ks = _check_table(lam, table, g, [table.K] if Ks is None else Ks)
-    x = np.asarray(x, dtype=float)
+    x = _one_point(x, float)
     x2 = x[1] + 2.0 * dom.ell * np.round((x[0] - x[1]) / (2.0 * dom.ell))
     x = np.array(sorted((x[0], x2), reverse=True))
     p = dom.p
@@ -322,10 +337,11 @@ def eigen_residuals_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
     pairs, weights = _assembly_weights(lam, table, p)
     mom = _f_moments(pairs, _f_legs(z, g, p, r1, r2, cfg.nodes), g, p, derivs=True)
     ipl = 1j * math.pi / dom.ell
-    # column K of each contraction is the order-K moment; rows of dP, dP2 are orders
-    P = (mom["F"] @ weights)[Ks]
-    dP, dP2 = (ipl ** k * np.array([mom[k, i] @ weights for i in range(2)]).T[Ks]
-               for k in (1, 2))
+    # column K of each contraction is the order-K moment; rows of dP, dP2 are orders.
+    # Each coordinate's row contracts as a stacked (1, pairs) matrix, which rounds as
+    # the F row does; a (2, pairs) matrix product takes another BLAS path.
+    P = (mom[0] @ weights)[Ks]
+    dP, dP2 = (ipl ** k * (mom[k][:, None] @ weights)[:, 0].T[Ks] for k in (1, 2))
     if np.any(P == 0.0):
         raise ConvergenceError("assembled P vanished at this point")
     E = (math.pi / dom.ell) ** 2 * np.cumsum([complex(e) * p ** k
@@ -351,8 +367,9 @@ def single_contour_psi_field(lam_diff: int, lam2: int, g: float, dom: EllipticDo
 
     def jet(x):
         z = np.exp(1j * math.pi * x / dom.ell)
-        pref, base = _single_integrand(lam_diff, lam2, z, xi, g, p)
-        zx = z[..., :, None] / xi
+        zx, theta_part = _leg(z, xi, g, p)
+        _check_winding(theta_part, "single contour")
+        pref, base = (z[..., 0] * z[..., 1]) ** lam2, xi ** lam_diff * theta_part
         e1, e2 = _wdlog_jet(zx, p)
         al = lam2 - g * e1                        # z_i-Euler weights, one row per i
         P = pref * np.mean(base, axis=-1)

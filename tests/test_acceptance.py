@@ -274,7 +274,7 @@ class TestCriterion7:
         par = RuijsenaarsParams(p=0.0, q=0.31, t=0.47)
         z = np.exp(1j * np.array([0.3, 1.7]))
         d0 = abs(apply_ruijsenaars_D(lambda zz: 1.0, z, par) - (1 + par.t))
-        e1 = lambda zz: zz[0] + zz[1]
+        e1 = lambda zz: zz[..., 0] + zz[..., 1]
         d1 = abs(apply_ruijsenaars_D(e1, z, par) - (par.q + par.t) * e1(z))
         worst = max(worst, d0 / 1e-10, d1 / 1e-10)
         assert report(7, "trigonometric oracles", worst, 1.0)

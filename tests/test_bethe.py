@@ -8,7 +8,7 @@ from ellipcmr.bethe import (bethe_jacobian, bethe_residuals,
                             hermite_psi, hermite_psi_field, saddle_G_gradient,
                             saddle_G_value, solve_bethe)
 from ellipcmr.domain import EllipticDomain
-from ellipcmr.errors import ConvergenceError, PoleError
+from ellipcmr.errors import ConvergenceError, DomainError, PoleError
 from ellipcmr.operators import lame_residual
 from ellipcmr.theta import theta1_logderiv, wp1
 
@@ -57,6 +57,11 @@ class TestSolver:
         assert st.ode_residual <= 1e-8
         assert st.xi_residual <= 1e-10
         assert st.energy_spread <= 1e-8
+
+    @pytest.mark.parametrize("n", [2.0, 0, -1])
+    def test_n_must_be_a_positive_integer(self, dom, n):
+        with pytest.raises(DomainError):
+            solve_bethe(n, dom)
 
     def test_trigonometric_case(self, dom_trig):
         st = solve_bethe(2, dom_trig)

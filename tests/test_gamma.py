@@ -80,6 +80,22 @@ class TestWeights:
         z = np.exp(1j * np.array([0.4, 1.5]))
         assert weight_Wrel(z, par) == 1.0
 
+    def test_relativistic_weight_per_point(self):
+        # a (2, 2) batch once gave one float, 0.00328, for these two points
+        par = RuijsenaarsParams(p=0.1, q=0.2, t=0.4)
+        w = weight_Wrel(np.exp(1j * np.array([[0.3, 1.0], [0.2, 1.4]])), par)
+        assert w.shape == (2,)
+        assert np.allclose(w, [0.56114437, 1.24844428], rtol=0, atol=1e-8)
+
+    def test_relativistic_weight_batch_equals_per_point_calls(self):
+        par = RuijsenaarsParams(p=0.05, q=0.2, t=0.4)
+        z = np.exp(1j * np.array([[0.4, 1.5, -2.0], [0.1, 2.2, -1.1], [0.9, -0.3, 2.7]]))
+        w = weight_Wrel(z, par)
+        assert w.shape == (3,)
+        for k in range(3):
+            one = weight_Wrel(z[k], par)
+            assert isinstance(one, float) and abs(w[k] - one) <= 1e-14 * one
+
     def test_relativistic_weight_real(self):
         par = RuijsenaarsParams(p=0.05, q=0.2, t=0.4)
         z = np.exp(1j * np.array([0.4, 1.5]))

@@ -182,6 +182,9 @@ def batch_cases(dom):
     pw = plane_wave([0.3, -0.6, 0.2, 0.5, -0.1])
     u, x1 = batch_points(5, dom, 1), batch_points(1, dom, 2)[..., 0]
     x, y = u[..., :3], u[..., 3:]
+    par = RuijsenaarsParams(p=dom.p, q=0.31, t=0.47)
+    f = lambda zz: zz[..., 0] + 2.0 * zz[..., 1] * zz[..., 2] + 1.0 / zz[..., 0]
+    z = np.exp(1j * math.pi * x / dom.ell)
     return {
         "plane_wave": (pw, (u,)),
         "ground_state_field": (psi0, (x,)),
@@ -205,6 +208,8 @@ def batch_cases(dom):
         "lame_residual": (lambda x1: lame_residual(herm, st.energy + 1.0, x1, -2.0, dom), (x1,)),
         "kernel_identity_residual": (
             lambda x, y: kernel_identity_residual(KernelSpec(3, 2, 1.4), x, y, dom), (x, y)),
+        "apply_ruijsenaars_D": (lambda z: apply_ruijsenaars_D(f, z, par), (z,)),
+        "apply_ruijsenaars_D_inverse": (lambda z: apply_ruijsenaars_D(f, z, par, sign=-1), (z,)),
     }
 
 
@@ -539,7 +544,7 @@ class TestRuijsenaarsD:
     def test_power_sum_eigenfunction(self):
         par = RuijsenaarsParams(p=0.0, q=0.31, t=0.47)
         z = np.exp(1j * np.array([0.3, 1.7]))
-        e1 = lambda zz: zz[0] + zz[1]
+        e1 = lambda zz: zz[..., 0] + zz[..., 1]
         val = apply_ruijsenaars_D(e1, z, par)
         assert abs(val - (par.q + par.t) * e1(z)) <= 1e-13
 
@@ -549,7 +554,7 @@ class TestRuijsenaarsD:
         z = np.array([np.exp(0.4j)])
         seen = []
         apply_ruijsenaars_D(
-            lambda zz: apply_ruijsenaars_D(lambda ww: seen.append(ww[0]) or 1.0,
+            lambda zz: apply_ruijsenaars_D(lambda ww: seen.append(ww[..., 0]) or 1.0,
                                            zz, par, sign=-1),
             z, par, sign=+1)
         assert seen[0] == z[0]
@@ -559,10 +564,10 @@ class TestRuijsenaarsD:
         par = RuijsenaarsParams(p=0.0, q=0.37, t=0.53)
         z = np.exp(1j * np.array([0.4, 1.9]))
         basis = [lambda zz: 1.0,
-                 lambda zz: zz[0] + zz[1],
-                 lambda zz: zz[0] * zz[1],
-                 lambda zz: 1 / zz[0] + 1 / zz[1],
-                 lambda zz: zz[0] ** 2 + zz[1] ** 2]
+                 lambda zz: zz[..., 0] + zz[..., 1],
+                 lambda zz: zz[..., 0] * zz[..., 1],
+                 lambda zz: 1 / zz[..., 0] + 1 / zz[..., 1],
+                 lambda zz: zz[..., 0] ** 2 + zz[..., 1] ** 2]
         for f in basis:
             ab = apply_ruijsenaars_D(
                 lambda zz: apply_ruijsenaars_D(f, zz, par, sign=-1), z, par, sign=+1)
@@ -573,7 +578,7 @@ class TestRuijsenaarsD:
     def test_positive_nome_matches_pair_loop(self):
         par = RuijsenaarsParams(p=0.12, q=0.31, t=0.47)
         z = np.exp(1j * np.array([0.3, 1.7, -2.2, 0.9]))
-        f = lambda zz: zz[0] + 2.0 * zz[1] * zz[2] + 1.0 / zz[3]
+        f = lambda zz: zz[..., 0] + 2.0 * zz[..., 1] * zz[..., 2] + 1.0 / zz[..., 3]
         for sign, q, t in ((+1, par.q, par.t), (-1, 1.0 / par.q, 1.0 / par.t)):
             expect = 0.0
             for i in range(len(z)):
@@ -591,7 +596,7 @@ class TestRuijsenaarsD:
         # theta(t w; 0) = 1 at t = 0: D f = sum_i prod_{j != i} (1 - z_j/z_i)^-1 f(.., q z_i, ..)
         par = RuijsenaarsParams(p=0.0, q=0.31, t=0.0)
         z = np.exp(1j * np.array([0.3, 1.7, -2.2]))
-        f = lambda zz: zz[0] + 2.0 * zz[1] * zz[2] + 1.0 / zz[0]
+        f = lambda zz: zz[..., 0] + 2.0 * zz[..., 1] * zz[..., 2] + 1.0 / zz[..., 0]
         expect = 0.0
         for i in range(len(z)):
             zs = z.copy()
@@ -599,6 +604,23 @@ class TestRuijsenaarsD:
             expect += f(zs) / np.prod([1.0 - z[j] / z[i] for j in range(len(z)) if j != i])
         assert abs(apply_ruijsenaars_D(f, z, par) - expect) <= 1e-13 * abs(expect)
         assert abs(apply_ruijsenaars_D(lambda zz: 1.0, z[:2], par) - 1.0) <= 1e-14
+
+    def test_one_call_of_f_per_level(self):
+        # D calls f once on the (N, N) shifted points; D(D f) calls f once on (N, N, N)
+        par = RuijsenaarsParams(p=0.12, q=0.31, t=0.47)
+        z = np.exp(1j * np.array([0.3, 1.7, -2.2]))
+        seen = []
+
+        def spy(name, f):
+            return lambda zz: seen.append((name, zz.shape)) or f(zz)
+
+        f = spy("f", lambda zz: zz[..., 0] * zz[..., 1] + zz[..., 2])
+        apply_ruijsenaars_D(f, z, par)
+        assert seen == [("f", (3, 3))]
+        seen.clear()
+        apply_ruijsenaars_D(spy("Df", lambda zz: apply_ruijsenaars_D(f, zz, par, sign=-1)),
+                            z, par)
+        assert seen == [("Df", (3, 3)), ("f", (3, 3, 3))]
 
     def test_coefficient_pole(self):
         par = RuijsenaarsParams(p=0.0, q=0.31, t=0.47)

@@ -3,8 +3,9 @@
 No linter is a dependency, so these rules are checked here: every import in
 src/ellipcmr is used, every name a module lists in __all__ is defined, every
 module-level private name is referenced outside its own definition, no
-nested function keeps state in a container of its enclosing function, and no
-cli verify suite loops over its points.
+nested function keeps state in a container of its enclosing function, no
+cli verify suite loops over its points, and no library function calls a
+callable it is given once per point in a loop.
 """
 
 import ast
@@ -191,3 +192,40 @@ def test_no_loops_in_verify_suites():
     """Each cli verify suite makes its library calls on all its points at once."""
     hits = suite_loops(_tree(next(p for p in SRC if p.name == "cli.py")))
     assert not hits, f"cli.py: loops in verify suites {[f'{n} (line {l})' for l, n in hits]}"
+
+
+def parameter_calls_in_loops(tree):
+    """(line, name) of each call of a function's own parameter inside a loop or comprehension
+    in that function's body (nested functions included).
+
+    A function given a callable (a field, a test function, an integrand) calls it once
+    on all its points, so a call in a loop is the per-point path coming back.
+    """
+    hits = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, _FUNCTIONS):
+            continue
+        params = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        hits.update((n.lineno, n.func.id)
+                    for loop in ast.walk(fn) if isinstance(loop, _LOOPS + (ast.While,))
+                    for n in ast.walk(loop)
+                    if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id in params)
+    return sorted(hits)
+
+
+def test_parameter_calls_in_loops_are_seen():
+    tree = ast.parse("def a(f, xs):\n    return sum(f(x) for x in xs)\n"
+                     "def b(f, xs):\n    def inner():\n        for x in xs:\n            f(x)\n"
+                     "def c(f, xs):\n    while xs:\n        f(xs.pop())\n"
+                     "def d(f, xs):\n    return f(xs), [g(x) for x in xs]\n"
+                     "g = lambda h, xs: [h(x) for x in xs]\n")
+    assert parameter_calls_in_loops(tree) == [(2, "f"), (6, "f"), (9, "f"), (12, "h")]
+
+
+def test_no_parameter_calls_in_loops():
+    """Library functions call the callables they are given once, on all points (cli
+    option types parse one text field at a time and are out of scope)."""
+    hits = [f"{p.name}:{line} ({name})" for p in SRC if p.name != "cli.py"
+            for line, name in parameter_calls_in_loops(_tree(p))]
+    assert not hits, f"callable parameters called in loops: {hits}"

@@ -131,6 +131,43 @@ class TestDoubleContour:
             ContourConfig(nodes=100)
         with pytest.raises(DomainError):
             ContourConfig(nodes=32)
+        with pytest.raises(DomainError):
+            ContourConfig(nodes=128.0)
+
+
+class TestInputChecks:
+    """The N = 2 contour functions take the two coordinates of one point and integer labels."""
+
+    @pytest.mark.parametrize("x", [[0.3, -0.2, 0.5], [[0.3, -0.2], [0.1, 0.4]], 0.3, []],
+                             ids=["three", "batch", "scalar", "empty"])
+    def test_one_point_of_two_coordinates(self, x, dom_small_p):
+        lam, g, p = Partition2(1, 0), 2.0, dom_small_p.p
+        table = table_for(lam, g, K=2)
+        z = np.exp(1j * np.array(x))
+        for call in (lambda: n2_single_contour_P(1, 0, z, g, p),
+                     lambda: contour_F_lambda(1, 0, z, g, p),
+                     lambda: assemble_P_lambda(lam, table, z, g, p),
+                     lambda: eigen_residuals_P_lambda(lam, table, x, g, dom_small_p)):
+            with pytest.raises(DomainError, match="two coordinates of one point"):
+                call()
+
+    @pytest.mark.parametrize("make", [
+        lambda: Partition2(1.5, 0),
+        lambda: Partition2(2, 0.5),
+        lambda: Partition2(1.0, 0),
+        lambda: n2_single_contour_P(1.5, 0, Z, 1.0, 0.05),
+        lambda: n2_single_contour_P(1, 0.5, Z, 1.0, 0.05),
+        lambda: contour_F_lambda(1.5, 0, Z, 1.0, 0.05),
+        lambda: contour_F_lambda(1, 0.5, Z, 1.0, 0.05),
+    ], ids=["P2-lam1", "P2-lam2", "P2-float", "single-diff", "single-lam2", "F-lam1", "F-lam2"])
+    def test_labels_must_be_integers(self, make):
+        with pytest.raises(DomainError, match="need integers"):
+            make()
+
+    def test_numpy_integers_accepted(self):
+        a = contour_F_lambda(np.int64(2), np.int32(1), Z, 1.4, 0.05, ContourConfig(nodes=64))
+        b = contour_F_lambda(2, 1, Z, 1.4, 0.05, ContourConfig(nodes=np.int64(64)))
+        assert a == b and Partition2(np.int64(2), 1) == Partition2(2, 1)
 
 
 def dense_log_theta(w, p):
@@ -149,19 +186,20 @@ def dense_cross_matrix(z, g, p, r1, r2, count):
 
 
 def dense_moments(pairs, z, g, p, r1, r2, count):
-    """F and z-Euler moments as the plain count x count double sum."""
+    """F and z-Euler moments as the plain count x count double sum, by Euler order:
+    (F, E1, E2) with Ek[i] the order-k z_i moment of every pair."""
 
     xi1, xi2, M = dense_cross_matrix(z, g, p, r1, r2, count)
     e1 = [-g * (theta_euler(zi / xi1, p) + theta_euler(zi / xi2, p)) for zi in z]
     e2 = [-g * (theta_euler2(zi / xi1, p) + theta_euler2(zi / xi2, p)) for zi in z]
-    out = {"F": [], (1, 0): [], (2, 0): [], (1, 1): [], (2, 1): []}
+    F, E1, E2 = [], [[] for _ in z], [[] for _ in z]
     for m1, m2 in pairs:
         W = xi1 ** m1 * xi2 ** m2 * M
-        out["F"].append(np.mean(W))
-        for i in range(2):
-            out[1, i].append(np.mean(W * e1[i]))
-            out[2, i].append(np.mean(W * (e1[i] ** 2 + e2[i])))
-    return {key: np.array(val) for key, val in out.items()}
+        F.append(np.mean(W))
+        for i in range(len(z)):
+            E1[i].append(np.mean(W * e1[i]))
+            E2[i].append(np.mean(W * (e1[i] ** 2 + e2[i])))
+    return np.array(F), np.array(E1), np.array(E2)
 
 
 class TestCirculantMoments:
@@ -171,9 +209,11 @@ class TestCirculantMoments:
         pairs = [(-2, 3), (-1, 2), (0, 1), (1, 0), (2, -1), (3, -2), (1, 1), (4, 0)]
         got = _f_moments(pairs, _f_legs(Z, g, p, r1, r2, count), g, p, derivs=True)
         want = dense_moments(pairs, Z, g, p, r1, r2, count)
-        for key in want:
-            err = np.max(np.abs(got[key] - want[key]))
-            assert err <= 1e-12 * np.max(np.abs(want[key])), key
+        assert len(got) == len(want) == 3
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert a.shape == b.shape, k
+            err = np.max(np.abs(a - b))
+            assert err <= 1e-12 * np.max(np.abs(b)), k
 
     def test_winding_checks_inspect_the_cross_matrix_edges(self, monkeypatch):
         # 'F contour 1' walks xi1 at xi2 = r2: column 0 of M; 'F contour 2' walks
