@@ -163,6 +163,19 @@ def _leg(z, xi, g: float, p: float):
     return zx, np.exp(-g * log_theta_q(zx, p).sum(axis=-2))
 
 
+def _check_single_labels(lam_diff, lam2):
+    """DomainError unless lam = (lam2 + lam_diff, lam2) has integer labels and lam_diff >= 0."""
+    _check_integers(lam_diff=lam_diff, lam2=lam2)
+    if lam_diff < 0:
+        raise DomainError("need lam1 - lam2 >= 0")
+
+
+def _single_leg(z, xi, lam_diff: int, lam2: int, g: float, p: float):
+    """_leg's ratios and leg at the points z, the prefactor (z1 z2)^lam2 and xi^lam_diff * leg."""
+    zx, leg = _leg(z, xi, g, p)
+    return zx, leg, (z[..., 0] * z[..., 1]) ** lam2, xi ** lam_diff * leg
+
+
 def n2_single_contour_P(lam_diff: int, lam2: int, z, g: float, p: float,
                         cfg: ContourConfig = ContourConfig()) -> ContourResult:
     """Single-contour P for N = 2: lam = (lam2 + lam_diff, lam2), lam_diff >= 0.
@@ -170,20 +183,17 @@ def n2_single_contour_P(lam_diff: int, lam2: int, z, g: float, p: float,
     The contour |xi| = R must satisfy p < |z_j|/R < 1; psi0 * P solves the
     kappa = g non-stationary equation (certified in the test suite).
     """
-    _check_integers(lam_diff=lam_diff, lam2=lam2)
-    if lam_diff < 0:
-        raise DomainError("need lam1 - lam2 >= 0")
+    _check_single_labels(lam_diff, lam2)
     z = _one_point(z)
     r = cfg.single_radius(p)
     ratio = np.abs(z) / r
     if not np.all((p < ratio) & (ratio < 1.0)):
         raise WindowError(f"|z|/R = {ratio} outside (p, 1)")
     xi = _nodes(r, 2 * cfg.nodes)
-    theta_part = _leg(z, xi, g, p)[1]
-    _check_winding(theta_part[::2], "single contour")
-    _check_winding(theta_part, "single contour")
-    pref, integrand = (z[..., 0] * z[..., 1]) ** lam2, xi ** lam_diff * theta_part
-    return _node_doubled(lambda s: complex(pref * np.mean(integrand[::s])))
+    _, leg, pref, base = _single_leg(z, xi, lam_diff, lam2, g, p)
+    _check_winding(leg[::2], "single contour")
+    _check_winding(leg, "single contour")
+    return _node_doubled(lambda s: complex(pref * np.mean(base[::s])))
 
 
 class _FLegs(NamedTuple):
@@ -360,6 +370,7 @@ def single_contour_psi_field(lam_diff: int, lam2: int, g: float, dom: EllipticDo
     contour theta factors, so operators.nonstationary_residual can certify the
     kappa = g equation directly.
     """
+    _check_single_labels(lam_diff, lam2)
     psi0 = ground_state_field(g, dom)
     p = dom.p
     xi = _nodes(cfg.single_radius(p), cfg.nodes)
@@ -367,9 +378,8 @@ def single_contour_psi_field(lam_diff: int, lam2: int, g: float, dom: EllipticDo
 
     def jet(x):
         z = np.exp(1j * math.pi * x / dom.ell)
-        zx, theta_part = _leg(z, xi, g, p)
-        _check_winding(theta_part, "single contour")
-        pref, base = (z[..., 0] * z[..., 1]) ** lam2, xi ** lam_diff * theta_part
+        zx, leg, pref, base = _single_leg(z, xi, lam_diff, lam2, g, p)
+        _check_winding(leg, "single contour")
         e1, e2 = _wdlog_jet(zx, p)
         al = lam2 - g * e1                        # z_i-Euler weights, one row per i
         P = pref * np.mean(base, axis=-1)

@@ -58,9 +58,11 @@ class TestSingleContour:
         with pytest.raises(WindowError):
             n2_single_contour_P(1, 0, Z, 1.0, 0.05, ContourConfig(R1=0.5))
 
-    def test_negative_diff_rejected(self):
+    def test_negative_diff_rejected(self, dom_small_p):
         with pytest.raises(DomainError):
             n2_single_contour_P(-1, 0, Z, 1.0, 0.05)
+        with pytest.raises(DomainError):
+            single_contour_psi_field(-1, 0, 1.0, dom_small_p)
 
     def test_nonstationary_equation_kappa_g(self, dom_small_p, dom_trig):
         # psi = psi0 P solves the kappa = g equation (via the operators module);
@@ -159,7 +161,10 @@ class TestInputChecks:
         lambda: n2_single_contour_P(1, 0.5, Z, 1.0, 0.05),
         lambda: contour_F_lambda(1.5, 0, Z, 1.0, 0.05),
         lambda: contour_F_lambda(1, 0.5, Z, 1.0, 0.05),
-    ], ids=["P2-lam1", "P2-lam2", "P2-float", "single-diff", "single-lam2", "F-lam1", "F-lam2"])
+        lambda: single_contour_psi_field(1.5, 0, 2.0, EllipticDomain.from_nome(2.0, 0.05)),
+        lambda: single_contour_psi_field(1, 0.5, 2.0, EllipticDomain.from_nome(2.0, 0.05)),
+    ], ids=["P2-lam1", "P2-lam2", "P2-float", "single-diff", "single-lam2", "F-lam1", "F-lam2",
+            "psi-diff", "psi-lam2"])
     def test_labels_must_be_integers(self, make):
         with pytest.raises(DomainError, match="need integers"):
             make()
@@ -212,8 +217,9 @@ class TestCirculantMoments:
         assert len(got) == len(want) == 3
         for k, (a, b) in enumerate(zip(got, want)):
             assert a.shape == b.shape, k
-            err = np.max(np.abs(a - b))
-            assert err <= 1e-12 * np.max(np.abs(b)), k
+            # one bound per coordinate row, scaled by that row's own moments
+            err = np.max(np.abs(a - b), axis=-1)
+            assert np.all(err <= 1e-12 * np.max(np.abs(b), axis=-1)), k
 
     def test_winding_checks_inspect_the_cross_matrix_edges(self, monkeypatch):
         # 'F contour 1' walks xi1 at xi2 = r2: column 0 of M; 'F contour 2' walks
