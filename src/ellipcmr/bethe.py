@@ -17,13 +17,12 @@ iteration.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .domain import EllipticDomain
+from .domain import EllipticDomain, _check_integers
 from .errors import BranchError, ConvergenceError, DomainError, EllipcmrError, PoleError
 from .fields import Field, Jet
 from .theta import pair_values, theta1, theta1_jet, theta1_logderiv
@@ -59,12 +58,6 @@ class BetheState:
     def degenerate(self) -> bool:
         """Doubly-periodic eigenvalue: psi(x) and psi(-x) proportional."""
         return self.wronskian <= 1e-8
-
-
-def _with_origin(fn, t, dom, parity):
-    """(fn(t_j - t_k) matrix, fn(t_j)) from one call: the origin joins t as point n."""
-    M = pair_values(fn, np.append(t, 0.0), dom=dom, parity=parity)
-    return M[:-1, :-1], M[:-1, -1]
 
 
 def _at_x_and_roots(fn, x, roots, dom):
@@ -200,26 +193,24 @@ def solve_bethe(n: int, dom: EllipticDomain, seed: Optional[Sequence[complex]] =
     steps of nome ratio 4 (the last one shorter) by predictor-corrector steps: a
     secant predictor in log p, then Newton to the path tolerance at intermediate
     nomes and to tol at dom.p; a failed correction is retried from the previous
-    roots.  The final roots get up to two polishing Newton steps.  One branch is
-    returned per seed; no completeness claim is made.
+    roots.  A seed of shape (n,), and the guess ell (0.31 + 0.07 i) at n = 1,
+    where the system is empty, take the one step dom.p.  The final roots get up
+    to two polishing Newton steps.  One branch is returned per seed; no
+    completeness claim is made.
     """
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise DomainError(f"need an integer n >= 1, got {n!r}")
-    if n == 1:
-        t = np.array([seed[0] if seed is not None else
-                      dom.ell * (0.31 + 0.07j)], dtype=complex)
-        _check_roots(t, dom)
-        return _certify(t, dom, 0.0)
-
+    _check_integers(1, n=n)
     if seed is not None:
-        t, res = _polish(*_newton(np.asarray(seed, dtype=complex), dom, tol), dom)
-        return _certify(t, dom, res)
-
-    # the seed fits inside the strip at a nome below 0.5 exp(-2 pi max |Im t| / ell)
-    t = default_seed(n, dom)
-    steps = [min(dom.p, 0.5 * math.exp(-2.0 * math.pi * np.max(np.abs(t.imag)) / dom.ell))]
-    while steps[-1] < dom.p:
-        steps.append(min(steps[-1] * _HOMOTOPY_STEP, dom.p))
+        t, steps = np.asarray(seed, dtype=complex), [dom.p]
+        if t.shape != (n,):
+            raise DomainError(f"need a seed of shape ({n},), got shape {t.shape}")
+    elif n == 1:
+        t, steps = np.array([dom.ell * (0.31 + 0.07j)]), [dom.p]
+    else:
+        # the seed fits inside the strip at a nome below 0.5 exp(-2 pi max |Im t| / ell)
+        t = default_seed(n, dom)
+        steps = [min(dom.p, 0.5 * math.exp(-2.0 * math.pi * np.max(np.abs(t.imag)) / dom.ell))]
+        while steps[-1] < dom.p:
+            steps.append(min(steps[-1] * _HOMOTOPY_STEP, dom.p))
     path_tol = max(tol, _PATH_TOL)
     for k, pk in enumerate(steps):
         last = k == len(steps) - 1
@@ -374,7 +365,7 @@ def saddle_G_value(t, xi: complex, dom: EllipticDomain) -> complex:
 
 
 def saddle_G_gradient(t, xi: complex, dom: EllipticDomain):
-    """dG/dt_j = xi - n zeta1(t_j) + sum_{k != j} zeta1(t_j - t_k)."""
-    t = _check_roots(t, dom)
-    Z, zt = _with_origin(theta1_logderiv, t, dom, -1)
-    return xi - len(t) * zt + Z.sum(axis=1)
+    """dG/dt_j = xi - n zeta1(t_j) + sum_{k != j} zeta1(t_j - t_k), which is the Bethe
+    residual plus xi - sum_k zeta1(t_k)."""
+    t = np.asarray(t, dtype=complex)
+    return bethe_residuals(t, dom) + (xi - theta1_logderiv(t, dom).sum())

@@ -1,4 +1,4 @@
-"""Elliptic domain data: half-periods, nome, and truncation policy.
+"""Elliptic domain data: half-periods, nome, truncation policy and the integer check.
 
 The torus has half-periods (ell, i*delta) with ell, delta > 0.  The nome is
 p = exp(-2*pi*delta/ell), so p -> 0 is the trigonometric degeneration and the
@@ -8,11 +8,24 @@ half-period ratio is tau = i*delta/ell (purely imaginary here; p = e^{2*pi*i*tau
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DomainError, TailBoundError
 
 _REL_EPS = 1e-12
+# the one truncation rule: the largest term count and the tail each series may leave
+_MAX_TERMS = 512
+_TAIL_TOL = 1e-14
+
+
+def _check_integers(low=None, **values):
+    """DomainError unless every value is an integer (numbers.Integral, so numpy
+    integers too), and at least low when low is given."""
+    bad = {k: v for k, v in values.items()
+           if not isinstance(v, numbers.Integral) or (low is not None and v < low)}
+    if bad:
+        raise DomainError(f"need integers{'' if low is None else f' >= {low}'}, got {bad}")
 
 
 @dataclass(frozen=True)
@@ -64,28 +77,18 @@ class EllipticDomain:
         return cls(ell=float(ell), delta=delta, p=float(p))
 
 
-@dataclass(frozen=True)
 class TruncationPolicy:
     """Certified product/series truncation.
 
     A dropped tail prod_{n>N}(1 - p^n u) with |u| <= scale is bounded through
     sum_{n>N} n p^n scale <= scale * p^{N+1} (N+2) / (1-p)^2; the policy picks the
-    smallest N meeting tail_tol and rejects inputs whose bound needs N > max_terms.
+    smallest N meeting _TAIL_TOL and rejects inputs whose bound needs N > _MAX_TERMS.
     The linear factor n covers every series used here (theta products have
     constant per-term coefficients, the sigma-type sums grow linearly).
     """
 
-    max_terms: int = 512
-    tail_tol: float = 1e-14
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be positive")
-        if not (self.tail_tol > 0):
-            raise DomainError("tail_tol must be positive")
-
     def n_terms(self, ratio: float, scale: float = 1.0) -> int:
-        """Smallest N with scale * ratio^{N+1} (N+2)/(1-ratio)^2 <= tail_tol.
+        """Smallest N with scale * ratio^{N+1} (N+2)/(1-ratio)^2 <= _TAIL_TOL.
 
         A ratio outside [0, 1) is rejected: DomainError below 0 or NaN (a raw
         invalid nome), TailBoundError at 1 or more.
@@ -100,12 +103,12 @@ class TruncationPolicy:
         pref = scale / (1.0 - ratio) ** 2
         n = 0
         power = ratio
-        while pref * power * (n + 2) > self.tail_tol:
+        while pref * power * (n + 2) > _TAIL_TOL:
             n += 1
             power *= ratio
-            if n > self.max_terms:
+            if n > _MAX_TERMS:
                 raise TailBoundError(
-                    f"tail bound {self.tail_tol} needs more than {self.max_terms} terms "
+                    f"tail bound {_TAIL_TOL} needs more than {_MAX_TERMS} terms "
                     f"(ratio={ratio}, scale={scale})")
         return n
 

@@ -14,7 +14,7 @@ class DomainError(EllipcmrError):
 
 
 class TailBoundError(EllipcmrError):
-    """The certified truncation bound cannot be met within max_terms."""
+    """The certified truncation bound cannot be met within the term cap."""
 
     code = "tail-bound"
 

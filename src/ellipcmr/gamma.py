@@ -41,6 +41,20 @@ def elliptic_gamma(z, par: RuijsenaarsParams):
     return _scalar_or_array(out)
 
 
+def _torus_ratios(z):
+    """The ratios w = z_j/z_k, j < k, of points z on the torus (N coordinates on the
+    last axis, leading axes index points); PoleError unless every |z_i| = 1 and
+    the entries of each point are distinct."""
+    z = np.asarray(z, dtype=complex)
+    if np.any(np.abs(np.abs(z) - 1.0) > 1e-9):
+        raise PoleError("the weights require |z_i| = 1")
+    j, k = _pair_index(z.shape[-1])
+    w = z[..., j] / z[..., k]
+    if np.any(np.abs(w - 1.0) < _POLE_EPS):
+        raise PoleError("coincident arguments z_i = z_j")
+    return w
+
+
 def weight_W(z, g: float, p: float):
     """Scalar-product weight W(z) = ( prod_{i != j} theta(z_i/z_j; p) )^g.
 
@@ -49,13 +63,7 @@ def weight_W(z, g: float, p: float):
     and non-negative there (conjugate factors pair up), so the imaginary
     roundoff is checked against 1e-12 and discarded.  One point gives a float.
     """
-    z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(np.abs(z) - 1.0) > 1e-9):
-        raise PoleError("weight_W requires |z_i| = 1")
-    j, k = _pair_index(z.shape[-1])
-    w = z[..., j] / z[..., k]
-    if np.any(np.abs(w - 1.0) < _POLE_EPS):
-        raise PoleError("coincident arguments z_i = z_j")
+    w = _torus_ratios(z)
     base = np.prod(theta_q(w, p) * theta_q(1.0 / w, p), axis=-1)
     if np.any(np.abs(base.imag) > 1e-12 * np.maximum(1.0, np.abs(base))):
         raise PoleError(f"weight not real on the torus: Im = {np.max(np.abs(base.imag))}")
@@ -68,9 +76,8 @@ def weight_W(z, g: float, p: float):
 def weight_Wrel(z, par: RuijsenaarsParams):
     """Relativistic weight prod_{i != j} Gamma(t z_i/z_j)/Gamma(z_i/z_j) with z as for
     weight_W: real on the torus, checked per point to 1e-10.  One point gives a float."""
-    z = np.asarray(z, dtype=complex)
-    # the ratios z_i/z_j, i != j, in row-major order
-    w = (z[..., :, None] / z[..., None, :])[..., ~np.eye(z.shape[-1], dtype=bool)]
+    w = _torus_ratios(z)
+    w = np.concatenate([w, 1.0 / w], axis=-1)     # i != j: the pairs j < k both ways
     out = np.prod(elliptic_gamma(par.t * w, par) / elliptic_gamma(w, par), axis=-1)
     if np.any(np.abs(out.imag) > 1e-10 * np.maximum(1.0, np.abs(out))):
         raise PoleError(f"relativistic weight not real on the torus: Im = {np.max(np.abs(out.imag))}")

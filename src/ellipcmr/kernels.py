@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import EllipticDomain
+from .domain import EllipticDomain, _check_integers
 from .errors import DomainError
 from .gamma import ground_state_psi0
 from .operators import _particles, _source_jet, _tau_hamiltonian
@@ -36,8 +36,9 @@ class KernelSpec:
     g: float
 
     def __post_init__(self):
-        if self.N < 0 or self.M < 0 or self.N + self.M == 0:
-            raise DomainError("need N, M >= 0 with N + M > 0")
+        _check_integers(0, N=self.N, M=self.M)
+        if self.N + self.M == 0:
+            raise DomainError("need N + M > 0")
 
     @property
     def kappa(self) -> float:

@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .domain import EllipticDomain
+from .domain import EllipticDomain, _check_integers
 from .errors import DomainError, ResonanceError
 from .theta import wp1_fourier_coeffs
 
@@ -134,8 +133,7 @@ def _exact_sources(rows, dens, eps, gamma, k, lo, hi):
 
 
 def _solve(s, gamma, kappa, K, n_cap, variant, exact):
-    if not all(isinstance(v, numbers.Integral) and v >= 0 for v in (K, n_cap)):
-        raise DomainError(f"need integers K >= 0 and n_cap >= 0, got K={K!r}, n_cap={n_cap!r}")
+    _check_integers(0, K=K, n_cap=n_cap)
     s1, s2 = s
     if exact:
         try:

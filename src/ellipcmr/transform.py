@@ -33,13 +33,12 @@ reference polynomials.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .domain import EllipticDomain
+from .domain import EllipticDomain, _check_integers
 from .errors import ConvergenceError, DomainError, SeamError, WindowError
 from .fields import Field, Jet
 from .kernels import KernelSpec, kernel_K
@@ -55,13 +54,6 @@ __all__ = [
 
 # relative mismatch allowed between the endpoint values of a closed line contour
 _SEAM_TOL = 1e-10
-
-
-def _check_integers(**labels):
-    """DomainError unless every label is an integer (numbers.Integral, as pseries checks)."""
-    bad = {k: v for k, v in labels.items() if not isinstance(v, numbers.Integral)}
-    if bad:
-        raise DomainError(f"need integers, got {bad}")
 
 
 def _one_point(a, dtype=complex):
@@ -283,7 +275,8 @@ def _check_table(lam: Partition2, table: PSeriesTable, g: float, Ks) -> list:
             or abs(complex(table.s[1]) - s_want[1]) > 1e-12):
         raise DomainError(f"table solved at s={table.s}, but lam={lam} needs s={s_want}")
     Ks = list(Ks)
-    if not Ks or not all(isinstance(K, (int, np.integer)) and 0 <= K <= table.K for K in Ks):
+    _check_integers(0, **{f"K[{i}]": K for i, K in enumerate(Ks)})
+    if not Ks or max(Ks) > table.K:
         raise DomainError(f"need one or more integer orders in [0, {table.K}], got {Ks}")
     return Ks
 
@@ -404,6 +397,7 @@ def kernel_transform(spec: KernelSpec, source: Callable, x, dom: EllipticDomain,
     evaluated in one call; source gets that array and reads y_j as y[..., j].  A
     node-doubling delta is attached.
     """
+    _check_integers(1, nodes=nodes)
     x = np.asarray(x, dtype=complex)
     M = spec.M
     epsilons = (0.25 * dom.delta * np.arange(1, M + 1) / (M + 1) if not math.isinf(dom.delta)

@@ -42,6 +42,20 @@ class TestResiduals:
 
 
 class TestSolver:
+    def test_n_one_takes_no_newton_step(self, dom_small_p):
+        # the system is empty at n = 1: Newton and the polish keep the guess, residual 0.0
+        st = solve_bethe(1, dom_small_p)
+        assert st.roots == (dom_small_p.ell * (0.31 + 0.07j),)
+        assert st.bethe_residual == 0.0 and st.ode_residual <= 1e-8
+
+    @pytest.mark.parametrize("n, seed", [(3, [0.4 + 0.1j, 1.3 - 0.2j]),
+                                         (1, [0.4 + 0.1j, 1.3 - 0.2j]),
+                                         (2, [[0.4 + 0.1j], [1.3 - 0.2j]])],
+                             ids=["two-at-n3", "two-at-n1", "2d"])
+    def test_seed_shape_must_be_n(self, dom_small_p, n, seed):
+        with pytest.raises(DomainError, match="seed of shape"):
+            solve_bethe(n, dom_small_p, seed=seed)
+
     def test_n_one_certificates(self, dom_small_p):
         dom = dom_small_p
         t = 0.31 * dom.ell + 0.07j * dom.delta

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ellipcmr.domain import EllipticDomain, RuijsenaarsParams, TruncationPolicy
+from ellipcmr.domain import EllipticDomain, RuijsenaarsParams, TruncationPolicy, _check_integers
 from ellipcmr.errors import DomainError, EllipcmrError, TailBoundError
 from ellipcmr.gamma import weight_W
 from ellipcmr.pseries import solve_variant_I
@@ -54,6 +54,15 @@ def test_nome_range(bad):
         EllipticDomain.from_nome(2.0, bad)
 
 
+def test_one_integer_check():
+    _check_integers(n=3, m=np.int64(-2), k=np.uint8(0))
+    _check_integers(0, k=0)
+    for low, bad in [(None, 2.0), (None, "3"), (None, None), (None, np.float64(1.0)),
+                     (1, 0), (0, -1)]:
+        with pytest.raises(DomainError, match="need integers"):
+            _check_integers(low, n=bad)
+
+
 def test_policy_counts_grow_with_ratio():
     pol = TruncationPolicy()
     assert pol.n_terms(0.0) == 0
@@ -61,13 +70,13 @@ def test_policy_counts_grow_with_ratio():
 
 
 def test_policy_certified_bound():
-    pol = TruncationPolicy(tail_tol=1e-14)
+    pol = TruncationPolicy()
     n = pol.n_terms(0.2, scale=3.0)
     assert 3.0 * 0.2 ** (n + 1) * (n + 2) / (1 - 0.2) ** 2 <= 1e-14
 
 
 def test_policy_rejects_unbounded():
-    pol = TruncationPolicy(max_terms=16)
+    pol = TruncationPolicy()
     with pytest.raises(TailBoundError):
         pol.n_terms(0.99)
     with pytest.raises(TailBoundError):

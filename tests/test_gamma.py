@@ -96,6 +96,29 @@ class TestWeights:
             one = weight_Wrel(z[k], par)
             assert isinstance(one, float) and abs(w[k] - one) <= 1e-14 * one
 
+    def test_relativistic_weight_grid_batch_equals_per_point_calls(self):
+        par = RuijsenaarsParams(p=0.1, q=0.3, t=0.6)
+        z = np.exp(1j * np.linspace(-3.0, 3.0, 16).reshape(2, 2, 4))
+        w = weight_Wrel(z, par)
+        assert w.shape == (2, 2)
+        for a in range(2):
+            for b in range(2):
+                one = weight_Wrel(z[a, b], par)
+                assert isinstance(one, float) and abs(w[a, b] - one) <= 1e-14 * abs(one)
+
+    @pytest.mark.parametrize("z", [
+        [2.0, 1.0],
+        np.exp(1j * np.array([0.4, 0.4, 1.5])),
+        [np.exp(1j * np.array([0.4, 1.5])), [1.0, 1.1j]],
+    ], ids=["off-torus", "coincident", "batch-one-off"])
+    def test_relativistic_weight_needs_the_torus(self, z):
+        # the checks of weight_W: before, [2, 1] gave the weight -1.378
+        par = RuijsenaarsParams(p=0.1, q=0.2, t=0.4)
+        with pytest.raises(PoleError):
+            weight_Wrel(np.asarray(z), par)
+        with pytest.raises(PoleError):
+            weight_W(np.asarray(z), 1.0, par.p)
+
     def test_relativistic_weight_real(self):
         par = RuijsenaarsParams(p=0.05, q=0.2, t=0.4)
         z = np.exp(1j * np.array([0.4, 1.5]))

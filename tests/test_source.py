@@ -4,8 +4,9 @@ No linter is a dependency, so these rules are checked here: every import in
 src/ellipcmr is used, every name a module lists in __all__ is defined, every
 module-level private name is referenced outside its own definition, no
 nested function keeps state in a container of its enclosing function, no
-cli verify suite loops over its points, and no library function calls a
-callable it is given once per point in a loop.
+cli verify suite loops over its points, no library function calls a
+callable it is given once per point in a loop, and integer inputs are
+checked in one place.
 """
 
 import ast
@@ -229,3 +230,24 @@ def test_no_parameter_calls_in_loops():
     hits = [f"{p.name}:{line} ({name})" for p in SRC if p.name != "cli.py"
             for line, name in parameter_calls_in_loops(_tree(p))]
     assert not hits, f"callable parameters called in loops: {hits}"
+
+
+def integer_checks(tree):
+    """Lines that name numbers.Integral or np.integer, or import from numbers."""
+    return sorted({n.lineno for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute) and n.attr in ("Integral", "integer")
+                   or isinstance(n, ast.ImportFrom) and n.module == "numbers"})
+
+
+def test_integer_checks_are_seen():
+    tree = ast.parse("import numbers\nok = isinstance(n, numbers.Integral)\n"
+                     "from numbers import Integral\nok = isinstance(n, (int, np.integer))\n"
+                     "n = int(x)\n")
+    assert integer_checks(tree) == [2, 3, 4]
+
+
+def test_one_integer_check():
+    """Integer inputs go through domain._check_integers, the one place that names the type."""
+    hits = [f"{p.name}:{line}" for p in SRC if p.name != "domain.py"
+            for line in integer_checks(_tree(p))]
+    assert not hits, f"integer checks outside domain._check_integers: {hits}"

@@ -297,6 +297,13 @@ class TestWpFourier:
         with pytest.raises(DomainError, match="m_max"):
             wp1_fourier_coeffs(dom_small_p, m_max=m_max)
 
+    @pytest.mark.parametrize("kw", [{"m_max": 2.5}, {"m_max": 8, "k_max": -1},
+                                    {"m_max": 8, "k_max": 4.0}])
+    def test_orders_must_be_integers(self, dom_small_p, kw):
+        # before, m_max=2.5 raised TypeError and k_max=-1 IndexError
+        with pytest.raises(DomainError, match="need integers"):
+            wp1_fourier_coeffs(dom_small_p, **kw)
+
     def test_plus_minus_symmetry(self, dom_small_p):
         # coefficients of z^m and z^-m agree at every order p^{m nu}, nu >= 1
         fc = wp1_fourier_coeffs(dom_small_p, m_max=10, k_max=20)

@@ -394,6 +394,19 @@ class TestKernelTransform:
         r = kernel_transform(KernelSpec(2, 0, 2.0), src, x, dom_small_p, nodes=64)
         assert r.value == ground_state_psi0(x, 2.0, dom_small_p) and r.node_delta == 0.0
 
+    @pytest.mark.parametrize("nodes", [2.5, 64.0, 0, -8])
+    def test_node_count_must_be_a_positive_integer(self, dom_small_p, nodes):
+        # before, nodes=2.5 gave node_delta 2.22 and nodes=0 warned "Mean of empty slice"
+        with pytest.raises(DomainError, match="need integers"):
+            kernel_transform(KernelSpec(2, 1, 2.0), lambda y: np.ones(np.shape(y)[:-1]),
+                             np.array([0.8, 0.1]), dom_small_p, nodes=nodes)
+
+    @pytest.mark.parametrize("N, M", [(1.5, 1), (2, 1.0), (-1, 2)])
+    def test_kernel_spec_sizes_must_be_integers(self, N, M):
+        # before, KernelSpec(1.5, 1, g) was accepted and failed only at evaluation
+        with pytest.raises(DomainError, match="need integers"):
+            KernelSpec(N, M, 2.0)
+
     def test_constant_source_at_m_zero(self, dom_small_p):
         # a source that returns a Python number: K(x) is a Python complex at M = 0
         spec, x = KernelSpec(2, 0, 2.0), np.array([0.8, 0.1])
