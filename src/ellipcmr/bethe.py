@@ -24,7 +24,7 @@ import numpy as np
 
 from .domain import EllipticDomain, _check_integers
 from .errors import BranchError, ConvergenceError, DomainError, EllipcmrError, PoleError
-from .fields import Field, Jet
+from .fields import Field, Jet, _check_coordinates
 from .theta import pair_values, theta1, theta1_jet, theta1_logderiv
 
 __all__ = [
@@ -33,7 +33,8 @@ __all__ = [
     "energy_from_roots", "saddle_G_value", "saddle_G_gradient",
 ]
 
-# Newton tolerance at the intermediate nomes of the continuation; tol applies at dom.p
+# Newton tolerance at dom.p, and at the intermediate nomes of the continuation
+_TOL = 1e-12
 _PATH_TOL = 1e-6
 _MAX_ITER = 50         # Newton iterations per corrector
 _HOMOTOPY_STEP = 4.0   # nome ratio between continuation steps
@@ -184,25 +185,28 @@ def _polish(t, r, J, dom):
     return t, float(np.max(np.abs(r)))
 
 
-def solve_bethe(n: int, dom: EllipticDomain, seed: Optional[Sequence[complex]] = None,
-                tol: float = 1e-12) -> BetheState:
+def solve_bethe(n: int, dom: EllipticDomain,
+                seed: Optional[Sequence[complex]] = None) -> BetheState:
     """Solve the Bethe system and certify the resulting eigenfunction.
 
     Without a seed, the system is first solved at a small nome (the
     trigonometric seed is exact at p = 0) and the nome is continued to dom.p in
     steps of nome ratio 4 (the last one shorter) by predictor-corrector steps: a
     secant predictor in log p, then Newton to the path tolerance at intermediate
-    nomes and to tol at dom.p; a failed correction is retried from the previous
-    roots.  A seed of shape (n,), and the guess ell (0.31 + 0.07 i) at n = 1,
-    where the system is empty, take the one step dom.p.  The final roots get up
+    nomes and to _TOL at dom.p; a failed correction is retried from the previous
+    roots.  A seed of n finite complex numbers, and the guess ell (0.31 + 0.07 i) at
+    n = 1, where the system is empty, take the one step dom.p.  The final roots get up
     to two polishing Newton steps.  One branch is returned per seed; no
     completeness claim is made.
     """
     _check_integers(1, n=n)
     if seed is not None:
-        t, steps = np.asarray(seed, dtype=complex), [dom.p]
-        if t.shape != (n,):
-            raise DomainError(f"need a seed of shape ({n},), got shape {t.shape}")
+        t, steps = np.asarray(seed), [dom.p]
+        if (t.shape != (n,) or not np.can_cast(t.dtype, complex, "same_kind")
+                or not np.isfinite(t).all()):
+            raise DomainError(f"need a seed of shape ({n},) of finite complex numbers, "
+                              f"got {seed!r}")
+        t = t.astype(complex)
     elif n == 1:
         t, steps = np.array([dom.ell * (0.31 + 0.07j)]), [dom.p]
     else:
@@ -211,11 +215,10 @@ def solve_bethe(n: int, dom: EllipticDomain, seed: Optional[Sequence[complex]] =
         steps = [min(dom.p, 0.5 * math.exp(-2.0 * math.pi * np.max(np.abs(t.imag)) / dom.ell))]
         while steps[-1] < dom.p:
             steps.append(min(steps[-1] * _HOMOTOPY_STEP, dom.p))
-    path_tol = max(tol, _PATH_TOL)
     for k, pk in enumerate(steps):
         last = k == len(steps) - 1
         dk = dom if last else EllipticDomain.from_nome(dom.ell, pk)
-        tol_k = tol if last else path_tol
+        tol_k = _TOL if last else _PATH_TOL
         guess = t
         if k >= 2:   # secant through the last two converged nomes, in log p
             h = math.log(pk / steps[k - 1]) / math.log(steps[k - 1] / steps[k - 2])
@@ -265,6 +268,7 @@ def hermite_psi_field(roots, xi: complex, dom: EllipticDomain,
     s = -1.0 if reflect else 1.0
 
     def jet(xv):
+        _check_coordinates(xv, 1)
         x = s * xv[..., 0]
         at_x, at_roots = _at_x_and_roots(theta1_jet, x, roots, dom)
         value = _hermite_value(x, xi, at_x[0], at_roots[0])     # the vt1 rows

@@ -15,6 +15,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = ["Jet", "plane_wave"]
 
 Vec = np.ndarray
@@ -34,11 +36,18 @@ class Jet(NamedTuple):
 Field = Callable[[Vec], Jet]     # the annotation for a field: x -> Jet
 
 
+def _check_coordinates(x, n: int):
+    """DomainError unless the points x hold the n coordinates of a field on their last axis."""
+    if np.shape(x)[-1:] != (n,):
+        raise DomainError(f"a field of {n} coordinates got points of shape {np.shape(x)}")
+
+
 def plane_wave(k) -> Field:
     """exp(i k . x), tau-independent: a free eCS eigenfunction (E = k.k/2 at g = 0, 1)."""
     k = np.asarray(k, dtype=complex)
 
     def jet(x):
+        _check_coordinates(x, k.size)
         v = np.exp(1j * np.dot(x, k))
         return Jet(v, 1j * k * v[..., None], -(k ** 2) * v[..., None], 0.0)
 

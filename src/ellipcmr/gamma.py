@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import DEFAULT_POLICY, EllipticDomain, RuijsenaarsParams
+from .domain import EllipticDomain, RuijsenaarsParams
 from .errors import PoleError
-from .theta import (_pair_index, _scalar_or_array, _scale_for, pair_values, theta_q,
-                    theta1_power)
+from .theta import (_nome_ladder, _pair_index, _scalar_or_array, _scale_for, pair_values,
+                    theta_q, theta1_power)
 
 __all__ = ["elliptic_gamma", "weight_W", "weight_Wrel"]
 
@@ -20,24 +20,21 @@ _POLE_EPS = 1e-13
 
 
 def elliptic_gamma(z, par: RuijsenaarsParams):
-    """Truncated double product for Gamma(z; p, q), per entry of an array z."""
+    """Truncated double product for Gamma(z; p, q), per entry of an array z: one product
+    over theta's q-ladder (theta._nome_ladder, level 0 in front) per level of its p-ladder.
+    The tail bound covers truncation only; the product rounds otherwise than a log-sum
+    (up to about 1e-12 relative at p = q = 0.9)."""
     z = np.asarray(z, dtype=complex)
+    _scale_for(z)                       # PoleError at z = 0, at any nome
     p, q = par.p, par.q
-    # cutoffs per axis at the largest |z| + 1/|z|; they dominate the joint tail
-    scale = _scale_for(z)
-    np_ = DEFAULT_POLICY.n_terms(p, scale)
-    nq_ = DEFAULT_POLICY.n_terms(q, scale)
+    qm = np.array([(0, 1.0), *_nome_ladder(q, z)])[:, 1].reshape((-1,) + (1,) * z.ndim)
     out = np.ones_like(z)
-    pn = 1.0
-    for n in range(np_ + 1):
-        qm = 1.0
-        for m in range(nq_ + 1):
-            den = 1.0 - pn * qm * z
-            if np.any(np.abs(den) < _POLE_EPS):
-                raise PoleError(f"Gamma pole at z = p^-{n} q^-{m}")
-            out = out * ((1.0 - pn * p * qm * q / z) / den)
-            qm *= q
-        pn *= p
+    for n, pn in [(0, 1.0), *_nome_ladder(p, z)]:
+        den = 1.0 - pn * qm * z
+        pole = np.abs(den) < _POLE_EPS
+        if np.any(pole):
+            raise PoleError(f"Gamma pole at z = p^-{n} q^-{np.argwhere(pole)[0, 0]}")
+        out = out * np.prod((1.0 - pn * p * qm * q / z) / den, axis=0)
     return _scalar_or_array(out)
 
 

@@ -24,7 +24,7 @@ from operator import add, mul
 import numpy as np
 
 from .domain import DEFAULT_POLICY, EllipticDomain, _check_integers
-from .errors import BranchError, PoleError
+from .errors import BranchError, DomainError, PoleError
 
 __all__ = [
     "theta_q", "log_theta_q", "theta1", "theta1_logderiv", "theta1_dlog2", "theta1_jet",
@@ -46,7 +46,10 @@ def _nome_ladder(p: float, z):
 
     p^n is the running product p, p*p, ..., not p**n, so every series keeps its rounding.
     At p = 0 there are no terms, and no p^n / z is formed, so z = 0 is allowed there.
+    A non-finite z raises DomainError at every p: no truncation order certifies it.
     """
+    if not np.isfinite(z).all():
+        raise DomainError("non-finite argument z")
     nt = 0 if p == 0.0 else DEFAULT_POLICY.n_terms(p, _scale_for(z))
     return zip(range(1, nt + 1), accumulate(repeat(p, nt), mul))
 
@@ -55,13 +58,17 @@ def _scalar_or_array(out):
     return out if out.shape else complex(out)
 
 
+def _product(z, p: float, head):
+    """head prod_n (1 - p^n z)(1 - p^n / z) over the certified nome ladder."""
+    for _, pn in _nome_ladder(p, z):
+        head = head * (1.0 - pn * z) * (1.0 - pn / z)
+    return _scalar_or_array(head)
+
+
 def theta_q(z, p: float):
     """Truncated product (1-z) prod (1 - p^n z)(1 - p^n / z); p in [0, 1)."""
     z = np.asarray(z, dtype=complex)
-    out = 1.0 - z
-    for _, pn in _nome_ladder(p, z):
-        out = out * (1.0 - pn * z) * (1.0 - pn / z)
-    return _scalar_or_array(out)
+    return _product(z, p, 1.0 - z)
 
 
 def _arg_bound(w_abs: float) -> float:
@@ -109,11 +116,8 @@ def log_theta_q(z, p: float):
 def theta1(x, dom: EllipticDomain):
     """Odd theta function vt1(x) = 2 sin(pi x/2 ell) prod (1-p^n z)(1-p^n/z)."""
     x = np.asarray(x, dtype=complex)
-    z = np.exp(1j * math.pi * x / dom.ell)
-    out = 2.0 * np.sin(math.pi * x / (2.0 * dom.ell))
-    for _, pn in _nome_ladder(dom.p, z):
-        out = out * (1.0 - pn * z) * (1.0 - pn / z)
-    return _scalar_or_array(out)
+    return _product(np.exp(1j * math.pi * x / dom.ell), dom.p,
+                    2.0 * np.sin(math.pi * x / (2.0 * dom.ell)))
 
 
 def _ladder(z, p: float, head):
@@ -203,7 +207,10 @@ def theta1_power(x, g: float, dom: EllipticDomain):
 
 
 def _power(v, g: float):
-    """v^g for values v of vt1 by theta1_power's rule (BranchError off its domain)."""
+    """v^g for values v of vt1 by theta1_power's rule (BranchError off its domain,
+    DomainError for a non-finite g)."""
+    if not math.isfinite(g):
+        raise DomainError(f"exponent g = {g} is not finite")
     if g == int(round(g)):
         return v ** int(round(g))
     if np.any(np.real(np.asarray(v)) <= 0.0):

@@ -40,7 +40,7 @@ import numpy as np
 
 from .domain import EllipticDomain, _check_integers
 from .errors import ConvergenceError, DomainError, SeamError, WindowError
-from .fields import Field, Jet
+from .fields import Field, Jet, _check_coordinates
 from .kernels import KernelSpec, kernel_K
 from .operators import apply_ecs, ground_state_field
 from .pseries import PSeriesTable
@@ -57,11 +57,13 @@ _SEAM_TOL = 1e-10
 
 
 def _one_point(a, dtype=complex):
-    """a as an array holding the two coordinates of one point; DomainError otherwise."""
-    a = np.asarray(a, dtype=dtype)
-    if a.shape != (2,):
-        raise DomainError(f"need the two coordinates of one point, got shape {a.shape}")
-    return a
+    """a as an array of dtype holding the two coordinates of one point; DomainError for
+    any other shape or for entries that dtype does not hold (complex ones for float)."""
+    a = np.asarray(a)
+    if a.shape != (2,) or not np.can_cast(a.dtype, dtype, "same_kind"):
+        raise DomainError(f"need the two coordinates of one point as {np.dtype(dtype)}, "
+                          f"got {a.dtype} of shape {a.shape}")
+    return a.astype(dtype)
 
 
 @dataclass(frozen=True)
@@ -155,6 +157,14 @@ def _leg(z, xi, g: float, p: float):
     return zx, np.exp(-g * log_theta_q(zx, p).sum(axis=-2))
 
 
+def _check_window(z, r: float, p: float, what: str):
+    """WindowError unless p < |z_i|/r < 1 for every coordinate: the ratios z_i/xi on
+    the circle |xi| = r, named what, must lie in theta's zero-free annulus."""
+    ratio = np.abs(z) / r
+    if not np.all((p < ratio) & (ratio < 1.0)):
+        raise WindowError(f"{what}: |z|/R = {ratio} outside (p, 1)")
+
+
 def _check_single_labels(lam_diff, lam2):
     """DomainError unless lam = (lam2 + lam_diff, lam2) has integer labels and lam_diff >= 0."""
     _check_integers(lam_diff=lam_diff, lam2=lam2)
@@ -178,9 +188,7 @@ def n2_single_contour_P(lam_diff: int, lam2: int, z, g: float, p: float,
     _check_single_labels(lam_diff, lam2)
     z = _one_point(z)
     r = cfg.single_radius(p)
-    ratio = np.abs(z) / r
-    if not np.all((p < ratio) & (ratio < 1.0)):
-        raise WindowError(f"|z|/R = {ratio} outside (p, 1)")
+    _check_window(z, r, p, "single contour")
     xi = _nodes(r, 2 * cfg.nodes)
     _, leg, pref, base = _single_leg(z, xi, lam_diff, lam2, g, p)
     _check_winding(leg[::2], "single contour")
@@ -209,8 +217,10 @@ def _f_legs(z, g: float, p: float, r1: float, r2: float, count: int) -> _FLegs:
     """u_a = prod_i theta(z_i/xi1a)^-g, v_b = prod_i theta(z_i/xi2b)^-g and
     c_k = theta((r1/r2) w^k)^g, w = e^{2 pi i/count}, on count nodes per circle.
 
-    Each leg walks the nome ladder once (_leg).
+    Each leg walks the nome ladder once (_leg), after the window check of its circle.
     """
+    _check_window(z, r1, p, "F contour 1")
+    _check_window(z, r2, p, "F contour 2")
     xi1 = _nodes(r1, count)
     xi2 = _nodes(r2, count)
     (zx1, u), (zx2, v) = _leg(z, xi1, g, p), _leg(z, xi2, g, p)
@@ -366,11 +376,14 @@ def single_contour_psi_field(lam_diff: int, lam2: int, g: float, dom: EllipticDo
     _check_single_labels(lam_diff, lam2)
     psi0 = ground_state_field(g, dom)
     p = dom.p
-    xi = _nodes(cfg.single_radius(p), cfg.nodes)
+    r = cfg.single_radius(p)
+    xi = _nodes(r, cfg.nodes)
     ipl = 1j * math.pi / dom.ell
 
     def jet(x):
+        _check_coordinates(x, 2)
         z = np.exp(1j * math.pi * x / dom.ell)
+        _check_window(z, r, p, "single contour")
         zx, leg, pref, base = _single_leg(z, xi, lam_diff, lam2, g, p)
         _check_winding(leg, "single contour")
         e1, e2 = _wdlog_jet(zx, p)

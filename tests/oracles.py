@@ -6,6 +6,7 @@ lattice sums, torus quadrature, and Gram-Schmidt construction of the
 reference polynomials.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -142,3 +143,27 @@ def proportionality_residual(values_a, values_b):
     b = np.asarray(values_b, dtype=complex)
     c = np.vdot(b, a) / np.vdot(b, b)
     return float(np.max(np.abs(a - c * b)) / np.max(np.abs(b))), complex(c)
+
+
+def elliptic_gamma_logsum(z, p, q, cut=1e-22):
+    """Gamma(z; p, q) as exp of the math.fsum of its factors' logs, one point z.
+
+    Factors 1 - p^(n+1) q^(m+1)/z over 1 - p^n q^m z, with the powers taken as
+    p**n q**m and every (n, m) kept while p^n q^m (|z| + 1/|z|) >= cut.  log(1 - w)
+    is formed from log1p and atan2, so small |w| keep their relative accuracy.
+    """
+    scale = abs(z) + 1.0 / abs(z)
+    terms = max(1, int(math.log(cut / scale) / math.log(max(p, q, 1e-300))) + 2)
+    n = np.arange(terms)
+    pq = np.outer(float(p) ** n, float(q) ** n).ravel()
+    pq = pq[pq * scale >= cut]
+    num, den = pq * (p * q) / z, pq * z
+
+    def log1m(w):
+        return (0.5 * np.log1p(np.abs(w) ** 2 - 2.0 * w.real),
+                np.arctan2(-w.imag, 1.0 - w.real))
+
+    (nr, ni), (dr, di) = log1m(num), log1m(den)
+    re = math.fsum(np.concatenate([nr, -dr]))
+    im = math.fsum(np.concatenate([ni, -di]))
+    return cmath.exp(complex(re, im))

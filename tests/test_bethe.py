@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ellipcmr import bethe
 from ellipcmr.bethe import (bethe_jacobian, bethe_residuals,
                             bloch_multipliers, default_seed, energy_from_roots,
                             hermite_psi, hermite_psi_field, saddle_G_gradient,
@@ -55,6 +56,13 @@ class TestSolver:
     def test_seed_shape_must_be_n(self, dom_small_p, n, seed):
         with pytest.raises(DomainError, match="seed of shape"):
             solve_bethe(n, dom_small_p, seed=seed)
+
+    @pytest.mark.parametrize("seed", [["a", "b"], [math.nan, 1.0], [1.0, complex(0, math.inf)]],
+                             ids=["strings", "nan", "inf"])
+    def test_seed_must_be_finite_complex_numbers(self, dom_small_p, seed):
+        # before, strings raised ValueError and a NaN ended in LinAlgError after warnings
+        with pytest.raises(DomainError, match=r"seed .*got \["):
+            solve_bethe(2, dom_small_p, seed=seed)
 
     def test_n_one_certificates(self, dom_small_p):
         dom = dom_small_p
@@ -294,11 +302,12 @@ class TestContinuation:
         assert state.bethe_residual <= 1e-10 and state.xi_residual <= 1e-10
         assert state.ode_residual <= 1e-8 and state.energy_spread <= 1e-8
 
-    def test_callers_tol_applies_at_the_final_nome(self, dom):
-        # intermediate nomes stop at the path tolerance; an unreachable tol must
+    def test_callers_tol_applies_at_the_final_nome(self, dom, monkeypatch):
+        # intermediate nomes stop at the path tolerance; an unreachable tolerance must
         # still make the final correction fail
+        monkeypatch.setattr(bethe, "_TOL", 1e-30)
         with pytest.raises(ConvergenceError):
-            solve_bethe(3, dom, tol=1e-30)
+            solve_bethe(3, dom)
 
     def test_residuals_do_not_change_when_a_root_moves_by_a_period(self, dom):
         t = np.array([0.35 + 0.2j, 0.9 - 0.3j, 1.4 + 0.1j]) * dom.ell / 2

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from ellipcmr.domain import RuijsenaarsParams
-from ellipcmr.errors import BranchError, PoleError
+from ellipcmr.errors import BranchError, DomainError, PoleError
 from ellipcmr.gamma import elliptic_gamma, ground_state_psi0, weight_W, weight_Wrel
 from ellipcmr.theta import theta_q
+from oracles import elliptic_gamma_logsum
 
 
 class TestEllipticGamma:
@@ -30,6 +31,45 @@ class TestEllipticGamma:
         z = 0.6 + 0.2j
         prod = elliptic_gamma(par.p * par.q / z, par) * elliptic_gamma(z, par)
         assert abs(prod - 1.0) <= 1e-13
+
+    # the product rounds like a log-sum over about (n_p + 1)(n_q + 1) factors
+    HIGHER_NOMES = [(0.5, 2e-13), (0.9, 1e-11)]
+
+    @pytest.mark.parametrize("pq, tol", HIGHER_NOMES, ids=["0.5", "0.9"])
+    def test_shift_identity_at_higher_nomes(self, pq, tol):
+        par = RuijsenaarsParams(p=pq, q=pq, t=0.3)
+        for z in (0.8, 0.6 + 0.2j, 0.9 * np.exp(1.3j)):
+            lhs = elliptic_gamma(par.q * z, par)
+            rhs = theta_q(z, par.p) * elliptic_gamma(z, par)
+            assert abs(lhs - rhs) <= tol * abs(rhs), z
+
+    @pytest.mark.parametrize("pq, tol", HIGHER_NOMES, ids=["0.5", "0.9"])
+    def test_reflection_at_higher_nomes(self, pq, tol):
+        par = RuijsenaarsParams(p=pq, q=pq, t=0.3)
+        for z in (0.8, 0.6 + 0.2j, 0.9 * np.exp(1.3j)):
+            prod = elliptic_gamma(par.p * par.q / z, par) * elliptic_gamma(z, par)
+            assert abs(prod - 1.0) <= tol, z
+
+    @pytest.mark.parametrize("p, q, tol", [(0.1, 0.1, 1e-13), (0.5, 0.5, 1e-13),
+                                           (0.01, 0.9, 1e-13), (0.9, 0.01, 1e-13),
+                                           (0.9, 0.9, 5e-12)])
+    def test_matches_the_log_sum_oracle(self, p, q, tol):
+        rng = np.random.default_rng(2501)
+        z = rng.uniform(0.6, 1.4, 8) * np.exp(1j * rng.uniform(0.5, 2 * np.pi - 0.5, 8))
+        got = elliptic_gamma(z, RuijsenaarsParams(p=p, q=q, t=0.3))
+        ref = np.array([elliptic_gamma_logsum(zz, p, q) for zz in z])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= tol
+
+    def test_pole_names_its_level(self):
+        par = RuijsenaarsParams(p=0.1, q=0.2, t=0.3)
+        with pytest.raises(PoleError, match=r"p\^-1 q\^-1"):
+            elliptic_gamma(1.0 / (par.p * par.q), par)
+
+    @pytest.mark.parametrize("z", [np.nan, [0.5, complex(np.inf, 0.0)]], ids=["nan", "inf"])
+    def test_non_finite_argument_rejected(self, z):
+        # before, elliptic_gamma(nan, par) returned NaN: no truncation order was needed
+        with pytest.raises(DomainError, match="non-finite"):
+            elliptic_gamma(z, RuijsenaarsParams(p=0.1, q=0.2, t=0.3))
 
     def test_pole_rejected(self):
         par = RuijsenaarsParams(p=0.1, q=0.2, t=0.3)

@@ -216,6 +216,29 @@ def batch_cases(dom):
 BATCH_CASES = batch_cases(EllipticDomain.from_nome(2.0, 0.1))
 
 
+class TestFieldCoordinates:
+    """A field checks that its points carry its number of coordinates."""
+
+    def test_wrong_coordinate_count_rejected(self, dom_small_p):
+        dom = dom_small_p
+        st = solve_bethe(2, dom)
+        # before: the Hermite field read x_1 only (apply_ecs gave 24.9+6.6j), the
+        # contour field returned a value, and plane_wave raised a bare ValueError
+        for psi, x in ((hermite_psi_field(st.roots, st.xi, dom), [0.3, 0.7]),
+                       (single_contour_psi_field(1, 0, 2.0, dom), [0.8, 0.1, 0.4]),
+                       (plane_wave([0.5, 0.2]), [0.8, 0.1, 0.4])):
+            with pytest.raises(DomainError, match="coordinates"):
+                apply_ecs(psi, x, 2.0, dom)
+
+    def test_non_finite_coupling_rejected(self, dom):
+        # before, g = NaN raised a bare ValueError in the power rule
+        x = np.array([0.9, 0.1, -0.5])
+        with pytest.raises(DomainError, match="not finite"):
+            ground_state_field(math.nan, dom)(x)
+        with pytest.raises(DomainError, match="not finite"):
+            kernel_K(KernelSpec(2, 1, math.nan), x[:2], x[2:], dom)
+
+
 class TestPointBatches:
     """One call on a (2, 3) batch of points gives each point's value of the one-point call."""
 

@@ -5,8 +5,9 @@ src/ellipcmr is used, every name a module lists in __all__ is defined, every
 module-level private name is referenced outside its own definition, no
 nested function keeps state in a container of its enclosing function, no
 cli verify suite loops over its points, no library function calls a
-callable it is given once per point in a loop, and integer inputs are
-checked in one place.
+callable it is given once per point in a loop, integer inputs are
+checked in one place, and only the truncation rule and the theta ladders
+choose truncation orders.
 """
 
 import ast
@@ -251,3 +252,27 @@ def test_one_integer_check():
     hits = [f"{p.name}:{line}" for p in SRC if p.name != "domain.py"
             for line in integer_checks(_tree(p))]
     assert not hits, f"integer checks outside domain._check_integers: {hits}"
+
+
+def policy_uses(tree):
+    """Lines that call n_terms or read DEFAULT_POLICY (a bare import, as the package
+    __init__'s re-export, reads nothing)."""
+    return sorted({n.lineno for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute) and n.attr in ("n_terms", "DEFAULT_POLICY")
+                   or isinstance(n, ast.Name) and n.id == "DEFAULT_POLICY"})
+
+
+def test_policy_uses_are_seen():
+    tree = ast.parse("from .domain import DEFAULT_POLICY\nnt = DEFAULT_POLICY.n_terms(p)\n"
+                     "nt = domain.DEFAULT_POLICY\nnt = TruncationPolicy().n_terms(p, s)\n"
+                     "pol = DEFAULT_POLICY\nnt = n_terms\n")
+    assert policy_uses(tree) == [2, 3, 4, 5]
+
+
+def test_truncation_orders_chosen_in_one_place():
+    """Only domain.py (the rule) and theta.py (the ladders and the independent
+    cross-check series) choose truncation orders; every other product walks
+    theta._nome_ladder."""
+    hits = [f"{p.name}:{line}" for p in SRC if p.name not in ("domain.py", "theta.py")
+            for line in policy_uses(_tree(p))]
+    assert not hits, f"truncation orders chosen outside domain.py and theta.py: {hits}"

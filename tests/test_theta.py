@@ -368,3 +368,26 @@ class TestEmptyInput:
         for call in calls:
             out = call()
             assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+class TestNonFiniteInput:
+    """A non-finite argument fails in the nome ladder, at every nome: before, n_terms
+    certified 0 terms at the scale NaN, and theta_q(nan, 0.1) returned NaN."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.1])
+    def test_every_ladder_kernel_rejects_it(self, p):
+        dom = EllipticDomain.from_nome(2.0, p)
+        a = np.array([0.5, math.nan])
+        z = np.array([0.5, complex(0.3, math.inf)])
+        # an infinite x already overflows in exp(i pi x/ell), so the x-form kernels get NaN
+        for call in (lambda: theta_q(math.nan, p), lambda: theta_q(a, p), lambda: theta_q(z, p),
+                     lambda: log_theta_q(z, p), lambda: theta1(math.nan, dom),
+                     lambda: theta1_jet(a, dom), lambda: theta1_tau_logderiv(a, dom)):
+            with pytest.raises(DomainError, match="non-finite"):
+                call()
+
+    @pytest.mark.parametrize("g", [math.nan, math.inf])
+    def test_non_finite_exponent_rejected(self, dom, g):
+        # before, g = NaN raised a bare ValueError in the integer test of the power rule
+        with pytest.raises(DomainError, match="not finite"):
+            theta1_power(0.62 * dom.ell, g, dom)

@@ -120,13 +120,25 @@ class TestDoubleContour:
         with pytest.raises(WindowError):
             contour_F_lambda(1, 0, Z, 1.0, 0.2, ContourConfig(R1=2.0, R2=6.0))
 
-    def test_winding_checks(self):
+    def test_winding_checks(self, monkeypatch):
         # |z1| = 2.5 > R1 puts z1/xi1 outside the annulus (p, 1); |z1| = 0.2 < p R2
-        # puts z1/xi2 inside |w| < p, which only the contour-2 factor sees
+        # puts z1/xi2 inside |w| < p, which only the contour-2 factor sees.  The window
+        # check would reject both first, so it is switched off here.
+        monkeypatch.setattr(transform, "_check_window", lambda *a: None)
         cfg = ContourConfig(R1=2.0, R2=6.0, nodes=64)
         for z1, which in ((2.5, "F contour 1"), (0.2, "F contour 2")):
             with pytest.raises(WindowError, match=which):
                 contour_F_lambda(1, 0, [z1, 1.0], 1.4, 0.05, cfg)
+
+    @pytest.mark.parametrize("g", [1.0, 2.0, 3.0])
+    def test_window_checked_on_both_circles(self, g):
+        # no radii fit z = (5, 0.2) at p = 0.1 (the window needs p R2 < |z_i| < R1),
+        # and the two windings cancel: before, F came back with node_delta 1.2e-8,
+        # 3.1e-6 and 3.7e-4 at g = 1, 2, 3
+        with pytest.raises(WindowError, match="F contour 1"):
+            contour_F_lambda(1, 0, [5.0, 0.2], g, 0.1)
+        with pytest.raises(WindowError, match="F contour 2"):
+            contour_F_lambda(1, 0, [1.0, 0.3], g, 0.1)
 
     def test_node_count_validation(self):
         with pytest.raises(DomainError):
@@ -152,6 +164,27 @@ class TestInputChecks:
                      lambda: eigen_residuals_P_lambda(lam, table, x, g, dom_small_p)):
             with pytest.raises(DomainError, match="two coordinates of one point"):
                 call()
+
+    def test_assembly_checks_the_window(self):
+        # before, assemble_P_lambda returned a value at this z as well
+        lam, g = Partition2(1, 0), 2.0
+        with pytest.raises(WindowError, match="F contour 1"):
+            assemble_P_lambda(lam, table_for(lam, g, K=2), [5.0, 0.2], g, 0.1)
+
+    def test_eigen_residuals_need_real_x(self, dom_small_p):
+        # before, the imaginary part was dropped with a ComplexWarning
+        lam, g = Partition2(1, 0), 2.0
+        with pytest.raises(DomainError, match="two coordinates of one point"):
+            eigen_residuals_P_lambda(lam, table_for(lam, g, K=2), [0.7 + 0.1j, 0.1], g,
+                                     dom_small_p)
+
+    def test_single_contour_field_checks_the_window(self, dom_small_p):
+        # |z| = (5, 0.2) against R = sqrt(20): z_1/xi lies outside |w| < 1 and z_2/xi
+        # inside |w| < p, and the two windings cancel: before, psi gave -260.6-94.6j
+        a = 2.0 / math.pi * math.log(5.0)
+        psi = single_contour_psi_field(1, 0, 2.0, dom_small_p)
+        with pytest.raises(WindowError, match="single contour"):
+            psi(np.array([0.8 - 1j * a, 0.1 + 1j * a]))
 
     @pytest.mark.parametrize("make", [
         lambda: Partition2(1.5, 0),
