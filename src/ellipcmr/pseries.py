@@ -23,8 +23,9 @@ no upward coupling inside a fixed k, so filling k levels in ascending n order
 closes.  Level k is filled up to n = n_cap + 2(K - k) + k so every reported
 entry (n <= n_cap + k) is exact.  Exact mode, the external cross-check for
 rational s and gamma at kappa = 0, keeps each row as int numerators over one
-denominator, sums the sources from the rows above in ints, then makes one
-Fraction per entry.
+denominator, sums the sources from the rows above in ints and runs the
+same-row recursion in ints over one running denominator (fraction-free, as in
+Bareiss elimination), then makes one Fraction per entry.
 """
 
 from __future__ import annotations
@@ -82,20 +83,30 @@ class PSeriesTable:
         return out
 
     def to_dict(self) -> dict:
-        entries = []
-        for (n, k) in sorted(self.a):
-            v = complex(self.a[(n, k)])
-            entries.append([n, k, v.real, v.imag])
+        """JSON-ready dict; an exact value with no float raises DomainError naming it."""
+        def num(v, name, kind=complex):
+            try:
+                return kind(v)
+            except OverflowError:
+                raise DomainError(f"{name} is too large for a float: the table has "
+                                  "no JSON form") from None
+
+        def pair(v, name):
+            v = num(v, name)
+            return [v.real, v.imag]
+
+        entries = [[n, k, *pair(self.a[(n, k)], f"a_({n},{k})")] for n, k in sorted(self.a)]
+        eps = [pair(e, f"Eps_{k}") for k, e in enumerate(self.eps)]
         d = {
             "schema": 1,
             "variant": self.variant,
             "K": self.K,
             "n_cap": self.n_cap,
-            "s": [float(self.s[0]), float(self.s[1])],
-            "gamma": [complex(self.gamma).real, complex(self.gamma).imag],
-            "kappa": [complex(self.kappa).real, complex(self.kappa).imag],
+            "s": [num(v, f"s_{i}", float) for i, v in enumerate(self.s, 1)],
+            "gamma": pair(self.gamma, "gamma"),
+            "kappa": pair(self.kappa, "kappa"),
             "entries": entries,
-            "eps": [[complex(e).real, complex(e).imag] for e in self.eps],
+            "eps": eps,
         }
         if self.exact:
             d["s_exact"] = [str(Fraction(self.s[0])), str(Fraction(self.s[1]))]
@@ -118,18 +129,70 @@ def _fill_window(K: int, n_cap: int, k):
 
 
 def _exact_sources(rows, dens, eps, gamma, k, lo, hi):
-    """Row k's sources from the rows above (a_{n,r} = rows[r, n + 2K] / dens[r]), summed in ints."""
-    terms = []
-    for d in range(1, k + 1):       # row k - d: Eps_d a_n + gamma sum_{m|d} m (a_{n-m} + a_{n+m})
-        above, e = rows[k - d], eps[d] if d < k else Fraction(0)    # Eps_k a_{n,0}: same-row loop
+    """Row k's sources from the rows above (a_{n,r} = rows[r, n + 2K] / dens[r]), summed in ints.
+
+    Returns (S, P): the source at column lo + j is S[j] / P.
+    """
+    gn, gd = gamma.numerator, gamma.denominator
+    # row k - d: Eps_d a_n + gamma sum_{m|d} m (a_{n-m} + a_{n+m}) over Eps_d's denominator
+    # times gd dens[k - d]; Eps_k a_{n,0} is left to the same-row loop
+    ed = [1] + [e.denominator for e in eps[1:k]] + [1]
+    den = math.lcm(*(ed[d] * gd * dens[k - d] for d in range(1, k + 1)))
+    num = np.zeros(hi - lo, dtype=object)
+    for d in range(1, k + 1):
+        above = rows[k - d]
         nu = sum(m * (above[lo - m:hi - m] + above[lo + m:hi + m])
                  for m in range(1, d + 1) if d % m == 0)
-        terms.append((e.numerator * gamma.denominator * above[lo:hi]
-                      + gamma.numerator * e.denominator * nu,
-                      e.denominator * gamma.denominator * dens[k - d]))
-    den = math.lcm(*(dk for _, dk in terms))
-    num = sum((den // dk * x for x, dk in terms), np.zeros(hi - lo, dtype=object))
-    return [Fraction(x, den) for x in num]
+        c = den // (ed[d] * gd * dens[k - d])
+        num += c * gn * ed[d] * nu
+        if d < k and eps[d] != 0:
+            num += c * gd * eps[d].numerator * above[lo:hi]
+    return num.tolist(), den
+
+
+def _exact_row(rows, dens, eps, gamma, delta, k, n_lo, lo, hi):
+    """Fill row k of an exact table (kappa = 0, Variant I) in ints; return its entries.
+
+    With gamma = gn/gd and s1 - s2 = dn/dd, the running sums acc = A/Q and
+    conv = C/Q share one denominator Q, which starts at the sources' P and takes
+    the factor gd n(n dd + dn) of each solved entry; scale = gd Q/P keeps the
+    sources on it.  rhs = R/(gd Q) with R = S scale + E a_{n,0} dens[0] + gn C,
+    where E = gd Q Eps_k / dens[0] once the gauge entry n = 0 has given Eps_k.
+    Each entry becomes one Fraction; rows[k] and dens[k] get the row over the
+    lcm of its denominators.
+    """
+    gn, gd = gamma.numerator, gamma.denominator
+    dn, dd = delta.numerator, delta.denominator
+    src, Q = _exact_sources(rows, dens, eps, gamma, k, lo, hi)
+    a0 = rows[0, lo:hi].tolist()        # a_{n,0} dens[0], zero below n = 0 and in row 0
+    scale, A, C, E = gd, 0, 0, 0
+    vals = []
+    for j, n in enumerate(range(n_lo, n_lo + hi - lo)):
+        R = src[j] * scale + E * a0[j] + gn * C
+        num = 0                         # the entry is num/Q
+        if n == 0 and k == 0:
+            num = Q
+        elif n == 0:
+            # gauge a_{0,k} = 0: the row determines Eps_k; from here on its source
+            # Eps_k a_{n,0} is E a0[j] over gd Q, with Q made a multiple of dens[0]
+            eps.append(Fraction(-R, gd * Q))
+            g = math.gcd(dens[0], R)
+            t = dens[0] // g
+            Q, A, C, scale, E = Q * t, A * t, C * t, scale * t, -R // g
+        elif (dnum := n * (n * dd + dn)) == 0:     # divisor n(n + s1 - s2) = dnum/dd
+            if R != 0:    # any nonzero source is unresolvable, whatever the size of gamma
+                raise ResonanceError(f"unresolvable resonance at (n,k)=({n},{k}): "
+                                     "zero divisor with a nonzero exact source")
+        else:
+            f = gd * dnum
+            Q, A, C, scale, E = Q * f, A * f, C * f, scale * f, E * f
+            num = R * dd
+        A += num
+        C += A
+        vals.append(Fraction(num, Q))
+    dens.append(math.lcm(*(v.denominator for v in vals)))
+    rows[k, lo:hi] = [v.numerator * (dens[k] // v.denominator) for v in vals]
+    return vals
 
 
 def _solve(s, gamma, kappa, K, n_cap, variant, exact):
@@ -143,11 +206,9 @@ def _solve(s, gamma, kappa, K, n_cap, variant, exact):
         if kappa != 0:
             raise DomainError("exact mode supports kappa = 0 only")
         kappa = Fraction(0)
-        zero, one = Fraction(0), Fraction(1)
     else:
         if not all(cmath.isfinite(complex(v)) for v in (s1, s2, gamma, kappa)):
             raise DomainError("s, gamma and kappa must be finite")
-        zero, one = 0.0 + 0.0j, 1.0 + 0.0j
         gamma, kappa = complex(gamma), complex(kappa)
     delta = s1 - s2
 
@@ -160,30 +221,32 @@ def _solve(s, gamma, kappa, K, n_cap, variant, exact):
     rows = np.zeros((K + 1, n_cap + 5 * K + 1), dtype=object if exact else complex)
     a, dens = {}, []
     eps = [(s1 * s1 + s2 * s2) / 2]
+    zero, one = 0.0 + 0.0j, 1.0 + 0.0j
     running_scale = 1.0
 
     for k in range(K + 1):
         n_lo, n_hi = _fill_window(K, n_cap, k)
         lo, hi = n_lo + off, n_hi + off + 1
         if exact:
-            pre = _exact_sources(rows, dens, eps, gamma, k, lo, hi)
-        else:
-            # sources from the rows above, for the whole row at once
-            pre = np.full(hi - lo, zero, dtype=rows.dtype)
-            for kp in range(1, k):
-                if eps[kp] != 0:
-                    pre += eps[kp] * rows[k - kp, lo:hi]
-            nu_sum = np.full(hi - lo, zero, dtype=rows.dtype)
-            for d in range(1, k + 1):         # d = nu m: row k - d, every m | d
-                above = rows[k - d]
-                for m in range(1, d + 1):
-                    if d % m == 0:
-                        nu_sum += m * (above[lo - m:hi - m] + above[lo + m:hi + m])
-            pre = (pre + gamma * nu_sum).tolist()
+            vals = _exact_row(rows, dens, eps, gamma, delta, k, n_lo, lo, hi)
+            a.update(zip(((n, k) for n in range(n_lo, n_hi + 1)), vals))
+            continue
+        # sources from the rows above, for the whole row at once
+        pre = np.full(hi - lo, zero, dtype=rows.dtype)
+        for kp in range(1, k):
+            if eps[kp] != 0:
+                pre += eps[kp] * rows[k - kp, lo:hi]
+        nu_sum = np.full(hi - lo, zero, dtype=rows.dtype)
+        for d in range(1, k + 1):         # d = nu m: row k - d, every m | d
+            above = rows[k - d]
+            for m in range(1, d + 1):
+                if d % m == 0:
+                    nu_sum += m * (above[lo - m:hi - m] + above[lo + m:hi + m])
+        pre = (pre + gamma * nu_sum).tolist()
 
         # same row: conv = sum_m m a_{n-m,k} from two running sums (acc += a_n,
-        # conv += acc), Kahan-compensated in float mode so the rounding of a long
-        # row does not pile up in its later entries
+        # conv += acc), Kahan-compensated so the rounding of a long row does not
+        # pile up in its later entries
         vals = []
         acc = conv = acc_c = conv_c = zero
         for j, n in enumerate(range(n_lo, n_hi + 1)):
@@ -203,36 +266,25 @@ def _solve(s, gamma, kappa, K, n_cap, variant, exact):
                 elif n == 0 and k >= 1 and variant == "II":
                     eps.append(zero)
                     v = rhs / div
-                elif (exact and div == 0) or (not exact and abs(div) < _RES_GUARD):
+                elif abs(div) < _RES_GUARD:
                     if variant == "II" and k >= 1:
                         raise ResonanceError(f"small divisor at (n,k)=({n},{k}) for kappa={kappa}")
-                    # exact: any nonzero source is unresolvable, whatever the size of gamma
                     src = abs(rhs)
-                    bound = (0 if exact else
-                             1e-9 * max(1.0, running_scale) * max(1.0, abs(complex(gamma))))
-                    if src > bound:
-                        raise ResonanceError(
-                            f"unresolvable resonance at (n,k)=({n},{k}): "
-                            + ("zero divisor with a nonzero exact source" if exact else
-                               f"divisor {complex(div):.2e} with source {src:.2e}"))
+                    if src > 1e-9 * max(1.0, running_scale) * max(1.0, abs(gamma)):
+                        raise ResonanceError(f"unresolvable resonance at (n,k)=({n},{k}): "
+                                             f"divisor {complex(div):.2e} with source {src:.2e}")
                     v = zero     # resolvable: source vanishes identically
                 else:
                     v = rhs / div
-                if not exact:
-                    running_scale = max(running_scale, abs(v))
+                running_scale = max(running_scale, abs(v))
             vals.append(v)
-            if exact:
-                conv += (acc := acc + v)
-                continue
             y = v - acc_c
             t = acc + y
             acc_c, acc = (t - acc) - y, t
             y = acc - conv_c
             t = conv + y
             conv_c, conv = (t - conv) - y, t
-        if exact:
-            dens.append(math.lcm(*(v.denominator for v in vals)))
-        rows[k, lo:hi] = [v.numerator * (dens[k] // v.denominator) for v in vals] if exact else vals
+        rows[k, lo:hi] = vals
         if k == 0:
             a0 = vals                # a_{n,0} at index n
         a.update(zip(((n, k) for n in range(n_lo, n_hi + 1)), vals))

@@ -113,11 +113,27 @@ def log_theta_q(z, p: float):
     return _scalar_or_array(reduce(add, map(np.log, blocks())))
 
 
+def _x_z(x, dom: EllipticDomain, reduce: bool = False):
+    """(x, z = exp(i pi x/ell)) with x as a complex array; a non-finite x raises
+    DomainError before any arithmetic on it.
+
+    With reduce, x is first moved by whole imaginary periods 2 i delta to
+    |Im x| <= delta, and at p = 0 (no such period, and no ladder) z is None.
+    """
+    x = np.asarray(x, dtype=complex)
+    if not np.isfinite(x).all():
+        raise DomainError("non-finite argument x")
+    if reduce:
+        if dom.p == 0.0:
+            return x, None
+        x = x - 2j * dom.delta * np.round(np.imag(x) / (2.0 * dom.delta))
+    return x, np.exp(1j * math.pi * x / dom.ell)
+
+
 def theta1(x, dom: EllipticDomain):
     """Odd theta function vt1(x) = 2 sin(pi x/2 ell) prod (1-p^n z)(1-p^n/z)."""
-    x = np.asarray(x, dtype=complex)
-    return _product(np.exp(1j * math.pi * x / dom.ell), dom.p,
-                    2.0 * np.sin(math.pi * x / (2.0 * dom.ell)))
+    x, z = _x_z(x, dom)
+    return _product(z, dom.p, 2.0 * np.sin(math.pi * x / (2.0 * dom.ell)))
 
 
 def _ladder(z, p: float, head):
@@ -145,9 +161,8 @@ def theta1_jet(x, dom: EllipticDomain):
     (ln vt1)''(x) = -(pi/2 ell)^2 / sin^2(pi x/2 ell) + (pi/ell)^2 s2,
     which equals -wp1(x) but stays independent of wp1's cosine series.
     """
-    x = np.asarray(x, dtype=complex)
+    x, z = _x_z(x, dom)
     c = math.pi / dom.ell
-    z = np.exp(1j * math.pi * x / dom.ell)
     arg = math.pi * x / (2.0 * dom.ell)
     s = np.sin(arg)
     if np.any(np.abs(s) < 1e-300):
@@ -187,8 +202,7 @@ def _tau_dlog_theta(w, p: float):
 
 def theta1_tau_logderiv(x, dom: EllipticDomain):
     """d/dtau ln vt1(x) via d/dtau = 2 pi i p d/dp applied to each factor."""
-    z = np.exp(1j * math.pi * np.asarray(x, dtype=complex) / dom.ell)
-    return _scalar_or_array(_tau_dlog_theta(z, dom.p))
+    return _scalar_or_array(_tau_dlog_theta(_x_z(x, dom)[1], dom.p))
 
 
 def theta1_dtau(x, dom: EllipticDomain):
@@ -227,17 +241,13 @@ def wp1(x, dom: EllipticDomain):
     reduced by the imaginary period 2 i delta; the truncation policy then
     certifies the tail with the grown ratio p * max(|z|, 1/|z|).
     """
-    x = np.asarray(x, dtype=complex)
-    if dom.p > 0.0:
-        shift = np.round(np.imag(x) / (2.0 * dom.delta))
-        x = x - 2j * dom.delta * shift
+    x, z = _x_z(x, dom, reduce=True)
     c = math.pi / dom.ell
     s = np.sin(0.5 * c * x)
     if np.any(np.abs(s) < 1e-300):
         raise PoleError("wp1 pole: x on the period lattice")
     out = (0.5 * c) ** 2 / s ** 2
     if dom.p > 0.0:
-        z = np.exp(1j * c * x)
         zmax = float(np.max(np.maximum(np.abs(z), 1.0 / np.abs(z)), initial=1.0))
         nt = DEFAULT_POLICY.n_terms(dom.p * zmax, 2.0 / max(1e-300, 1.0 - dom.p))
         pm = 1.0

@@ -141,6 +141,13 @@ class TestDenseRecursion:
         for K, n_cap in ((6, 16), (12, 24)):
             s = (Fraction(int(rng.integers(-9, 15)), 7), Fraction(int(rng.integers(-6, 6)), 3))
             cases.append((s, Fraction(int(rng.integers(1, 21)), 21), K, n_cap))
+        # the sign, zero and growth paths of the int recursion: gamma = 0, a negative gamma,
+        # a gamma with 100-bit numerator and denominator, and a physical point with
+        # denominator-256 s and s1 - s2 = 3, whose zero divisors (-3, k >= 3) fall mid-row
+        s = (Fraction(77, 256), Fraction(-51, 256))
+        cases += [(s, Fraction(0), 6, 16), (s, Fraction(-75, 64), 12, 16),
+                  (s, Fraction(10**30 + 1, 3**20), 6, 16),
+                  ((Fraction(589, 256), Fraction(-179, 256)), Fraction(2), 12, 16)]
         for s, gamma, K, n_cap in cases:
             t = solve_variant_I(s, gamma, K, n_cap=n_cap, exact=True)
             a, eps = reference_solve(s, gamma, 0, K, n_cap, "I", exact=True)
@@ -172,6 +179,18 @@ class TestDenseRecursion:
             assert where is not None
             assert where == resonance_at(lambda: reference_solve(s, gamma, 0, K, n_cap, "I",
                                                                  exact=True))
+
+
+def _spy_fraction_arithmetic(monkeypatch):
+    """Record, by name, each call of Fraction's arithmetic dunders, as _spy_walks in
+    test_operators records the theta kernel calls."""
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__"):
+        fn = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda *a, _fn=fn, _name=name:
+                            calls.append(_name) or _fn(*a))
+    return calls
 
 
 class TestVariantIIPrecheck:
@@ -425,6 +444,20 @@ class TestExactMode:
             with pytest.raises(DomainError, match="integers"):
                 call()
 
+    def test_rows_solved_without_fraction_arithmetic(self, monkeypatch):
+        # the same-row recursion runs in ints and each entry becomes one Fraction, so the
+        # Fraction arithmetic of a solve is a few setup operations, the same at every n_cap
+        # (the entry-by-entry Fraction loop made 6715 calls here)
+        calls = _spy_fraction_arithmetic(monkeypatch)
+        counts = []
+        for n_cap in (24, 0):
+            calls.clear()
+            solve_variant_I((Fraction(77, 256), Fraction(-51, 256)), Fraction(75, 64), 12,
+                            n_cap=n_cap, exact=True)
+            counts.append(len(calls))
+        assert counts[0] <= 2 * (12 + 1)
+        assert counts[0] == counts[1]
+
     def test_exact_strings_exported(self):
         t = solve_variant_I((Fraction(3, 10), Fraction(-1, 5)), Fraction(2), K=3, exact=True)
         d = t.to_dict()
@@ -438,6 +471,26 @@ class TestSerialization:
         t2 = PSeriesTable.from_dict(d)
         assert t2.a == {k: complex(v) for k, v in t.a.items()}
         assert all(complex(a) == complex(b) for a, b in zip(t2.eps, t.eps))
+
+    @pytest.mark.parametrize("s, gamma, K, name", [
+        ((Fraction(3, 10), Fraction(-1, 5)), Fraction(10**400), 3, r"a_\(-3,3\)"),
+        ((Fraction(10**200), Fraction(0)), Fraction(1), 0, "Eps_0"),
+        ((Fraction(3, 10), Fraction(-1, 5)), Fraction(10**400), 0, "gamma")])
+    def test_exact_value_without_a_float_named(self, s, gamma, K, name):
+        # before, complex() of the first such value raised a bare OverflowError
+        t = solve_variant_I(s, gamma, K, n_cap=0 if K == 0 else 16, exact=True)
+        with pytest.raises(DomainError, match=name + " is too large for a float"):
+            t.to_dict()
+
+    def test_exact_table_in_range_serialises_as_before(self):
+        t = solve_variant_I((Fraction(3, 10), Fraction(-1, 5)), Fraction(2), K=3, exact=True)
+        expected = {"schema": 1, "variant": "I", "K": 3, "n_cap": 16, "s": [0.3, -0.2],
+                    "gamma": [2.0, 0.0], "kappa": [0.0, 0.0],
+                    "entries": [[n, k, complex(v).real, complex(v).imag]
+                                for (n, k), v in sorted(t.a.items())],
+                    "eps": [[complex(e).real, complex(e).imag] for e in t.eps],
+                    "s_exact": ["3/10", "-1/5"], "gamma_exact": "2"}
+        assert json.dumps(t.to_dict()) == json.dumps(expected)
 
     def test_schema_marker(self):
         assert solve_variant_I(S, GAMMA, K=2).to_dict()["schema"] == 1

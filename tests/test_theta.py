@@ -371,20 +371,33 @@ class TestEmptyInput:
 
 
 class TestNonFiniteInput:
-    """A non-finite argument fails in the nome ladder, at every nome: before, n_terms
-    certified 0 terms at the scale NaN, and theta_q(nan, 0.1) returned NaN."""
+    """A non-finite argument fails at every nome, a z in the nome ladder and an x where
+    z = exp(i pi x/ell) is formed: before, n_terms certified 0 terms at the scale NaN,
+    and theta_q(nan, 0.1) returned NaN."""
 
     @pytest.mark.parametrize("p", [0.0, 0.1])
     def test_every_ladder_kernel_rejects_it(self, p):
         dom = EllipticDomain.from_nome(2.0, p)
         a = np.array([0.5, math.nan])
         z = np.array([0.5, complex(0.3, math.inf)])
-        # an infinite x already overflows in exp(i pi x/ell), so the x-form kernels get NaN
         for call in (lambda: theta_q(math.nan, p), lambda: theta_q(a, p), lambda: theta_q(z, p),
                      lambda: log_theta_q(z, p), lambda: theta1(math.nan, dom),
-                     lambda: theta1_jet(a, dom), lambda: theta1_tau_logderiv(a, dom)):
+                     lambda: theta1_jet(a, dom), lambda: theta1_tau_logderiv(a, dom),
+                     lambda: wp1(a, dom)):
             with pytest.raises(DomainError, match="non-finite"):
                 call()
+
+    @pytest.mark.parametrize("p", [0.0, 0.1])
+    @pytest.mark.parametrize("x", [complex(0.3, math.inf), complex(0.3, -math.inf),
+                                   complex(math.inf, 0.2), complex(-math.inf, 0.2)])
+    def test_infinite_x_rejected_before_any_arithmetic(self, p, x):
+        # before, exp(i pi x/ell) (in wp1 the period shift or the sine) warned on x
+        # before any DomainError, which fails with warnings as errors
+        dom = EllipticDomain.from_nome(2.0, p)
+        for fn in (theta1, theta1_jet, theta1_tau_logderiv, wp1):
+            for arg in (x, np.array([0.5, x])):
+                with pytest.raises(DomainError, match="non-finite argument x"):
+                    fn(arg, dom)
 
     @pytest.mark.parametrize("g", [math.nan, math.inf])
     def test_non_finite_exponent_rejected(self, dom, g):
