@@ -27,9 +27,9 @@ def elliptic_gamma(z, par: RuijsenaarsParams):
     z = np.asarray(z, dtype=complex)
     _scale_for(z)                       # PoleError at z = 0, at any nome
     p, q = par.p, par.q
-    qm = np.array([(0, 1.0), *_nome_ladder(q, z)])[:, 1].reshape((-1,) + (1,) * z.ndim)
+    qm = np.concatenate((np.ones((1,) + (1,) * z.ndim), _nome_ladder(q, z)[1]))
     out = np.ones_like(z)
-    for n, pn in [(0, 1.0), *_nome_ladder(p, z)]:
+    for n, pn in enumerate([1.0, *_nome_ladder(p, z)[1].ravel().tolist()]):
         den = 1.0 - pn * qm * z
         pole = np.abs(den) < _POLE_EPS
         if np.any(pole):

@@ -12,14 +12,17 @@ tau-derivatives use d/dtau = 2 pi i p d/dp, valid since p = e^{2 pi i tau}.
 log theta (log_theta_q) is the sum of the factors' principal logs, taken as one
 log per block of consecutive factors whose bounds asin|w| on |Arg(1 - w)| sum
 below pi.
+
+A walk over the nome ladder forms all its levels' terms at once, stacked on a first
+axis, when levels x points fit _STACK, and goes level by level otherwise; _fold
+reduces in level order, so either way each result is the per-level loop's bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache, reduce
-from itertools import accumulate, repeat
-from operator import add, mul
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -36,13 +39,14 @@ __all__ = [
 
 def _scale_for(z) -> float:
     az = np.abs(np.asarray(z))
-    if np.any(az == 0.0):
+    if (az == 0.0).any():
         raise PoleError("zero argument z")
-    return float(np.max(az + 1.0 / az, initial=2.0))
+    return float((az + 1.0 / az).max(initial=2.0))
 
 
-def _nome_ladder(p: float, z):
-    """Iterator over (n, p^n) for the n = 1..N that DEFAULT_POLICY certifies at |z| + 1/|z|.
+def _nome_ladder(p: float, z, nt: int | None = None):
+    """(n, p^n) for the n = 1..N that DEFAULT_POLICY certifies at |z| + 1/|z|, or N = nt,
+    as arrays with z.ndim unit axes after the level axis, so they broadcast against z.
 
     p^n is the running product p, p*p, ..., not p**n, so every series keeps its rounding.
     At p = 0 there are no terms, and no p^n / z is formed, so z = 0 is allowed there.
@@ -50,8 +54,46 @@ def _nome_ladder(p: float, z):
     """
     if not np.isfinite(z).all():
         raise DomainError("non-finite argument z")
-    nt = 0 if p == 0.0 else DEFAULT_POLICY.n_terms(p, _scale_for(z))
-    return zip(range(1, nt + 1), accumulate(repeat(p, nt), mul))
+    if nt is None:
+        nt = 0 if p == 0.0 else DEFAULT_POLICY.n_terms(p, _scale_for(z))
+    axes = (nt,) + (1,) * np.ndim(z)
+    return np.arange(1, nt + 1).reshape(axes), np.multiply.accumulate(np.full(nt, p)).reshape(axes)
+
+
+# a walk of levels x points up to _STACK stacks its levels (faster on small arrays only);
+# a larger one goes level by level, so its working set stays one level
+_STACK = 4096
+_REDUCE = {add: np.add, mul: np.multiply, sub: np.subtract}
+
+
+def _blocks(p: float, z, nt: int | None = None):
+    """_nome_ladder's levels as one stacked block if levels x z.size fits _STACK, else one
+    (int, float) pair per level, as a per-level loop has them."""
+    n, pn = _nome_ladder(p, z, nt)
+    if len(n) * np.size(z) <= _STACK:
+        return [(n, pn)]
+    return zip(n.ravel().tolist(), pn.ravel().tolist())
+
+
+def _fold(op, acc, *terms):
+    """acc op terms[0][k] op terms[1][k] ... over the levels k of a block, rounded as the
+    per-level loop: operator calls for one level (terms of acc's ndim), else one reduce
+    over the stacked levels, which runs the loop's elementwise calls when the points hold
+    two entries or more (one entry is folded as two copies: a one-column reduce rounds
+    otherwise), and accumulate on 0-d input, which rounds as the numpy scalars did."""
+    if terms[0].ndim == acc.ndim:
+        return reduce(op, terms, acc)
+    k, shape = len(terms), terms[0].shape[1:]
+    stack = np.empty((1 + k * len(terms[0]),) + shape, terms[0].dtype)
+    stack[0] = acc
+    for j, t in enumerate(terms):
+        stack[1 + j::k] = t
+    ufunc = _REDUCE[op]
+    if not shape:
+        return ufunc.accumulate(stack)[-1]
+    if stack.size == len(stack):
+        return ufunc.reduce(np.concatenate((stack, stack), axis=-1), axis=0)[..., :1]
+    return ufunc.reduce(stack, axis=0)
 
 
 def _scalar_or_array(out):
@@ -60,8 +102,8 @@ def _scalar_or_array(out):
 
 def _product(z, p: float, head):
     """head prod_n (1 - p^n z)(1 - p^n / z) over the certified nome ladder."""
-    for _, pn in _nome_ladder(p, z):
-        head = head * (1.0 - pn * z) * (1.0 - pn / z)
+    for _, pn in _blocks(p, z):
+        head = _fold(mul, head, 1.0 - pn * z, 1.0 - pn / z)
     return _scalar_or_array(head)
 
 
@@ -100,7 +142,7 @@ def log_theta_q(z, p: float):
 
     def blocks():
         block, bound = 1.0 - z, _arg_bound(zmax)
-        for _, pn in _nome_ladder(p, z):
+        for pn in _nome_ladder(p, z)[1].ravel().tolist():
             for w_abs, factor in ((pn * zmax, 1.0 - pn * z), (pn / zmin, 1.0 - pn / z)):
                 b = _arg_bound(w_abs)
                 if bound + b < _BLOCK_ARG:
@@ -141,15 +183,14 @@ def _ladder(z, p: float, head):
 
     s1 = sum_n [ w/(1-w) - v/(1-v) ],   s2 = sum_n [ w/(1-w)^2 + v/(1-v)^2 ].
     """
-    s1 = np.zeros_like(z)
-    s2 = np.zeros_like(z)
-    for _, pn in _nome_ladder(p, z):
+    s1 = s2 = np.zeros_like(z)
+    for _, pn in _blocks(p, z):
         w, v = pn * z, pn / z
         a, b = 1.0 - w, 1.0 - v
-        head = head * a * b
         wa, vb = w / a, v / b
-        s1 += wa - vb
-        s2 += wa / a + vb / b
+        head = _fold(mul, head, a, b)
+        s1 = _fold(add, s1, wa - vb)
+        s2 = _fold(add, s2, wa / a + vb / b)
     return head, s1, s2
 
 
@@ -165,7 +206,7 @@ def theta1_jet(x, dom: EllipticDomain):
     c = math.pi / dom.ell
     arg = math.pi * x / (2.0 * dom.ell)
     s = np.sin(arg)
-    if np.any(np.abs(s) < 1e-300):
+    if (np.abs(s) < 1e-300).any():
         raise PoleError("x on the period lattice")
     vt, s1, s2 = _ladder(z, dom.p, 2.0 * s)
     zeta = (0.5 * c) * np.cos(arg) / s - (1j * c) * s1
@@ -186,17 +227,17 @@ def theta1_dlog2(x, dom: EllipticDomain):
 def _wdlog_jet(w, p: float):
     """(w d/dw log theta(w; p), (w d/dw)^2 log theta(w; p)) from one pass over the ladder."""
     w = np.asarray(w, dtype=complex)
-    _, s1, s2 = _ladder(w, p, 1.0)
     a = 1.0 - w
+    _, s1, s2 = _ladder(w, p, a)
     return -w / a - s1, -w / a ** 2 - s2
 
 
 def _tau_dlog_theta(w, p: float):
     """d/dtau log theta(w; p) = d/dtau ln vt1(x) at w = e^{i pi x/ell}, term-wise."""
     out = np.zeros_like(w)
-    for n, pn in _nome_ladder(p, w):
+    for n, pn in _blocks(p, w):
         u, v = pn * w, pn / w
-        out = out - n * (u / (1.0 - u) + v / (1.0 - v))
+        out = _fold(sub, out, n * (u / (1.0 - u) + v / (1.0 - v)))
     return 2j * math.pi * out
 
 
@@ -244,17 +285,15 @@ def wp1(x, dom: EllipticDomain):
     x, z = _x_z(x, dom, reduce=True)
     c = math.pi / dom.ell
     s = np.sin(0.5 * c * x)
-    if np.any(np.abs(s) < 1e-300):
+    if (np.abs(s) < 1e-300).any():
         raise PoleError("wp1 pole: x on the period lattice")
     out = (0.5 * c) ** 2 / s ** 2
     if dom.p > 0.0:
-        zmax = float(np.max(np.maximum(np.abs(z), 1.0 / np.abs(z)), initial=1.0))
+        zmax = float(np.maximum(np.abs(z), 1.0 / np.abs(z)).max(initial=1.0))
         nt = DEFAULT_POLICY.n_terms(dom.p * zmax, 2.0 / max(1e-300, 1.0 - dom.p))
-        pm = 1.0
-        for m in range(1, nt + 1):
-            pm *= dom.p
-            out = out - 2.0 * c ** 2 * m * pm / (1.0 - pm) * np.cos(m * c * x)
-    return out if out.shape else complex(out)
+        for m, pm in _blocks(dom.p, z, nt):
+            out = _fold(sub, out, 2.0 * c ** 2 * m * pm / (1.0 - pm) * np.cos(m * c * x))
+    return _scalar_or_array(out)
 
 
 @lru_cache(maxsize=None)

@@ -404,3 +404,39 @@ class TestNonFiniteInput:
         # before, g = NaN raised a bare ValueError in the integer test of the power rule
         with pytest.raises(DomainError, match="not finite"):
             theta1_power(0.62 * dom.ell, g, dom)
+
+
+class TestStackedWalks:
+    """Each ladder walk gives the same bytes with all its levels in one stack as level by
+    level (the per-level loop), so the _STACK cap changes only the time."""
+
+    @staticmethod
+    def walks(shape, p):
+        rng = np.random.default_rng([43, len(shape), int(1e4 * p)])
+        dom = EllipticDomain.from_nome(1.7, p)
+        height = dom.delta if p > 0.0 else dom.ell
+        x = np.asarray(dom.ell * rng.uniform(-2.0, 2.0, shape)
+                       + 1j * height * rng.uniform(-0.9, 0.9, shape))
+        w = np.exp(1j * math.pi * x / dom.ell)
+        return [theta1(x, dom), theta_q(w, p), *theta1_jet(x, dom),
+                theta1_tau_logderiv(x, dom), wp1(x, dom), *_wdlog_jet(w, p),
+                theta._tau_dlog_theta(w, p)]
+
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 4), (2, 300), (0,)], ids=str)
+    @pytest.mark.parametrize("p", [0.0, 1e-3, 0.05, 0.19, 0.5, 0.8])
+    def test_stacked_equals_level_by_level(self, shape, p, monkeypatch):
+        monkeypatch.setattr(theta, "_STACK", 0)
+        level = self.walks(shape, p)
+        monkeypatch.setattr(theta, "_STACK", 2 ** 62)
+        stacked = self.walks(shape, p)
+        for a, b in zip(level, stacked):
+            assert type(a) is type(b)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_cap_counts_levels_times_points(self, monkeypatch):
+        z = np.exp(1j * np.linspace(0.1, 3.0, 7))
+        levels = len(theta._nome_ladder(0.19, z)[0])
+        monkeypatch.setattr(theta, "_STACK", levels * z.size)
+        assert len(list(theta._blocks(0.19, z))) == 1
+        monkeypatch.setattr(theta, "_STACK", levels * z.size - 1)
+        assert len(list(theta._blocks(0.19, z))) == levels
