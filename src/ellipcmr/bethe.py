@@ -25,7 +25,7 @@ import numpy as np
 from .domain import EllipticDomain, _check_integers
 from .errors import BranchError, ConvergenceError, DomainError, EllipcmrError, PoleError
 from .fields import Field, Jet, _check_coordinates
-from .theta import pair_values, theta1, theta1_jet, theta1_logderiv
+from .theta import _pair_index, pair_values, theta1, theta1_jet, theta1_logderiv
 
 __all__ = [
     "BetheState", "bethe_residuals", "bethe_jacobian", "solve_bethe",
@@ -68,7 +68,7 @@ def _at_x_and_roots(fn, x, roots, dom):
 
 
 def _raise_on_poles(V):
-    """PoleError if a root or a pair difference has |vt1| < 1e-12.
+    """V, or PoleError if a root or a pair difference has |vt1| < 1e-12.
 
     V is vt1 on the pair differences of the roots and the origin (last point),
     so its last column holds vt1(t_j).
@@ -76,7 +76,7 @@ def _raise_on_poles(V):
     bad = np.abs(V) < 1e-12
     np.fill_diagonal(bad, False)
     if not bad.any():
-        return
+        return V
     # name what a j < k scan meets first: root t_j, then the pairs (j, k > j), then
     # row j + 1; |V| is symmetric, so the first bad row has no bad entry left of j
     j = np.argmax(bad.any(axis=1))
@@ -86,9 +86,8 @@ def _raise_on_poles(V):
 
 
 def _check_roots(t, dom):
-    t = np.asarray(t, dtype=complex)
-    _raise_on_poles(pair_values(theta1, np.append(t, 0.0), dom=dom, parity=-1))
-    return t
+    """vt1 on the pairs of (t, 0), pair_values' parity -1 matrix, once no entry is a pole."""
+    return _raise_on_poles(pair_values(theta1, np.append(t, 0.0), dom=dom, parity=-1))
 
 
 def _bethe_system(t, dom):
@@ -358,11 +357,11 @@ def saddle_G_value(t, xi: complex, dom: EllipticDomain) -> complex:
     the branch is ambiguous and a BranchError is raised (the gradient below is
     branch-free and always available).
     """
-    t = _check_roots(t, dom)
-    v = theta1(t, dom)
+    t = np.asarray(t, dtype=complex)
+    V = _check_roots(t, dom)
+    v, vp = V[:-1, -1], V[_pair_index(len(t))]
     if np.any(v.real <= 0.0):
         raise BranchError("ln vt1(t_j) outside principal-branch domain")
-    vp = pair_values(theta1, t, dom=dom)
     if np.any(vp.real <= 0.0):
         raise BranchError("ln vt1(t_j - t_k) outside principal-branch domain")
     return complex(np.sum(xi * t - len(t) * np.log(v)) + np.sum(np.log(vp)))

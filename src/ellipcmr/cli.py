@@ -27,7 +27,7 @@ from .operators import (apply_deformed_ecs, apply_ecs, apply_generalized_ecs,
                         fit_nonstationary_E, ground_state_field)
 from .fields import plane_wave
 from .pseries import apply_L_series, solve_variant_I, solve_variant_II
-from .theta import (heat_residual, theta1, theta1_logderiv, theta_q, wp1)
+from .theta import _x_z, heat_residual, theta1, theta1_logderiv, theta_q, wp1
 from .transform import ContourConfig, Partition2, assemble_P_lambda
 
 SCHEMA = 1
@@ -63,7 +63,7 @@ def cmd_eval(args) -> dict | tuple:
         raise DomainError(f"--x-imag {args.x_imag}: exp(pi |x_imag|/ell) overflows")
     n = args.grid
     x = args.x_min + (np.arange(n) + 0.5) * (args.x_max - args.x_min) / n + 1j * args.x_imag
-    f = _EVAL_FNS[args.fn](x, np.exp(1j * math.pi * x / dom.ell), dom, args)
+    f = _EVAL_FNS[args.fn](*_x_z(x, dom), dom, args)
     rows = np.column_stack([x.real, x.imag, f.real, f.imag]).tolist()
     if args.format == "csv":
         return ("x_re", "x_im", "f_re", "f_im"), rows
@@ -200,7 +200,7 @@ def _one_transform(lam_pair, args, dom):
     table = solve_variant_I((lam.lam1 + g / 2.0, lam.lam2 - g / 2.0),
                             g * (g - 1.0), args.K, n_cap=args.n_cap)
     x = np.array([0.31 * dom.ell, -0.27 * dom.ell])
-    z = np.exp(1j * math.pi * x / dom.ell)
+    z = _x_z(x, dom)[1]
     cfg = ContourConfig(nodes=args.nodes)
     r = assemble_P_lambda(lam, table, z, g, dom.p, cfg)
     return {

@@ -24,8 +24,7 @@ import numpy as np
 from .domain import EllipticDomain, RuijsenaarsParams
 from .errors import ConvergenceError, DomainError, PoleError
 from .fields import Field, Jet
-from .theta import (_pair_index, _power, _scalar_or_array, pair_values, theta1_jet,
-                    theta1_tau_logderiv, theta_q, wp1)
+from .theta import _pair_index, _power, _scalar_or_array, pair_values, theta1_jet, theta_q, wp1
 
 __all__ = [
     "CouplingSet", "half_period_shifts", "apply_ecs", "nonstationary_residual",
@@ -210,13 +209,13 @@ def _source_jet(u, s, g: float, dom: EllipticDomain):
     source F = prod_{i<k} vt1(u_i - u_k)^(g s_i s_k), s_i = +-1: Jet(1, d ln F,
     (d ln F)^2 + d^2 ln F, d_tau ln F).  s = 1 gives psi0, s = (+1 on x, -1 on y) K.
     """
-    vt, Z, D = pair_values(theta1_jet, u, dom=dom, parity=(-1, -1, 1))
+    vt, Z, D, T = pair_values(theta1_jet, u, dom=dom, parity=(-1, -1, 1, 1), _tau=True)
     jj, kk = _pair_index(u.shape[-1])
     flip = np.not_equal.outer(s, s)     # pairs with exponent -g; negation is exact
     li = g * np.where(flip, -Z, Z).sum(axis=-1)      # Z = zeta1, D = (ln vt1)'' = -wp1
     lii = g * np.where(flip, -D, D).sum(axis=-1)
-    t = pair_values(theta1_tau_logderiv, u, dom=dom)
-    ltau = g * np.where(flip[jj, kk], -t, t).sum(axis=-1)
+    # T = d/dtau ln vt1; its pairs in C order, so each point's sum rounds as one point's
+    ltau = g * np.ascontiguousarray(np.where(flip, -T, T)[..., jj, kk]).sum(axis=-1)
     return vt[..., jj, kk], Jet(1.0, li, li * li + lii, ltau)
 
 

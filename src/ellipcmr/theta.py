@@ -178,29 +178,34 @@ def theta1(x, dom: EllipticDomain):
     return _product(z, dom.p, 2.0 * np.sin(math.pi * x / (2.0 * dom.ell)))
 
 
-def _ladder(z, p: float, head):
-    """(head prod_n (1-w)(1-v), s1, s2) over the certified nome ladder, w = p^n z, v = p^n/z:
+def _ladder(z, p: float, head, tau: bool = False):
+    """(head prod_n (1-w)(1-v), s1, s2, st) over the certified nome ladder, w = p^n z,
+    v = p^n/z, with st = d/dtau log theta(z; p) if tau is set and None otherwise:
 
-    s1 = sum_n [ w/(1-w) - v/(1-v) ],   s2 = sum_n [ w/(1-w)^2 + v/(1-v)^2 ].
+    s1 = sum_n [ w/(1-w) - v/(1-v) ],   s2 = sum_n [ w/(1-w)^2 + v/(1-v)^2 ],
+    st = -2 pi i sum_n n [ w/(1-w) + v/(1-v) ].
     """
-    s1 = s2 = np.zeros_like(z)
-    for _, pn in _blocks(p, z):
+    s1 = s2 = st = np.zeros_like(z)
+    for n, pn in _blocks(p, z):
         w, v = pn * z, pn / z
         a, b = 1.0 - w, 1.0 - v
         wa, vb = w / a, v / b
         head = _fold(mul, head, a, b)
         s1 = _fold(add, s1, wa - vb)
         s2 = _fold(add, s2, wa / a + vb / b)
-    return head, s1, s2
+        if tau:
+            st = _fold(sub, st, n * (wa + vb))
+    return head, s1, s2, (2j * math.pi * st if tau else None)
 
 
-def theta1_jet(x, dom: EllipticDomain):
+def theta1_jet(x, dom: EllipticDomain, *, _tau: bool = False):
     """(vt1, zeta1, (ln vt1)'') at x from one pass over the nome ladder.
 
     vt1 is formed exactly as theta1 forms it, and with s1, s2 of _ladder at z,
     zeta1(x)      = (pi/2 ell) cot(pi x/2 ell) - (i pi/ell) s1,
     (ln vt1)''(x) = -(pi/2 ell)^2 / sin^2(pi x/2 ell) + (pi/ell)^2 s2,
-    which equals -wp1(x) but stays independent of wp1's cosine series.
+    which equals -wp1(x) but stays independent of wp1's cosine series.  _tau appends
+    d/dtau ln vt1(x) from the same walk (theta1_tau_logderiv's bits).
     """
     x, z = _x_z(x, dom)
     c = math.pi / dom.ell
@@ -208,10 +213,11 @@ def theta1_jet(x, dom: EllipticDomain):
     s = np.sin(arg)
     if (np.abs(s) < 1e-300).any():
         raise PoleError("x on the period lattice")
-    vt, s1, s2 = _ladder(z, dom.p, 2.0 * s)
+    vt, s1, s2, st = _ladder(z, dom.p, 2.0 * s, _tau)
     zeta = (0.5 * c) * np.cos(arg) / s - (1j * c) * s1
     dlog2 = c * c * s2 - (0.5 * c) ** 2 / s ** 2
-    return _scalar_or_array(vt), _scalar_or_array(zeta), _scalar_or_array(dlog2)
+    out = _scalar_or_array(vt), _scalar_or_array(zeta), _scalar_or_array(dlog2)
+    return out + (_scalar_or_array(st),) if _tau else out
 
 
 def theta1_logderiv(x, dom: EllipticDomain):
@@ -224,31 +230,27 @@ def theta1_dlog2(x, dom: EllipticDomain):
     return theta1_jet(x, dom)[2]
 
 
-def _wdlog_jet(w, p: float):
-    """(w d/dw log theta(w; p), (w d/dw)^2 log theta(w; p)) from one pass over the ladder."""
+def _wdlog_jet(w, p: float, tau: bool = False):
+    """(w d/dw log theta(w; p), (w d/dw)^2 log theta(w; p)) from one pass over the ladder,
+    and with tau d/dtau log theta(w; p), which is d/dtau ln vt1(x) at w = e^{i pi x/ell}."""
     w = np.asarray(w, dtype=complex)
     a = 1.0 - w
-    _, s1, s2 = _ladder(w, p, a)
-    return -w / a - s1, -w / a ** 2 - s2
-
-
-def _tau_dlog_theta(w, p: float):
-    """d/dtau log theta(w; p) = d/dtau ln vt1(x) at w = e^{i pi x/ell}, term-wise."""
-    out = np.zeros_like(w)
-    for n, pn in _blocks(p, w):
-        u, v = pn * w, pn / w
-        out = _fold(sub, out, n * (u / (1.0 - u) + v / (1.0 - v)))
-    return 2j * math.pi * out
+    _, s1, s2, st = _ladder(w, p, a, tau)
+    return (-w / a - s1, -w / a ** 2 - s2) + ((st,) if tau else ())
 
 
 def theta1_tau_logderiv(x, dom: EllipticDomain):
-    """d/dtau ln vt1(x) via d/dtau = 2 pi i p d/dp applied to each factor."""
-    return _scalar_or_array(_tau_dlog_theta(_x_z(x, dom)[1], dom.p))
+    """d/dtau ln vt1(x) via d/dtau = 2 pi i p d/dp applied to each factor: _ladder's tau
+    series, whose product (head z) is not read; unlike theta1_jet, no pole at x = 0."""
+    z = _x_z(x, dom)[1]
+    return _scalar_or_array(_ladder(z, dom.p, z, True)[3])
 
 
 def theta1_dtau(x, dom: EllipticDomain):
-    """d/dtau vt1(x), analytic (no finite differences)."""
-    return theta1(x, dom) * theta1_tau_logderiv(x, dom)
+    """d/dtau vt1(x), analytic, from one walk whose product is theta1's bit for bit."""
+    x, z = _x_z(x, dom)
+    vt, _, _, st = _ladder(z, dom.p, 2.0 * np.sin(math.pi * x / (2.0 * dom.ell)), True)
+    return _scalar_or_array(vt) * _scalar_or_array(st)
 
 
 def theta1_power(x, g: float, dom: EllipticDomain):
@@ -425,8 +427,7 @@ def heat_constant_c0(dom: EllipticDomain) -> float:
 
 def heat_residual(x, dom: EllipticDomain):
     """Relative residual of (i pi/ell^2 d_tau - d_x^2 - c0) vt1 at x."""
-    _, zeta, dlog2 = theta1_jet(x, dom)
-    tlog = theta1_tau_logderiv(x, dom)
+    _, zeta, dlog2, tlog = theta1_jet(x, dom, _tau=True)
     c0 = heat_constant_c0(dom)
     # vt1'' / vt1 = zeta1^2 + zeta1'
     return (1j * math.pi / dom.ell ** 2) * tlog - (zeta ** 2 + dlog2) - c0

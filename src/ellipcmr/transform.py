@@ -44,7 +44,7 @@ from .fields import Field, Jet, _check_coordinates
 from .kernels import KernelSpec, kernel_K
 from .operators import apply_ecs, ground_state_field
 from .pseries import PSeriesTable
-from .theta import _tau_dlog_theta, _wdlog_jet, log_theta_q
+from .theta import _wdlog_jet, _x_z, log_theta_q
 
 __all__ = [
     "Partition2", "ContourConfig", "ContourResult", "n2_single_contour_P",
@@ -345,7 +345,7 @@ def eigen_residuals_P_lambda(lam: Partition2, table: PSeriesTable, x, g: float,
     x2 = x[1] + 2.0 * dom.ell * np.round((x[0] - x[1]) / (2.0 * dom.ell))
     x = np.array(sorted((x[0], x2), reverse=True))
     p = dom.p
-    z = np.exp(1j * math.pi * x / dom.ell)
+    z = _x_z(x, dom)[1]
     r1, r2 = cfg.radii(p)
     pairs, weights = _assembly_weights(lam, table, p)
     mom = _f_moments(pairs, _f_legs(z, g, p, r1, r2, cfg.nodes), g, p, derivs=True)
@@ -382,16 +382,16 @@ def single_contour_psi_field(lam_diff: int, lam2: int, g: float, dom: EllipticDo
 
     def jet(x):
         _check_coordinates(x, 2)
-        z = np.exp(1j * math.pi * x / dom.ell)
+        z = _x_z(x, dom)[1]
         _check_window(z, r, p, "single contour")
         zx, leg, pref, base = _single_leg(z, xi, lam_diff, lam2, g, p)
         _check_winding(leg, "single contour")
-        e1, e2 = _wdlog_jet(zx, p)
+        e1, e2, et = _wdlog_jet(zx, p, True)
         al = lam2 - g * e1                        # z_i-Euler weights, one row per i
         P = pref * np.mean(base, axis=-1)
         dP = ipl * pref[..., None] * np.mean(base[..., None, :] * al, axis=-1)
         dP2 = ipl ** 2 * pref[..., None] * np.mean(base[..., None, :] * (al * al - g * e2), axis=-1)
-        P_tau = pref * np.mean(base * (-g * _tau_dlog_theta(zx, p).sum(axis=-2)), axis=-1)
+        P_tau = pref * np.mean(base * (-g * et.sum(axis=-2)), axis=-1)
         j0 = psi0(x)
         return _psi0_times(j0, P, dP, dP2)._replace(dtau=j0.dtau * P + j0.value * P_tau)
 

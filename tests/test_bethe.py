@@ -9,7 +9,7 @@ from ellipcmr.bethe import (bethe_jacobian, bethe_residuals,
                             hermite_psi, hermite_psi_field, saddle_G_gradient,
                             saddle_G_value, solve_bethe)
 from ellipcmr.domain import EllipticDomain
-from ellipcmr.errors import ConvergenceError, DomainError, PoleError
+from ellipcmr.errors import BranchError, ConvergenceError, DomainError, PoleError
 from ellipcmr.operators import lame_residual
 from ellipcmr.theta import theta1_logderiv, wp1
 
@@ -122,6 +122,11 @@ class TestHermitePsi:
             ratios.append(hermite_psi(x + 2 * dom_small_p.ell, st.roots, st.xi, dom_small_p)
                           / hermite_psi(x, st.roots, st.xi, dom_small_p))
         assert max(abs(r - ratios[0]) for r in ratios) <= 1e-9 * abs(ratios[0])
+
+    def test_origin_is_a_pole(self, dom_small_p):
+        st = solve_bethe(2, dom_small_p)
+        with pytest.raises(PoleError, match="period lattice"):
+            hermite_psi(0.0, st.roots, st.xi, dom_small_p)
 
     def test_bloch_multipliers(self, dom_small_p):
         st = solve_bethe(2, dom_small_p)
@@ -240,6 +245,13 @@ class TestSaddle:
         xi = sum(theta1_logderiv(tj, dom) for tj in t)
         grad = saddle_G_gradient(t, xi, dom)
         assert abs(np.sum(grad)) <= 1e-12 * max(1.0, np.max(np.abs(grad)))
+
+    def test_value_off_the_principal_branch_rejected(self, dom):
+        # real vt1 is negative on (-2 ell, 0): at a root there, or at a pair difference there
+        for t, what in (([-0.5 * dom.ell, 0.4 * dom.ell], "vt1\\(t_j\\)"),
+                        ([0.3 * dom.ell, 0.8 * dom.ell], "vt1\\(t_j - t_k\\)")):
+            with pytest.raises(BranchError, match=f"ln {what} outside principal-branch"):
+                saddle_G_value(np.array(t), 0.3, dom)
 
     def test_degenerate_branch_reported(self, dom_small_p):
         # the symmetric default branch at n = 2 is doubly periodic: Wronskian ~ 0

@@ -171,6 +171,13 @@ class TestTypedErrors:
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("error [domain]")
 
+    def test_csv_values_out_of_float_range(self, capsys):
+        # the CSV renderer checks the rows as the JSON renderer checks the payload
+        code, out = run_cli(["eval", "--fn", "theta", "--p", "0.1", "--x-imag", "250",
+                             "--grid", "2", "--format", "csv"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error [domain]: a result leaves the float range\n"
+
     @pytest.mark.parametrize("argv", [
         ["eval", "--fn", "theta1", "--p", "0.999"],
         ["verify", "--suite", "heat", "--p", "0.999"],

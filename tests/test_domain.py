@@ -43,6 +43,11 @@ def test_half_periods_must_be_positive(ell, delta):
         EllipticDomain.from_half_periods(ell, delta)
 
 
+def test_direct_negative_delta_rejected():
+    with pytest.raises(DomainError, match="delta must be positive"):
+        EllipticDomain(1.0, -1.0, 0.5)
+
+
 def test_underflowing_nome_is_the_trigonometric_case():
     # exp(-2 pi delta/ell) underflows to 0, so delta becomes inf as at p = 0
     assert EllipticDomain.from_half_periods(1e-4, 2.0) == EllipticDomain.from_nome(1e-4, 0.0)

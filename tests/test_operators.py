@@ -157,8 +157,7 @@ def _spy_walks(monkeypatch):
     import ellipcmr.operators as operators
     import ellipcmr.theta as theta
     calls = []
-    for mod, name in ((operators, "theta1_jet"), (operators, "theta1_tau_logderiv"),
-                      (operators, "wp1"), (theta, "theta1")):
+    for mod, name in ((operators, "theta1_jet"), (operators, "wp1"), (theta, "theta1")):
         fn = getattr(mod, name)
         monkeypatch.setattr(mod, name, lambda *a, _fn=fn, _name=name, **kw:
                             calls.append(_name) or _fn(*a, **kw))
@@ -280,9 +279,9 @@ class TestNonstationary:
         f = ground_state_field(1.3, dom)
         x = np.array([1.2, 0.9, 0.25, -0.4])
         nonstationary_residual(f, 4 * 1.3, 0.5, x, 1.3, dom)
-        # one jet: zeta1, (ln vt1)'' and vt1 for all four coordinates, then d/dtau ln vt1;
+        # one jet walk: zeta1, (ln vt1)'', vt1 and d/dtau ln vt1 for all four coordinates;
         # psi0 comes from that vt1, with no theta1 (theta1_power) walk; then the potential
-        assert calls == ["theta1_jet", "theta1_tau_logderiv", "wp1"]
+        assert calls == ["theta1_jet", "wp1"]
 
     def test_ground_state_field_at_coincident_points(self, dom):
         # the jet's zeta1 has a pole at x_i = x_j, so even the value raises there
@@ -461,6 +460,11 @@ class TestDeformed:
         x = [0.4, 1.0]
         assert apply_deformed_ecs(pw, x, [], 0.0, dom) == apply_ecs(pw, x, 0.0, dom)
 
+    def test_g_zero_with_partners_rejected(self, dom):
+        # a deformed partner has mass -1/g
+        with pytest.raises(DomainError, match="g != 0 when M > 0"):
+            apply_deformed_ecs(plane_wave([0.3, -0.6]), [0.4], [1.0], 0.0, dom)
+
     def test_m_zero_reduces(self, dom):
         pw = plane_wave([0.3, -0.6])
         x = [0.4, 1.0]
@@ -489,6 +493,12 @@ class TestDeformed:
 
 
 class TestGeneralized:
+    def test_g_zero_with_tilde_family_rejected(self, dom):
+        pw = plane_wave([0.3, -0.6, 0.2])
+        for xt, yt in (([0.9], []), ([], [0.9])):
+            with pytest.raises(DomainError, match="g != 0 when tilde families"):
+                apply_generalized_ecs(pw, [0.4], xt, [1.3], yt, 0.0, dom)
+
     @pytest.mark.parametrize("p", ORACLE_P)
     def test_four_families_match_oracle(self, p):
         # H_{N1,M1}(x, xt) + H_{N2,M2}(y, yt) + V(x, y; g) - g V(xt, yt; 1/g)
@@ -558,6 +568,11 @@ class TestGeneralized:
 
 
 class TestRuijsenaarsD:
+    def test_sign_zero_rejected(self):
+        par = RuijsenaarsParams(p=0.1, q=0.31, t=0.47)
+        with pytest.raises(DomainError, match="sign must be"):
+            apply_ruijsenaars_D(lambda zz: 1.0, np.exp(1j * np.array([0.3, 1.7])), par, sign=0)
+
     def test_constant_function(self):
         par = RuijsenaarsParams(p=0.0, q=0.31, t=0.47)
         z = np.exp(1j * np.array([0.3, 1.7]))
@@ -665,8 +680,8 @@ class TestKernelIdentity:
         assert abs(r) <= 1e-8
 
     def test_one_walk_per_kernel(self, dom, monkeypatch):
-        # one theta1_jet and one theta1_tau_logderiv pass over all pairs of (x, y), then
-        # one wp1 call for the potential: three truncation orders in all
+        # one theta1_jet pass, tau series included, over all pairs of (x, y), then
+        # one wp1 call for the potential: two truncation orders in all
         from ellipcmr.domain import TruncationPolicy
         calls = _spy_walks(monkeypatch)
         orders = []
@@ -675,8 +690,20 @@ class TestKernelIdentity:
                             lambda self, *a: orders.append(a) or counted(self, *a))
         kernel_identity_residual(KernelSpec(2, 1, 1.4), np.array([0.9, 0.1]),
                                  np.array([0.4]), dom)
-        assert calls == ["theta1_jet", "theta1_tau_logderiv", "wp1"]
-        assert len(orders) == 3
+        assert calls == ["theta1_jet", "wp1"]
+        assert len(orders) == 2
+
+    def test_empty_spec_rejected(self):
+        with pytest.raises(DomainError, match="N \\+ M > 0"):
+            KernelSpec(0, 0, 1.4)
+
+    @pytest.mark.parametrize("x, y", [([0.9, 0.1, 0.3], [0.4]), ([0.9, 0.1], [0.4, 0.2]),
+                                      ([0.9], [0.4])])
+    def test_coordinate_counts_must_match_the_spec(self, dom, x, y):
+        spec = KernelSpec(2, 1, 1.4)
+        for fn in (kernel_K, kernel_identity_residual):
+            with pytest.raises(DomainError, match="coordinate counts must match"):
+                fn(spec, np.array(x), np.array(y), dom)
 
     def test_two_one_constant(self, dom):
         spec = KernelSpec(2, 1, 1.4)

@@ -424,6 +424,11 @@ class TestExactMode:
                     / (1.0 + abs(tf.coefficient(n, k))) for (n, k) in tf.a)
         assert worst <= 1e-12
 
+    def test_nonzero_kappa_rejected(self):
+        with pytest.raises(DomainError, match="kappa = 0 only"):
+            solve_variant_I((Fraction(3, 10), Fraction(-1, 5)), Fraction(2), K=3, exact=True,
+                            kappa=0.5)
+
     def test_physical_point_rational_eigenvalues(self):
         t = solve_variant_I((Fraction(2), Fraction(-1)), Fraction(2), K=6, exact=True)
         assert t.eps == (Fraction(5, 2), Fraction(1), Fraction(17, 4), Fraction(-13, 8),
@@ -502,6 +507,14 @@ class TestSeriesHelpers:
         ci = pseries_inv(c)
         conv = [sum(c[j] * ci[k - j] for j in range(k + 1)) for k in range(3)]
         assert np.allclose(conv, [1, 0, 0])
+
+    def test_inv_needs_a_constant_term(self):
+        with pytest.raises(DomainError, match="zero constant term"):
+            pseries_inv([0, 1])
+
+    def test_log_needs_constant_term_one(self):
+        with pytest.raises(DomainError, match="constant term 1"):
+            pseries_log([2, 0])
 
     def test_log_exp_consistency(self):
         c = np.array([1.0, 0.3, -0.12, 0.07], dtype=complex)

@@ -276,3 +276,29 @@ def test_truncation_orders_chosen_in_one_place():
     hits = [f"{p.name}:{line}" for p in SRC if p.name not in ("domain.py", "theta.py")
             for line in policy_uses(_tree(p))]
     assert not hits, f"truncation orders chosen outside domain.py and theta.py: {hits}"
+
+
+def ladder_walks(tree):
+    """Names of the functions whose own body names _blocks, the nome-ladder walk of theta
+    (module-level code counts as <module>, a lambda as <lambda>)."""
+    scopes = [tree] + [fn for fn in ast.walk(tree) if isinstance(fn, _FUNCTIONS)]
+    return sorted({getattr(fn, "name", "<lambda>" if isinstance(fn, ast.Lambda) else "<module>")
+                   for fn in scopes for n in _own_nodes(fn)
+                   if isinstance(n, ast.Name) and n.id == "_blocks"
+                   or isinstance(n, ast.Attribute) and n.attr == "_blocks"})
+
+
+def test_ladder_walks_are_seen():
+    tree = ast.parse("def _blocks(p, z):\n    return []\n"
+                     "def a(z):\n    for n, pn in _blocks(p, z):\n        pass\n"
+                     "def b(z):\n    def inner():\n        return list(theta._blocks(p, z))\n"
+                     "c = lambda z: _blocks(p, z)\nwalk = _blocks\n")
+    assert ladder_walks(tree) == ["<lambda>", "<module>", "a", "inner"]
+
+
+def test_one_ladder_walk_per_kind():
+    """Only theta._product (the products), theta._ladder (the log-derivative jet and its
+    tau series) and wp1's cosine series, the independent cross-check, walk the nome
+    ladder in blocks; a second per-level walk of the same terms is a forked kernel."""
+    hits = [f"{p.name}:{name}" for p in SRC for name in ladder_walks(_tree(p))]
+    assert hits == ["theta.py:_ladder", "theta.py:_product", "theta.py:wp1"], hits

@@ -325,6 +325,20 @@ class TestHeat:
     def test_heat_residual(self, dom):
         assert abs(heat_residual(0.37 * dom.ell, dom)) <= 1e-8
 
+    def test_heat_residual_walks_the_ladder_once(self, dom, monkeypatch):
+        # the jet and the tau log-derivative come from one walk; heat_constant_c0 has its
+        # own scalar loop, the independent series, and walks no block of the ladder
+        walks = []
+        counted = theta._blocks
+        monkeypatch.setattr(theta, "_blocks", lambda *a: walks.append(a) or counted(*a))
+        heat_residual(dom.ell * np.array([0.37, 0.8, 1.3]), dom)
+        assert len(walks) == 1
+
+    def test_tau_logderiv_finite_at_the_origin(self, dom):
+        # theta1_jet has a pole at x = 0; the tau walk has none, and vt1(0) = 0
+        assert math.isfinite(abs(theta1_tau_logderiv(0.0, dom)))
+        assert theta1_dtau(0.0, dom) == 0.0
+
     def test_dtau_vanishes_at_p_zero(self, dom_trig):
         assert theta1_dtau(0.5, dom_trig) == 0.0
 
@@ -411,16 +425,20 @@ class TestStackedWalks:
     level (the per-level loop), so the _STACK cap changes only the time."""
 
     @staticmethod
-    def walks(shape, p):
+    def points(shape, p):
         rng = np.random.default_rng([43, len(shape), int(1e4 * p)])
         dom = EllipticDomain.from_nome(1.7, p)
         height = dom.delta if p > 0.0 else dom.ell
         x = np.asarray(dom.ell * rng.uniform(-2.0, 2.0, shape)
                        + 1j * height * rng.uniform(-0.9, 0.9, shape))
-        w = np.exp(1j * math.pi * x / dom.ell)
-        return [theta1(x, dom), theta_q(w, p), *theta1_jet(x, dom),
-                theta1_tau_logderiv(x, dom), wp1(x, dom), *_wdlog_jet(w, p),
-                theta._tau_dlog_theta(w, p)]
+        return x, np.exp(1j * math.pi * x / dom.ell)
+
+    @classmethod
+    def walks(cls, shape, p):
+        dom = EllipticDomain.from_nome(1.7, p)
+        x, w = cls.points(shape, p)
+        return [theta1(x, dom), theta_q(w, p), *theta1_jet(x, dom, _tau=True),
+                theta1_tau_logderiv(x, dom), wp1(x, dom), *_wdlog_jet(w, p, True)]
 
     @pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 4), (2, 300), (0,)], ids=str)
     @pytest.mark.parametrize("p", [0.0, 1e-3, 0.05, 0.19, 0.5, 0.8])
@@ -430,6 +448,20 @@ class TestStackedWalks:
         monkeypatch.setattr(theta, "_STACK", 2 ** 62)
         stacked = self.walks(shape, p)
         for a, b in zip(level, stacked):
+            assert type(a) is type(b)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 300)], ids=str)
+    @pytest.mark.parametrize("p", [0.0, 0.19])
+    def test_tau_series_changes_no_other_output(self, shape, p):
+        # the walk with its tau series on gives the switch-off outputs bit for bit,
+        # and its tau series is theta1_tau_logderiv's
+        x, w = self.points(shape, p)
+        dom = EllipticDomain.from_nome(1.7, p)
+        off, on = theta1_jet(x, dom), theta1_jet(x, dom, _tau=True)
+        woff, won = _wdlog_jet(w, p), _wdlog_jet(w, p, True)
+        assert (len(off), len(on), len(woff), len(won)) == (3, 4, 2, 3)
+        for a, b in zip(off + woff + (theta1_tau_logderiv(x, dom),), on[:3] + won[:2] + on[3:]):
             assert type(a) is type(b)
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 

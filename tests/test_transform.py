@@ -76,15 +76,23 @@ class TestSingleContour:
                             / abs(psi(np.array(x, dtype=complex)).value) for x in pts)
                 assert worst <= 1e-8
 
+    def test_field_rejects_a_non_finite_point(self, dom_small_p):
+        # z = exp(i pi x/ell) comes from theta's one x -> z map, which checks x first
+        psi = single_contour_psi_field(1, 0, 2.0, dom_small_p)
+        for x in ([0.8, math.nan], [math.inf, 0.1]):
+            with pytest.raises(DomainError, match="non-finite argument x"):
+                psi(np.array(x))
+
     def test_field_builds_moments_once_per_point(self, dom_small_p, monkeypatch):
-        # value, partials and tau-derivative of psi0 P share one set of contour moments
+        # value, partials and tau-derivative of psi0 P share one set of contour moments,
+        # from one _wdlog_jet walk that carries the tau series
         calls = []
         counted = transform._wdlog_jet
         monkeypatch.setattr(transform, "_wdlog_jet",
-                            lambda *a: calls.append(1) or counted(*a))
+                            lambda *a: calls.append(a[2:]) or counted(*a))
         psi = single_contour_psi_field(1, 0, 2.0, dom_small_p)
         nonstationary_residual(psi, 2.0, 1.0, [0.8, 0.1], 2.0, dom_small_p)
-        assert len(calls) == 1
+        assert calls == [(True,)]
 
 
 class TestDoubleContour:
