@@ -33,10 +33,18 @@ print(f"\nwp1(x) + (ln vt1)''(x) = {abs(wp1(x, dom) + theta1_dlog2(x, dom)):.2e}
 print(f"heat-equation residual  = {abs(heat_residual(0.37 * dom.ell, dom)):.2e}")
 print(f"c0 = {heat_constant_c0(dom):.12g};   d/dtau vt1 at x: {theta1_dtau(x, dom):.6g}")
 
-# Fourier-type expansion of wp1 in z = e^{i pi x/ell}, reconstructed from the table
+# Fourier-type expansion of wp1 in z = e^{i pi x/ell}: plus[m, k] and minus[m, k] are
+# the coefficients of z^m p^k and z^-m p^k.  Summed here; the p-free part sum_m m z^m
+# converges only for |z| < 1, so it is resummed as z/(1 - z)^2
 fc = wp1_fourier_coeffs(dom, m_max=32)
 x0 = 0.3 * dom.ell
-print(f"\nwp1 from the coefficient table: {fc.reconstruct(x0):.12g}")
+z0 = np.exp(1j * math.pi * x0 / dom.ell)
+c = -((math.pi / dom.ell) ** 2)
+m = np.arange(len(fc.plus))
+powers = dom.p ** np.arange(fc.plus.shape[1])
+wp_table = c * z0 / (1 - z0) ** 2 + np.sum((fc.plus @ powers - c * m) * z0 ** m
+                                           + (fc.minus @ powers) * z0 ** -m)
+print(f"\nwp1 from the coefficient table: {wp_table:.12g}")
 print(f"wp1 from the cosine series:     {wp1(x0, dom):.12g}")
 
 # Trigonometric degeneration: p = 0 collapses everything to sin-based forms

@@ -214,9 +214,10 @@ def _source_jet(u, s, g: float, dom: EllipticDomain):
     flip = np.not_equal.outer(s, s)     # pairs with exponent -g; negation is exact
     li = g * np.where(flip, -Z, Z).sum(axis=-1)      # Z = zeta1, D = (ln vt1)'' = -wp1
     lii = g * np.where(flip, -D, D).sum(axis=-1)
-    # T = d/dtau ln vt1; its pairs in C order, so each point's sum rounds as one point's
+    # T = d/dtau ln vt1 and vt1 itself: their pairs in C order, so each point's sum and
+    # product round as one point's
     ltau = g * np.ascontiguousarray(np.where(flip, -T, T)[..., jj, kk]).sum(axis=-1)
-    return vt[..., jj, kk], Jet(1.0, li, li * li + lii, ltau)
+    return np.ascontiguousarray(vt[..., jj, kk]), Jet(1.0, li, li * li + lii, ltau)
 
 
 def ground_state_field(g: float, dom: EllipticDomain) -> Field:
@@ -228,6 +229,7 @@ def ground_state_field(g: float, dom: EllipticDomain) -> Field:
     def jet(x):
         vt, j = _source_jet(x, np.ones(x.shape[-1]), g, dom)
         psi0 = np.prod(_power(vt, g), axis=-1)
-        return Jet(psi0, j.d1 * psi0[..., None], j.d2 * psi0[..., None], j.dtau * psi0)
+        # np.multiply, not *: one point's dtau takes numpy's array loop, as a batch's does
+        return Jet(psi0, j.d1 * psi0[..., None], j.d2 * psi0[..., None], np.multiply(j.dtau, psi0))
 
     return jet

@@ -334,11 +334,12 @@ def apply_L_series(table: PSeriesTable) -> LaurentPSeries:
     """Apply L to the stored series exactly in the truncated ring.
 
     Independent route: the p-expansion coefficients of the potential come from
-    wp1_fourier_coeffs (rescaled to the dimensionless Phat), each operator
-    piece acts by series arithmetic, and the residual coefficients are
-    collected on the window k <= K, -k <= n <= n_cap (where the truncation is
-    exact).  For a correctly solved table every entry vanishes.  L is
-    dimensionless, so the coefficients are taken at the fixed domain ell = pi, p = 0.
+    the two tables of wp1_fourier_coeffs (rescaled to the dimensionless Phat), each
+    operator piece acts by series arithmetic (the potential by one array slice per
+    nonzero table entry), and the residual coefficients are collected on the window
+    k <= K, -k <= n <= n_cap (where the truncation is exact).  For a correctly solved
+    table every entry vanishes.  L is dimensionless, so the coefficients are taken
+    at the fixed domain ell = pi, p = 0.
     """
     K, n_cap = table.K, table.n_cap
     s1, s2 = complex(table.s[0]), complex(table.s[1])
@@ -369,15 +370,11 @@ def apply_L_series(table: PSeriesTable) -> LaurentPSeries:
     # -Eps * f as a p-product
     for kp in range(K + 1):
         res[kp:] -= eps[kp] * f(0, K + 1 - kp)
-    # -gamma * Phat * f
-    for kp in range(K + 1):
-        for m in range(1, m_max + 1):
-            cp = phat_plus[m, kp]
-            cm = phat_minus[m, kp]
-            if cp != 0.0:
-                res[kp:] -= gamma * cp * f(-m, K + 1 - kp)
-            if cm != 0.0:
-                res[kp:] -= gamma * cm * f(m, K + 1 - kp)
+    # -gamma * Phat * f over the nonzero table entries, kp outer and m ascending
+    for kp, m in np.argwhere(((phat_plus != 0.0) | (phat_minus != 0.0)).T).tolist():
+        for coef, shift in ((phat_plus[m, kp], -m), (phat_minus[m, kp], m)):
+            if coef != 0.0:
+                res[kp:] -= gamma * coef * f(shift, K + 1 - kp)
     out = {}
     for k, row in enumerate(res.tolist()):
         out.update(((n, k), row[n + K]) for n in range(-k, n_cap + 1))

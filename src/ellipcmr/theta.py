@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache, reduce
 from operator import add, mul, sub
+from typing import NamedTuple
 
 import numpy as np
 
@@ -337,52 +338,17 @@ def pair_values(fn, a, b=None, *, parity: int | tuple = 0, **kw):
     return out
 
 
-class WpFourierCoeffs:
-    """Coefficients of z^{+-m} in the |z|-annulus expansion of wp1.
+class WpFourierCoeffs(NamedTuple):
+    """Coefficients of z^{+-m} p^k in the |z|-annulus expansion of wp1, as the tables
+    plus[m, k] and minus[m, k], m = 0..m_max (row 0 is zero), k = 0..k_max.
 
     wp1(x) = -(pi/ell)^2 sum_{m>=1} m ( z^m + sum_{nu>=1} p^{m nu} (z^m + z^-m) )
-    for p < |z| < 1.  Per m, the z^m coefficient is the p-polynomial
-    -(pi/ell)^2 m (1 + p^m + p^{2m} + ...), and the z^-m coefficient is the
-    same without the leading 1; p-powers are kept symbolic up to order k_max.
+    for p < |z| < 1, so plus[m, 0] = -(pi/ell)^2 m, plus[m, m nu] = minus[m, m nu] =
+    the same for nu >= 1, and every other entry is 0.
     """
 
-    def __init__(self, dom: EllipticDomain, m_max: int, k_max: int):
-        self.ell = dom.ell
-        self.p = dom.p
-        self.m_max = int(m_max)
-        self.k_max = int(k_max)
-        c = -((math.pi / dom.ell) ** 2)
-        # plus[m][k], minus[m][k]: coefficient of z^{+-m} p^k, m = 1..m_max
-        self.plus = np.zeros((m_max + 1, k_max + 1))
-        self.minus = np.zeros((m_max + 1, k_max + 1))
-        for m in range(1, m_max + 1):
-            self.plus[m, 0] = c * m
-            for nu in range(1, k_max // m + 1):
-                self.plus[m, nu * m] = c * m
-                self.minus[m, nu * m] = c * m
-
-    def coefficient(self, m: int, p: float | None = None):
-        """Numeric z^m coefficient (m may be negative) from the p-power table."""
-        p = self.p if p is None else p
-        table = self.plus if m > 0 else self.minus
-        powers = p ** np.arange(self.k_max + 1)
-        return float(table[abs(m)] @ powers)
-
-    def reconstruct(self, x, p: float | None = None):
-        """Sum the expansion at z = exp(i pi x/ell) from the tabulated powers.
-
-        The p-independent part sum_m m z^m only converges for |z| < 1, so it is
-        resummed as z/(1-z)^2; every p-dependent coefficient is summed as the
-        finite p-polynomial stored in the table.
-        """
-        p = self.p if p is None else p
-        z = np.exp(1j * math.pi * np.asarray(x, dtype=complex) / self.ell)
-        c = -((math.pi / self.ell) ** 2)
-        total = c * z / (1.0 - z) ** 2
-        for m in range(1, self.m_max + 1):
-            cp = self.coefficient(m, p) - c * m   # p-dependent part of z^m
-            total = total + cp * z ** m + self.coefficient(-m, p) * z ** (-m)
-        return total
+    plus: np.ndarray
+    minus: np.ndarray
 
 
 def wp1_fourier_coeffs(dom: EllipticDomain, m_max: int = 32,
@@ -392,7 +358,13 @@ def wp1_fourier_coeffs(dom: EllipticDomain, m_max: int = 32,
     if k_max is None:
         k_max = max(m_max, DEFAULT_POLICY.n_terms(dom.p, 1.0) if dom.p > 0 else m_max)
     _check_integers(0, k_max=k_max)
-    return WpFourierCoeffs(dom, m_max, k_max)
+    c = -((math.pi / dom.ell) ** 2)
+    plus = np.zeros((m_max + 1, k_max + 1))
+    minus = np.zeros((m_max + 1, k_max + 1))
+    for m in range(1, m_max + 1):
+        plus[m, 0] = c * m
+        plus[m, m::m] = minus[m, m::m] = c * m
+    return WpFourierCoeffs(plus, minus)
 
 
 def eta1_over_omega1(dom: EllipticDomain) -> float:

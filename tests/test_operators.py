@@ -253,6 +253,18 @@ class TestPointBatches:
                     a = np.broadcast_to(a, (2, 3) + np.shape(b))[i]
                     assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b)), (name, i)
 
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    @pytest.mark.parametrize("g", [1.3, 2.0])
+    def test_ground_state_batch_keeps_per_point_bits(self, dom, n, g):
+        # psi0's pair values are multiplied in C order and its dtau in numpy's array
+        # loop, so a batch's value, d1, d2 and dtau are each point's call bit for bit
+        psi0 = ground_state_field(g, dom)
+        x = batch_points(n, dom, 71)
+        got = psi0(x)
+        for i in np.ndindex(2, 3):
+            for name, a, b in zip(Jet._fields, got, psi0(x[i])):
+                assert np.asarray(a)[i].tobytes() == np.asarray(b).tobytes(), (name, i)
+
 
 class TestNonstationary:
     def test_theta_power_solves_kappa_2g(self, dom):

@@ -6,8 +6,8 @@ module-level private name is referenced outside its own definition, no
 nested function keeps state in a container of its enclosing function, no
 cli verify suite loops over its points, no library function calls a
 callable it is given once per point in a loop, integer inputs are
-checked in one place, and only the truncation rule and the theta ladders
-choose truncation orders.
+checked in one place, only the truncation rule and the theta ladders
+choose truncation orders, and only the known walks read the nome ladder.
 """
 
 import ast
@@ -278,14 +278,18 @@ def test_truncation_orders_chosen_in_one_place():
     assert not hits, f"truncation orders chosen outside domain.py and theta.py: {hits}"
 
 
+def _reads(nodes, name):
+    """Whether any of the nodes is the bare name or an attribute of that name."""
+    return any(isinstance(n, ast.Name) and n.id == name
+               or isinstance(n, ast.Attribute) and n.attr == name for n in nodes)
+
+
 def ladder_walks(tree):
     """Names of the functions whose own body names _blocks, the nome-ladder walk of theta
     (module-level code counts as <module>, a lambda as <lambda>)."""
     scopes = [tree] + [fn for fn in ast.walk(tree) if isinstance(fn, _FUNCTIONS)]
     return sorted({getattr(fn, "name", "<lambda>" if isinstance(fn, ast.Lambda) else "<module>")
-                   for fn in scopes for n in _own_nodes(fn)
-                   if isinstance(n, ast.Name) and n.id == "_blocks"
-                   or isinstance(n, ast.Attribute) and n.attr == "_blocks"})
+                   for fn in scopes if _reads(_own_nodes(fn), "_blocks")})
 
 
 def test_ladder_walks_are_seen():
@@ -302,3 +306,32 @@ def test_one_ladder_walk_per_kind():
     ladder in blocks; a second per-level walk of the same terms is a forked kernel."""
     hits = [f"{p.name}:{name}" for p in SRC for name in ladder_walks(_tree(p))]
     assert hits == ["theta.py:_ladder", "theta.py:_product", "theta.py:wp1"], hits
+
+
+def ladder_readers(tree):
+    """Names of the module-level functions that name _nome_ladder, theta's ladder of
+    levels, anywhere in their body, nested functions included (other module-level
+    code, classes included, counts as <module>)."""
+    tops = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    rest = (n for node in tree.body if node not in tops for n in ast.walk(node))
+    return sorted({fn.name for fn in tops if _reads(ast.walk(fn), "_nome_ladder")}
+                  | ({"<module>"} if _reads(rest, "_nome_ladder") else set()))
+
+
+def test_ladder_readers_are_seen():
+    tree = ast.parse("def _nome_ladder(p, z):\n    return [], []\n"
+                     "def a(z):\n    def inner():\n        return _nome_ladder(p, z)\n"
+                     "    return inner()\n"
+                     "def b(z):\n    return theta._nome_ladder(p, z)[1]\n"
+                     "def c(z):\n    return _blocks(p, z)\n"
+                     "walk = _nome_ladder\n")
+    assert ladder_readers(tree) == ["<module>", "a", "b"]
+
+
+def test_direct_ladder_readers():
+    """Only theta._blocks (the levels that _product, _ladder and wp1 walk), log_theta_q
+    (its blocks of principal logs) and gamma.elliptic_gamma (its p- and q-ladders)
+    read theta._nome_ladder; any other reader is a walk test_one_ladder_walk_per_kind
+    does not see."""
+    hits = [f"{p.name}:{name}" for p in SRC for name in ladder_readers(_tree(p))]
+    assert hits == ["gamma.py:elliptic_gamma", "theta.py:_blocks", "theta.py:log_theta_q"], hits

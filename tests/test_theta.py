@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -284,13 +285,48 @@ class TestWpFourier:
         fc = wp1_fourier_coeffs(dom_small_p, m_max=8)
         c = (math.pi / dom_small_p.ell) ** 2
         for m in range(1, 9):
-            assert abs(fc.coefficient(m, p=0.0) + c * m) <= 1e-15 * c * m
-            assert fc.coefficient(-m, p=0.0) == 0.0
+            assert abs(fc.plus[m, 0] + c * m) <= 1e-15 * c * m
+            assert fc.minus[m, 0] == 0.0
 
     def test_reconstruction_matches_wp1(self, dom_small_p):
+        # the tables summed here, at a z formed here: the p-free part sum_m m z^m
+        # converges only for |z| < 1, so it is resummed as z/(1 - z)^2
         fc = wp1_fourier_coeffs(dom_small_p, m_max=40)
-        x = 0.3 * dom_small_p.ell
-        assert abs(fc.reconstruct(x) - wp1(x, dom_small_p)) <= 1e-10
+        ell, p = dom_small_p.ell, dom_small_p.p
+        x = 0.3 * ell
+        z = np.exp(1j * math.pi * x / ell)
+        c = -((math.pi / ell) ** 2)
+        m = np.arange(len(fc.plus))
+        powers = p ** np.arange(fc.plus.shape[1])
+        total = (c * z / (1.0 - z) ** 2
+                 + np.sum((fc.plus @ powers - c * m) * z ** m + (fc.minus @ powers) * z ** -m))
+        assert abs(total - wp1(x, dom_small_p)) <= 1e-10
+
+    # frozen sha256 of plus.tobytes() + minus.tobytes(); (pi, 0.0) at (61, 12) is
+    # apply_L_series' call at K = 12, n_cap = 24
+    FROZEN = [
+        ((2.0, 0.05), 8, None, (9, 12),
+         "2fe83ec4692d5fa2ddaa063c8cd90d68504768f12b8d7357f376e9583a28fab1"),
+        ((2.0, 0.1), 10, 20, (11, 21),
+         "f3b799e05581ef204c5682993879f4797d478f3f52adf564c24aecf0aae917a5"),
+        ((2.0, 0.5), 3, None, (4, 55),
+         "ef626476ded5486f44cb61ec83c46dcb0bc0e1202202309cc918df8d1cae9670"),
+        ((1.3, 0.0), 6, None, (7, 7),
+         "b0a414ce3565f3779fe4f248787461235c9b8f9b755aabd06bea896bd9db2ef9"),
+        ((math.pi, 0.0), 61, 12, (62, 13),
+         "f0cfcab1b21dd98347c3e42f79ec3c56dfac3afecddb37a9519db694cd6ebf88"),
+        ((math.pi, 0.0), 29, 6, (30, 7),
+         "56ca9c0ea918ee0c69b38571fe06165636a7e94a0f621db70fea1a3333afa145"),
+    ]
+
+    @pytest.mark.parametrize("nome, m_max, k_max, shape, digest", FROZEN,
+                             ids=[f"{n[0]:.4g}-{n[1]}-{m}-{k}" for n, m, k, _, _ in FROZEN])
+    def test_tables_frozen(self, nome, m_max, k_max, shape, digest):
+        fc = wp1_fourier_coeffs(EllipticDomain.from_nome(*nome), m_max=m_max, k_max=k_max)
+        assert fc._fields == ("plus", "minus")
+        assert fc.plus.shape == fc.minus.shape == shape
+        assert fc.plus.dtype == fc.minus.dtype == np.float64
+        assert hashlib.sha256(fc.plus.tobytes() + fc.minus.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("m_max", [0, -3])
     def test_order_below_one_rejected(self, dom_small_p, m_max):
